@@ -1,15 +1,18 @@
 // Command simbench measures the event-kernel hot paths with the standard
 // testing.Benchmark driver and writes the machine-readable record that
-// `make bench-sim` commits as BENCH_sim.json. The record keeps the seed
-// kernel's numbers (container/heap, closure events — measured on the same
-// benchmarks before the rewrite) alongside the current run so regressions
-// against either point are one jq expression away.
+// `make bench-sim` commits as BENCH_sim.json. The record keeps two earlier
+// kernels' numbers on the same benchmark bodies beside the current run —
+// the seed kernel (container/heap, closure events) and the single 4-ary
+// heap the time wheel replaced — so regressions against either point are
+// one jq expression away.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -85,6 +88,9 @@ func normalize(r testing.BenchmarkResult, eventsPerOp int) metric {
 type record struct {
 	Kernel     string            `json:"kernel"`
 	Benchmarks map[string]metric `json:"benchmarks"`
+	// HeapBaseline holds every benchmark measured on the single 4-ary
+	// heap kernel the two-tier queue replaced.
+	HeapBaseline map[string]metric `json:"heap_baseline"`
 	// SeedBaseline holds the same benchmarks measured on the seed kernel
 	// (container/heap priority queue, func() callbacks, no event pool).
 	SeedBaseline map[string]metric `json:"seed_baseline"`
@@ -103,6 +109,21 @@ func seedBaseline() map[string]metric {
 		"event_throughput":    mk(56.78, 1, 32),
 		"schedule_deschedule": mk(50.08, 1, 32),
 		"fan_out":             mk(6970.0/64, 1, 32),
+	}
+}
+
+// heapBaseline is the single 4-ary heap kernel (commit c8fb30a) measured
+// with these benchmark bodies on the host that recorded BENCH_sim.json, a
+// 2-vCPU Intel Xeon VM with Go 1.24: the median of three best-of-3 runs,
+// alternated with runs of the two-tier kernel. All cases allocated nothing.
+func heapBaseline() map[string]metric {
+	mk := func(ns float64) metric { return metric{NsPerEvent: ns, EventsPerSec: 1e9 / ns} }
+	return map[string]metric{
+		"event_throughput":      mk(16.61),
+		"event_throughput_func": mk(21.79),
+		"schedule_deschedule":   mk(18.06),
+		"fan_out":               mk(50.52),
+		"deep_queue":            mk(171.64),
 	}
 }
 
@@ -196,6 +217,60 @@ func benchFanOut(b *testing.B) {
 		if err := e.RunUntilQuiet(0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// deepQueue keeps deepPending pooled one-shots in flight, like a loaded
+// GPN: each firing schedules a replacement with the next delay from a
+// table drawn to the NOVA cells' measured mix. The seeded table holds 36%
+// at +1 tick, 28% in [128, 256), and a tail to ~8k ticks with 0.2% (8 of
+// 4,096) past 2,048.
+type deepQueue struct {
+	e      *sim.Engine
+	delays []sim.Ticks
+	i      int
+}
+
+const deepPending = 1000
+
+func (d *deepQueue) Fire() {
+	d.e.Schedule(d.delays[d.i&(len(d.delays)-1)], d)
+	d.i++
+}
+
+func newDeepQueue(b *testing.B) *deepQueue {
+	rng := rand.New(rand.NewSource(1))
+	d := &deepQueue{e: sim.NewEngine(), delays: make([]sim.Ticks, 4096)}
+	for i := range d.delays {
+		switch p := rng.Float64(); {
+		case p < 0.35:
+			d.delays[i] = 1
+		case p < 0.63:
+			d.delays[i] = sim.Ticks(128 + rng.Intn(128))
+		case p < 0.83:
+			d.delays[i] = sim.Ticks(2 + rng.Intn(126))
+		case p < 0.999:
+			d.delays[i] = sim.Ticks(256 + rng.Intn(2048-256))
+		default:
+			d.delays[i] = sim.Ticks(2048 + rng.Intn(6144))
+		}
+	}
+	for i := 0; i < deepPending; i++ {
+		d.Fire()
+	}
+	// One pass through the population fills the event pool.
+	if err := d.e.Run(0, deepPending); !errors.Is(err, sim.ErrMaxEvents) {
+		b.Fatal(err)
+	}
+	return d
+}
+
+func benchDeepQueue(b *testing.B) {
+	d := newDeepQueue(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := d.e.Run(0, d.e.Executed()+uint64(b.N)); !errors.Is(err, sim.ErrMaxEvents) {
+		b.Fatal(err)
 	}
 }
 
@@ -306,13 +381,15 @@ func main() {
 	}
 
 	rec := record{
-		Kernel: "intrusive-4ary-pooled",
+		Kernel: "wheel2048-4ary-far-pooled",
 		Benchmarks: map[string]metric{
 			"event_throughput":      normalize(bestOf(3, benchThroughput), 1),
 			"event_throughput_func": normalize(bestOf(3, benchThroughputFunc), 1),
 			"schedule_deschedule":   normalize(bestOf(3, benchScheduleDeschedule), 1),
 			"fan_out":               normalize(bestOf(3, benchFanOut), 64),
+			"deep_queue":            normalize(bestOf(3, benchDeepQueue), 1),
 		},
+		HeapBaseline: heapBaseline(),
 		SeedBaseline: seedBaseline(),
 	}
 	if seed := rec.SeedBaseline["event_throughput"].EventsPerSec; seed > 0 {

@@ -14,9 +14,12 @@ import (
 var ErrStalled = errors.New("sim: stalled")
 
 // DefaultPollEvents is the default cancellation-poll stride: the kernel
-// checks the interrupt once per this many executed events. At ~10ns/event
-// the default costs one atomic load every ~80µs of simulated work, keeping
-// the hot loop unperturbed while bounding cancellation latency.
+// checks the interrupt once per this many executed events. A NOVA cell
+// spends ~210–260 ns of host time per event (sim.ns_per_event on the
+// repository benchmark's three sim workloads, 2-vCPU Xeon VM), so a poll
+// comes every ~1.7–2.1 ms of wall time, which bounds how long a cancelled
+// run keeps going. One atomic load per 8192 events costs the hot loop
+// nothing measurable.
 const DefaultPollEvents = 8192
 
 // StopReason classifies why a run stopped early. The empty string means

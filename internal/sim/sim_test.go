@@ -358,48 +358,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestHeapStress cross-checks the intrusive 4-ary heap against a reference
-// sort under random schedule/deschedule/reschedule churn.
-func TestHeapStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	e := NewEngine()
-	type rec struct {
-		when Ticks
-		seq  int
-	}
-	var fired []rec
-	seq := 0
-	var live []*Event
-	for i := 0; i < 5000; i++ {
-		switch op := rng.Intn(10); {
-		case op < 6 || len(live) == 0:
-			s := seq
-			seq++
-			when := Ticks(rng.Intn(1000))
-			var ev *Event
-			ev = e.ScheduleFunc(when, func() { fired = append(fired, rec{e.Now(), s}) })
-			live = append(live, ev)
-		case op < 8:
-			k := rng.Intn(len(live))
-			e.Deschedule(live[k])
-			live = append(live[:k], live[k+1:]...)
-		default:
-			k := rng.Intn(len(live))
-			if live[k].Scheduled() {
-				e.Reschedule(live[k], Ticks(rng.Intn(1000)))
-			}
-		}
-	}
-	if err := e.RunUntilQuiet(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i].when < fired[i-1].when {
-			t.Fatalf("time went backwards at %d: %v -> %v", i, fired[i-1], fired[i])
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", e.Pending())
-	}
-}
