@@ -44,14 +44,14 @@ func runAblation(b *testing.B, cfg nova.Config, p func(root graph.VertexID) prog
 // BenchmarkAblationSpillOverwrite vs ...SpillFIFO: Table I's trade-off as
 // an end-to-end ablation (identical machine, different VMU policy).
 func BenchmarkAblationSpillOverwrite(b *testing.B) {
-	cfg := exp.NOVAConfig(exp.Small, 1)
+	cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 	cfg.Spill = "overwrite"
 	rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewSSSP(r) })
 	b.ReportMetric(float64(rep.SpillWrites), "spill-writes")
 }
 
 func BenchmarkAblationSpillFIFO(b *testing.B) {
-	cfg := exp.NOVAConfig(exp.Small, 1)
+	cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 	cfg.Spill = "fifo"
 	rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewSSSP(r) })
 	b.ReportMetric(float64(rep.SpillWrites), "spill-writes")
@@ -61,13 +61,13 @@ func BenchmarkAblationSpillFIFO(b *testing.B) {
 // BenchmarkAblationAsyncBFS vs ...SyncBFS: the same workload under both
 // execution models NOVA supports (Section III-A).
 func BenchmarkAblationAsyncBFS(b *testing.B) {
-	rep := runAblation(b, exp.NOVAConfig(exp.Small, 1),
+	rep := runAblation(b, exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1),
 		func(r graph.VertexID) program.Program { return program.NewBFS(r) })
 	b.ReportMetric(float64(rep.Stats.EdgesTraversed), "edges")
 }
 
 func BenchmarkAblationSyncBFS(b *testing.B) {
-	rep := runAblation(b, exp.NOVAConfig(exp.Small, 1),
+	rep := runAblation(b, exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1),
 		func(r graph.VertexID) program.Program { return program.Synchronous(program.NewBFS(r)) })
 	b.ReportMetric(float64(rep.Stats.EdgesTraversed), "edges")
 	b.ReportMetric(float64(rep.Stats.Epochs), "epochs")
@@ -79,7 +79,7 @@ func BenchmarkAblationSyncBFS(b *testing.B) {
 func BenchmarkAblationBufferDepth(b *testing.B) {
 	for _, entries := range []int{16, 40, 80, 160, 320} {
 		b.Run(benchName("entries", entries), func(b *testing.B) {
-			cfg := exp.NOVAConfig(exp.Small, 1)
+			cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 			cfg.ActiveBufferEntries = entries
 			runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewBFS(r) })
 		})
@@ -91,7 +91,7 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 func BenchmarkAblationSuperblockDim(b *testing.B) {
 	for _, dim := range []int{8, 32, 128, 512} {
 		b.Run(benchName("dim", dim), func(b *testing.B) {
-			cfg := exp.NOVAConfig(exp.Small, 1)
+			cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 			cfg.SuperblockDim = dim
 			rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewBFS(r) })
 			b.ReportMetric(100*rep.VertexWastefulFrac, "waste-pct")
@@ -109,12 +109,12 @@ func benchName(k string, v int) string {
 // two to see why.
 func BenchmarkAblationPRDeltaVsBSP(b *testing.B) {
 	b.Run("pr-delta-async", func(b *testing.B) {
-		rep := runAblation(b, exp.NOVAConfig(exp.Small, 1),
+		rep := runAblation(b, exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1),
 			func(r graph.VertexID) program.Program { return program.NewPRDelta(0.85, 1e-5) })
 		b.ReportMetric(float64(rep.Stats.EdgesTraversed), "edges")
 	})
 	b.Run("pr-bsp-10iter", func(b *testing.B) {
-		rep := runAblation(b, exp.NOVAConfig(exp.Small, 1),
+		rep := runAblation(b, exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1),
 			func(r graph.VertexID) program.Program { return program.NewPageRank(0.85, 10) })
 		b.ReportMetric(float64(rep.Stats.EdgesTraversed), "edges")
 	})

@@ -15,16 +15,17 @@ import (
 )
 
 // PolyGraphBaseline runs programs on the temporal-partitioning baseline
-// accelerator model. It implements program.Runner.
+// accelerator model. It implements program.Runner. Its json tags are the
+// novad "polygraph" block's wire names (API.md).
 type PolyGraphBaseline struct {
 	// OnChipBytes is the scratchpad capacity (default 32 MiB; scaled
 	// experiments shrink it to keep Table III slice counts).
-	OnChipBytes int64
+	OnChipBytes int64 `json:"onchip_bytes"`
 	// MemBandwidth is unified off-chip bandwidth in bytes/second
-	// (default 332.8 GB/s, the iso-bandwidth setting).
-	MemBandwidth float64
+	// (default 332.8 GB/s, the iso-bandwidth setting). Go API only.
+	MemBandwidth float64 `json:"-"`
 	// ForceSlices overrides the computed slice count when positive.
-	ForceSlices int
+	ForceSlices int `json:"force_slices"`
 }
 
 // PolyGraphReport extends the engine-agnostic stats with the temporal-
@@ -124,11 +125,12 @@ var _ program.Runner = (*PolyGraphBaseline)(nil)
 // RunWorkload call owns a private simulation, so the engine is safe for
 // concurrent use by harness.Pool workers.
 //
-// The metrics bag is derived from the run's stats dump (the
-// PolyGraphReport.Dump tree): root-level legacy keys processing_seconds,
-// switching_seconds, inefficiency_seconds, slice_count, rounds,
-// slice_passes, edge_bw_share plus traffic counters and per-slice detail
-// (slice0.passes, …). The two-phase "bc" workload reports Stats only.
+// The report carries the run's stats dump (the PolyGraphReport.Dump
+// tree), which harness.Report.Metric reads by record path: root-level
+// keys processing_seconds, switching_seconds, inefficiency_seconds,
+// slice_count, rounds, slice_passes, edge_bw_share plus traffic counters
+// and per-slice detail (slice0.passes, …). The two-phase "bc" workload
+// reports Stats only.
 func (b *PolyGraphBaseline) Engine() harness.Engine { return pgEngine{b} }
 
 type pgEngine struct{ b *PolyGraphBaseline }
@@ -188,7 +190,6 @@ func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness
 	}
 	out.Props, out.Stats = rep.Props, rep.Stats
 	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
 	out.Partial, out.StopReason = rep.Partial, rep.StopReason
 	return out, err
 }
@@ -197,9 +198,10 @@ var _ harness.Engine = pgEngine{}
 
 // Software runs the Ligra-style shared-memory framework on the host and
 // reports wall-clock performance — the paper's software reference point.
+// Its json tags are the novad "ligra" block's wire names (API.md).
 type Software struct {
 	// Threads bounds worker goroutines (0 = all cores).
-	Threads int
+	Threads int `json:"threads"`
 }
 
 // SoftwareReport is the outcome of one software run.
@@ -302,11 +304,11 @@ func (s *Software) RunWorkloadContext(ctx context.Context, name string, g, gT *g
 // unlike the simulated engines its timings vary run to run and tighten
 // when cells share cores).
 //
-// The metrics bag is derived from the run's stats dump: legacy keys
-// iterations and wall_seconds plus edges_traversed, the push/pull
-// direction profile and frontier-size distribution. Distance outputs
-// (bfs/sssp/cc) convert to Props with -1 mapping to program.Inf;
-// PageRank ranks and BC scores land in Scores.
+// The report carries the run's stats dump, which harness.Report.Metric
+// reads by record path: iterations and wall_seconds plus
+// edges_traversed, the push/pull direction profile and frontier-size
+// distribution. Distance outputs (bfs/sssp/cc) convert to Props with -1
+// mapping to program.Inf; PageRank ranks and BC scores land in Scores.
 func (s *Software) Engine() harness.Engine { return ligraEngine{s} }
 
 type ligraEngine struct{ s *Software }
@@ -340,8 +342,7 @@ func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harn
 			SimSeconds:     rep.Seconds,
 			EdgesTraversed: rep.EdgesTraversed,
 		},
-		Metrics: rep.Dump.Bag(),
-		Dump:    rep.Dump,
+		Dump: rep.Dump,
 	}
 	if rep.Dists != nil {
 		out.Props = make([]program.Prop, len(rep.Dists))

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"testing"
 
+	"nova"
 	"nova/internal/exp"
 	"nova/internal/harness"
 )
@@ -57,7 +58,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, err := runner(context.Background(), scale, pool)
+		table, err := runner(context.Background(), scale, nova.DefaultConfig(), pool)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

@@ -27,9 +27,9 @@ import (
 	"syscall"
 	"time"
 
+	"nova"
 	"nova/internal/exp"
 	"nova/internal/harness"
-	"nova/internal/network"
 	"nova/internal/prof"
 )
 
@@ -41,32 +41,21 @@ func main() {
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation cells per experiment")
 	benchPath := flag.String("bench", "", "also run each experiment at -jobs 1 and write the wall-clock comparison JSON here")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
-	shards := flag.Int("shards", 1, "simulation worker goroutines per NOVA cell (clamped to the cell's GPN count; results are bit-identical at every setting)")
-	topology := flag.String("topology", "crossbar", "inter-GPN topology for every NOVA cell: crossbar|ring|mesh|torus (fignet sweeps all regardless)")
-	coalesceWindow := flag.Int64("coalesce-window", 0, "in-fabric coalescing window in cycles for every NOVA cell (0 disables; fignet sweeps on/off regardless)")
-	coalesceCap := flag.Int("coalesce-cap", 0, "coalescing buffer capacity in messages (0 = default; requires -coalesce-window)")
+	// The NOVA flags bind straight into the base configuration every
+	// experiment cell starts from (exp.NOVAConfig scales it per cell).
+	base := nova.DefaultConfig()
+	flag.IntVar(&base.Shards, "shards", 1, "simulation worker goroutines per NOVA cell (clamped to the cell's GPN count; results are bit-identical at every setting)")
+	flag.StringVar(&base.Topology, "topology", "crossbar", "inter-GPN topology for every NOVA cell: crossbar|ring|mesh|torus (fignet sweeps all regardless)")
+	flag.Int64Var(&base.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles for every NOVA cell (0 disables; fignet sweeps on/off regardless)")
+	flag.IntVar(&base.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in messages (0 = default; requires -coalesce-window)")
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
 	defer profFlags.Start()()
-	// Validate the fabric flags before any dataset is built: an unknown
-	// topology or an inconsistent coalescing setting must fail instantly,
-	// not after minutes of graph generation.
-	if _, err := network.ParseTopoKind(*topology); err != nil {
+	// Validate before any dataset is built: a bad NOVA flag must fail
+	// instantly, not after minutes of graph generation.
+	if _, err := nova.New(base); err != nil {
 		fatal(err)
 	}
-	if *coalesceWindow < 0 {
-		fatal(fmt.Errorf("-coalesce-window %d is negative", *coalesceWindow))
-	}
-	if *coalesceCap < 0 {
-		fatal(fmt.Errorf("-coalesce-cap %d is negative", *coalesceCap))
-	}
-	if *coalesceCap > 0 && *coalesceWindow == 0 {
-		fatal(fmt.Errorf("-coalesce-cap %d has no effect without -coalesce-window", *coalesceCap))
-	}
-	exp.Shards = *shards
-	exp.Topology = *topology
-	exp.CoalesceWindow = *coalesceWindow
-	exp.CoalesceCap = *coalesceCap
 
 	if *list {
 		for _, id := range exp.IDs() {
@@ -116,7 +105,7 @@ func main() {
 
 	for _, id := range ids {
 		runner := exp.All[id]
-		table, st, err := runOne(ctx, runner, id, scale, *jobs, !*quiet)
+		table, st, err := runOne(ctx, runner, id, scale, base, *jobs, !*quiet)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted\n", id)
@@ -132,7 +121,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  [%s completed in %v, %d cells, jobs=%d]\n",
 			id, st.wall.Round(time.Millisecond), st.cells, *jobs)
 		if *benchPath != "" {
-			_, seq, err := runOne(ctx, runner, id, scale, 1, false)
+			_, seq, err := runOne(ctx, runner, id, scale, base, 1, false)
 			if err != nil {
 				fatal(fmt.Errorf("%s (sequential bench): %w", id, err))
 			}
@@ -178,7 +167,7 @@ type sweepStats struct {
 	cells int
 }
 
-func runOne(ctx context.Context, runner exp.Runner, id string, scale exp.Scale, jobs int, progress bool) (*exp.Table, sweepStats, error) {
+func runOne(ctx context.Context, runner exp.Runner, id string, scale exp.Scale, base nova.Config, jobs int, progress bool) (*exp.Table, sweepStats, error) {
 	var st sweepStats
 	pool := &harness.Pool{Workers: jobs}
 	pool.OnDone = func(ev harness.Event) {
@@ -194,7 +183,7 @@ func runOne(ctx context.Context, runner exp.Runner, id string, scale exp.Scale, 
 		}
 	}
 	start := time.Now()
-	table, err := runner(ctx, scale, pool)
+	table, err := runner(ctx, scale, base, pool)
 	st.wall = time.Since(start)
 	return table, st, err
 }

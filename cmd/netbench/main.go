@@ -203,14 +203,14 @@ type macroPair struct {
 }
 
 func runMacroCell(ctx context.Context, scale exp.Scale, shards int, w harness.Workload, buffers int, window int64) (macroCell, error) {
-	cfg := exp.NOVAConfig(scale, 4)
+	cfg := exp.NOVAConfig(scale, nova.DefaultConfig(), 4)
 	cfg.Shards = shards
 	cfg.Topology = "crossbar"
 	cfg.CoalesceWindow = window
 	if buffers > 0 {
 		cfg.ActiveBufferEntries = buffers
 	}
-	eng, err := exp.NovaEngineWith(cfg)
+	eng, err := exp.NovaEngine(cfg)
 	if err != nil {
 		return macroCell{}, err
 	}

@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -34,31 +35,34 @@ import (
 	"nova/graph"
 	"nova/internal/exp"
 	"nova/internal/harness"
-	"nova/internal/network"
 	"nova/internal/prof"
 	"nova/internal/stats"
 	"nova/program"
 )
 
 func main() {
+	// The engine flags bind straight into the engines' config structs;
+	// checkEngines validates them before any dataset is built.
+	cfg := nova.DefaultConfig()
+	var em nova.ExternalMemory
 	engine := flag.String("engine", "nova", "nova|polygraph|ligra|extmem, comma-separated list, or all")
 	workload := flag.String("workload", "bfs", "bfs|sssp|cc|pr|bc|prdelta, comma-separated list, or all")
 	graphName := flag.String("graph", "twitter", "road|twitter|friendster|host|urand")
 	scaleFlag := flag.String("scale", "small", "small|medium|full|large")
-	gpns := flag.Int("gpns", 1, "number of GPNs (nova engine)")
-	shards := flag.Int("shards", 1, "simulation worker goroutines for the sharded nova kernel (clamped to -gpns; results are bit-identical at every setting)")
-	mapping := flag.String("mapping", "random", "random|interleave|load-balanced|locality")
-	spill := flag.String("spill", "overwrite", "overwrite|fifo")
-	fabric := flag.String("fabric", "hierarchical", "hierarchical|ideal")
-	topology := flag.String("topology", "crossbar", "inter-GPN topology: crossbar|ring|mesh|torus (nova engine, hierarchical fabric)")
-	coalesceWindow := flag.Int64("coalesce-window", 0, "in-fabric coalescing window in cycles (0 = off; nova engine, hierarchical fabric)")
-	coalesceCap := flag.Int("coalesce-cap", 0, "coalescing buffer capacity in message entries (0 = default; requires -coalesce-window)")
+	flag.IntVar(&cfg.GPNs, "gpns", 1, "number of GPNs (nova engine)")
+	flag.IntVar(&cfg.Shards, "shards", 1, "simulation worker goroutines for the sharded nova kernel (clamped to -gpns; results are bit-identical at every setting)")
+	flag.StringVar(&cfg.Mapping, "mapping", "random", "random|interleave|load-balanced|locality")
+	flag.StringVar(&cfg.Spill, "spill", "overwrite", "overwrite|fifo")
+	flag.StringVar(&cfg.Fabric, "fabric", "hierarchical", "hierarchical|ideal")
+	flag.StringVar(&cfg.Topology, "topology", "crossbar", "inter-GPN topology: crossbar|ring|mesh|torus (nova engine, hierarchical fabric)")
+	flag.Int64Var(&cfg.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles (0 = off; nova engine, hierarchical fabric)")
+	flag.IntVar(&cfg.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in message entries (0 = default; requires -coalesce-window)")
 	prIters := flag.Int("pr-iters", 10, "PageRank iterations")
-	outOfCore := flag.Bool("out-of-core", false, "enable the SSD-backed out-of-core tier (nova engine): vertex blocks outside the resident window pay a modeled page-in")
-	ssdPreset := flag.String("ssd", "", "SSD timing preset for paging engines: nvme (default) or sata")
-	ssdResidentPages := flag.Int("ssd-resident-pages", 0, "per-PE SSD resident window in pages (nova engine, requires -out-of-core; 0 = default)")
-	extmemRAM := flag.Int64("extmem-ram", 0, "DRAM partition-cache budget in bytes for the extmem engine (0 = default 256 MiB)")
-	extmemPartEdges := flag.Int64("extmem-part-edges", 0, "target edges per vertex interval for the extmem engine (0 = default 1Mi)")
+	flag.BoolVar(&cfg.OutOfCore, "out-of-core", false, "enable the SSD-backed out-of-core tier (nova engine): vertex blocks outside the resident window pay a modeled page-in")
+	flag.StringVar(&em.SSDPreset, "ssd", "", "SSD timing preset for paging engines: nvme (default) or sata")
+	flag.IntVar(&cfg.SSDResidentPages, "ssd-resident-pages", 0, "per-PE SSD resident window in pages (nova engine, requires -out-of-core; 0 = default)")
+	flag.Int64Var(&em.RAMBytes, "extmem-ram", 0, "DRAM partition-cache budget in bytes for the extmem engine (0 = default 256 MiB)")
+	flag.Int64Var(&em.PartitionEdges, "extmem-part-edges", 0, "target edges per vertex interval for the extmem engine (0 = default 1Mi)")
 	verify := flag.Bool("verify", true, "check results against the sequential oracle")
 	graphFile := flag.String("graph-file", "", "load graph from a file instead of the registry (.csr = binary CSR container, else edge list)")
 	partitionCache := flag.Int("partition-cache", 0, "page a partitioned .csr -graph-file through a bounded partition cache of this many resident partitions (0 = load normally)")
@@ -69,7 +73,6 @@ func main() {
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
 	defer profFlags.Start()()
-	exp.Shards = *shards
 
 	// SIGINT/SIGTERM cancel the run context: the engines stop cooperatively
 	// within one poll interval and partial results are still rendered (and
@@ -81,16 +84,11 @@ func main() {
 
 	engines := splitList(*engine, []string{"nova", "polygraph", "ligra", "extmem"})
 	workloads := splitList(*workload, nova.WorkloadNames)
-	// Reject inconsistent fabric knobs before touching any dataset: graph
-	// construction at the larger scales is the expensive part of a run,
-	// and a bad flag combination should fail in milliseconds, not minutes.
-	check(validateFabricFlags(engines, *fabric, *topology, *coalesceWindow, *coalesceCap))
-	oc := oocFlags{outOfCore: *outOfCore, ssdPreset: *ssdPreset, ssdResidentPages: *ssdResidentPages,
-		extmemRAM: *extmemRAM, extmemPartEdges: *extmemPartEdges}
-	check(validateOOCFlags(engines, oc))
-
 	scale, err := exp.ParseScale(*scaleFlag)
 	check(err)
+	cfg = exp.NOVAConfig(scale, cfg, cfg.GPNs)
+	check(checkEngines(engines, &cfg, &em))
+
 	var d *exp.Dataset
 	if *graphFile != "" {
 		var loaded *graph.CSR
@@ -121,8 +119,7 @@ func main() {
 	// -stats-out routes through the sweep path even for a single cell, so
 	// every cell's dump lands in one merged, engine.workload-prefixed file.
 	if len(engines)*len(workloads) > 1 || *statsOut != "" {
-		fc := fabricFlags{fabric: *fabric, topology: *topology, coalesceWindow: *coalesceWindow, coalesceCap: *coalesceCap}
-		runSweep(ctx, scale, d, engines, workloads, *gpns, *mapping, *spill, fc, oc, *prIters, *jobsN, *timeout, *statsOut)
+		runSweep(ctx, scale, d, engines, workloads, cfg, em, *prIters, *jobsN, *timeout, *statsOut)
 		return
 	}
 
@@ -143,14 +140,6 @@ func main() {
 
 	switch *engine {
 	case "nova":
-		cfg := exp.NOVAConfig(scale, *gpns)
-		cfg.Mapping = *mapping
-		cfg.Spill = *spill
-		cfg.Fabric = *fabric
-		cfg.Topology = *topology
-		cfg.CoalesceWindow = *coalesceWindow
-		cfg.CoalesceCapacity = *coalesceCap
-		oc.apply(&cfg)
 		acc, err := nova.New(cfg)
 		check(err)
 		if *tracePath != "" {
@@ -195,8 +184,7 @@ func main() {
 		printOutcome(out)
 		exitPartial(out)
 	case "extmem":
-		em := oc.extmem()
-		out, err := nova.RunWorkloadContext(ctx, em, *workload, g, gT, d.Root, *prIters)
+		out, err := nova.RunWorkloadContext(ctx, &em, *workload, g, gT, d.Root, *prIters)
 		checkPartial(out, err)
 		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
 			rep, rerr := em.Run(p, g)
@@ -306,70 +294,32 @@ func splitList(v string, all []string) []string {
 	return parts
 }
 
-// fabricFlags bundles the interconnect knobs threaded into nova cells.
-type fabricFlags struct {
-	fabric         string
-	topology       string
-	coalesceWindow int64
-	coalesceCap    int
-}
-
-// oocFlags bundles the out-of-core knobs: the nova engine's SSD tier and
-// the extmem baseline's partition-cache geometry.
-type oocFlags struct {
-	outOfCore        bool
-	ssdPreset        string
-	ssdResidentPages int
-	extmemRAM        int64
-	extmemPartEdges  int64
-}
-
-// apply stamps the nova-engine out-of-core settings into cfg.
-func (oc oocFlags) apply(cfg *nova.Config) {
-	cfg.OutOfCore = oc.outOfCore
-	if oc.outOfCore {
-		cfg.SSDPreset = oc.ssdPreset
-		cfg.SSDResidentPages = oc.ssdResidentPages
+// checkEngines validates the engine configuration the flags built, before
+// any dataset is: graph construction at the larger scales is the
+// expensive part of a run, so a bad flag must fail in milliseconds, not
+// minutes. nova.New and ExternalMemory.Validate check the values (for
+// every run, like any other flag); the rest rejects knobs that none of
+// the selected engines would read. -ssd feeds both paging engines, so it
+// reaches the nova tier only when -out-of-core is on.
+func checkEngines(engines []string, cfg *nova.Config, em *nova.ExternalMemory) error {
+	if cfg.OutOfCore {
+		cfg.SSDPreset = em.SSDPreset
 	}
-}
-
-// extmem assembles the external-memory baseline from the flags.
-func (oc oocFlags) extmem() *nova.ExternalMemory {
-	return &nova.ExternalMemory{RAMBytes: oc.extmemRAM, PartitionEdges: oc.extmemPartEdges, SSDPreset: oc.ssdPreset}
-}
-
-// validateOOCFlags rejects out-of-core knobs that the selected engines
-// would silently ignore, before any dataset is built.
-func validateOOCFlags(engines []string, oc oocFlags) error {
-	switch oc.ssdPreset {
-	case "", "nvme", "sata":
-	default:
-		return fmt.Errorf("-ssd %q: the SSD presets are nvme and sata", oc.ssdPreset)
+	if _, err := nova.New(*cfg); err != nil {
+		return err
 	}
-	if oc.ssdResidentPages > 0 && !oc.outOfCore {
-		return fmt.Errorf("-ssd-resident-pages sizes the out-of-core resident window; add -out-of-core")
+	if err := em.Validate(); err != nil {
+		return err
 	}
-	if oc.ssdResidentPages < 0 {
-		return fmt.Errorf("-ssd-resident-pages %d: the window is a page count and cannot be negative", oc.ssdResidentPages)
-	}
-	if oc.extmemRAM < 0 || oc.extmemPartEdges < 0 {
-		return fmt.Errorf("-extmem-ram/-extmem-part-edges cannot be negative")
-	}
-	has := func(name string) bool {
-		for _, e := range engines {
-			if e == name {
-				return true
-			}
-		}
-		return false
-	}
-	if (oc.outOfCore || oc.ssdResidentPages > 0) && !has("nova") {
+	uses := func(name string) bool { return slices.Contains(engines, name) }
+	switch {
+	case !uses("nova") && (cfg.Topology != "crossbar" || cfg.CoalesceWindow > 0):
+		return fmt.Errorf("-topology/-coalesce-window apply to the nova engine only; engines %v would silently ignore them (add nova to -engine)", engines)
+	case !uses("nova") && cfg.OutOfCore:
 		return fmt.Errorf("-out-of-core applies to the nova engine only; engines %v would silently ignore it (add nova to -engine)", engines)
-	}
-	if (oc.extmemRAM > 0 || oc.extmemPartEdges > 0) && !has("extmem") {
+	case !uses("extmem") && (em.RAMBytes > 0 || em.PartitionEdges > 0):
 		return fmt.Errorf("-extmem-ram/-extmem-part-edges apply to the extmem engine only; engines %v would silently ignore them (add extmem to -engine)", engines)
-	}
-	if oc.ssdPreset != "" && !oc.outOfCore && !has("extmem") {
+	case em.SSDPreset != "" && !cfg.OutOfCore && !uses("extmem"):
 		return fmt.Errorf("-ssd picks the paging device for -out-of-core nova or the extmem engine; neither is selected")
 	}
 	return nil
@@ -411,61 +361,17 @@ func loadCSRFile(path string, partitionCache int) (*graph.CSR, error) {
 	return g, nil
 }
 
-// validateFabricFlags rejects inconsistent -fabric/-topology/-coalesce-*
-// combinations before any dataset is built. The topology and coalescing
-// stage live in the nova engine's hierarchical fabric, so they are
-// meaningless on the ideal fabric and on the baseline engines.
-func validateFabricFlags(engines []string, fabric, topology string, window int64, capacity int) error {
-	if _, err := network.ParseTopoKind(topology); err != nil {
-		return err
-	}
-	if window < 0 {
-		return fmt.Errorf("-coalesce-window %d: the window is a cycle count and cannot be negative", window)
-	}
-	if capacity < 0 {
-		return fmt.Errorf("-coalesce-cap %d: the buffer capacity cannot be negative", capacity)
-	}
-	if capacity > 0 && window == 0 {
-		return fmt.Errorf("-coalesce-cap %d has no effect without -coalesce-window; set a window to enable coalescing", capacity)
-	}
-	nonDefault := (topology != "" && topology != "crossbar") || window > 0
-	if !nonDefault {
-		return nil
-	}
-	if fabric == "ideal" {
-		return fmt.Errorf("-topology/-coalesce-window configure the hierarchical fabric; the ideal fabric has no inter-GPN links (drop -fabric ideal)")
-	}
-	hasNova := false
-	for _, e := range engines {
-		if e == "nova" {
-			hasNova = true
-		}
-	}
-	if !hasNova {
-		return fmt.Errorf("-topology/-coalesce-window apply to the nova engine only; engines %v would silently ignore them (add nova to -engine)", engines)
-	}
-	return nil
-}
-
 // buildEngine assembles one harness engine from the command-line knobs.
-func buildEngine(name string, scale exp.Scale, gpns int, mapping, spill string, fc fabricFlags, oc oocFlags) (harness.Engine, error) {
+func buildEngine(name string, scale exp.Scale, cfg nova.Config, em nova.ExternalMemory) (harness.Engine, error) {
 	switch name {
 	case "nova":
-		cfg := exp.NOVAConfig(scale, gpns)
-		cfg.Mapping = mapping
-		cfg.Spill = spill
-		cfg.Fabric = fc.fabric
-		cfg.Topology = fc.topology
-		cfg.CoalesceWindow = fc.coalesceWindow
-		cfg.CoalesceCapacity = fc.coalesceCap
-		oc.apply(&cfg)
-		return exp.NovaEngineWith(cfg)
+		return exp.NovaEngine(cfg)
 	case "polygraph":
 		return exp.PGEngine(scale), nil
 	case "ligra":
 		return exp.LigraEngine(), nil
 	case "extmem":
-		return oc.extmem().Engine(), nil
+		return em.Engine(), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q", name)
 	}
@@ -476,12 +382,12 @@ func buildEngine(name string, scale exp.Scale, gpns int, mapping, spill string, 
 // cost of the sweep vs its sequential equivalent. Cancelling ctx (Ctrl-C)
 // stops running cells cooperatively; their salvaged partial reports are
 // rendered, flushed to -stats-out marked partial, and fail the process.
-func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, gpns int, mapping, spill string, fc fabricFlags, oc oocFlags, prIters, jobsN int, timeout time.Duration, statsOut string) {
+func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, cfg nova.Config, em nova.ExternalMemory, prIters, jobsN int, timeout time.Duration, statsOut string) {
 	fmt.Printf("graph %s: %d vertices, %d edges (avg deg %.1f)\n",
 		d.Graph.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.Graph.AvgDegree())
 	var jobs []harness.Job[*harness.Report]
 	for _, en := range engines {
-		eng, err := buildEngine(en, scale, gpns, mapping, spill, fc, oc)
+		eng, err := buildEngine(en, scale, cfg, em)
 		check(err)
 		for _, w := range workloads {
 			eng, w := eng, w
@@ -536,9 +442,9 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 		speedup = float64(busy) / float64(wall)
 	}
 	fmt.Fprintf(os.Stderr, "sweep: %d cells in %v wall (%v busy, jobs=%d, shards=%d, %.2fx vs sequential)\n",
-		len(jobs), wall.Round(time.Millisecond), busy.Round(time.Millisecond), jobsN, exp.Shards, speedup)
+		len(jobs), wall.Round(time.Millisecond), busy.Round(time.Millisecond), jobsN, cfg.Shards, speedup)
 	if statsOut != "" {
-		check(writeStatsDump(results, d, statsOut, wall))
+		check(writeStatsDump(results, d, cfg.Shards, statsOut, wall))
 	}
 	if failed > 0 {
 		// A failed cell must fail the process, or CI reads a partial (even
@@ -554,7 +460,7 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 // included — their stats cover the work completed before the stop — and
 // stamp the dump metadata partial=true so downstream tooling never
 // mistakes a truncated sweep for a complete one.
-func writeStatsDump(results []harness.Result[*harness.Report], d *exp.Dataset, path string, wall time.Duration) error {
+func writeStatsDump(results []harness.Result[*harness.Report], d *exp.Dataset, shards int, path string, wall time.Duration) error {
 	var parts []*stats.Dump
 	partial := false
 	for _, r := range results {
@@ -568,7 +474,7 @@ func writeStatsDump(results []harness.Result[*harness.Report], d *exp.Dataset, p
 	}
 	meta := map[string]string{
 		"graph":        d.Graph.Name,
-		"shards":       fmt.Sprintf("%d", exp.Shards),
+		"shards":       fmt.Sprintf("%d", shards),
 		"wall_seconds": fmt.Sprintf("%.3f", wall.Seconds()),
 	}
 	if partial {

@@ -1,15 +1,14 @@
 package nova
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
 	"nova/graph"
 	"nova/internal/extmem"
 	"nova/internal/harness"
-	"nova/internal/mem"
 	"nova/internal/ref"
-	"nova/internal/sim"
 	"nova/internal/stats"
 	"nova/program"
 )
@@ -20,16 +19,19 @@ import (
 // bounded partition cache. It implements program.Runner for asynchronous
 // programs (bfs, sssp, cc, prdelta); bulk-synchronous programs are
 // rejected — interval-at-a-time processing is the async trade-off the
-// NOVA spill/recovery comparison is about.
+// NOVA spill/recovery comparison is about. Its json tags are the novad
+// "extmem" block's wire names (API.md); zero sizes mean the defaults and
+// negative ones are rejected.
 type ExternalMemory struct {
 	// RAMBytes is the DRAM partition-cache budget (default 256 MiB).
-	RAMBytes int64
+	RAMBytes int64 `json:"ram_bytes"`
 	// PartitionEdges is the target edges per vertex interval (default 1 Mi).
-	PartitionEdges int64
+	PartitionEdges int64 `json:"partition_edges"`
 	// SSDPreset picks the paging device: "nvme" (default) or "sata".
-	SSDPreset string
-	// MaxRounds bounds the outer loop (0 = default).
-	MaxRounds int
+	SSDPreset string `json:"ssd_preset"`
+	// MaxRounds bounds the outer loop (0 = default). A budget, like
+	// Config.MaxEvents: Go API only, and outside the fingerprint.
+	MaxRounds int `json:"-"`
 }
 
 // ExternalMemoryReport extends the engine-agnostic stats with the
@@ -71,22 +73,23 @@ func (r *ExternalMemoryReport) GTEPS(g *graph.CSR) float64 {
 
 func (b *ExternalMemory) config() (extmem.Config, error) {
 	cfg := extmem.DefaultConfig()
-	if b.RAMBytes > 0 {
-		cfg.RAMBytes = b.RAMBytes
-	}
-	if b.PartitionEdges > 0 {
-		cfg.PartitionEdges = b.PartitionEdges
-	}
-	switch b.SSDPreset {
-	case "", "nvme":
-		cfg.SSD = mem.NVMeSSDConfig("ssd")
-	case "sata":
-		cfg.SSD = mem.SATASSDConfig("ssd")
-	default:
-		return cfg, fmt.Errorf("nova: unknown SSD preset %q", b.SSDPreset)
-	}
+	cfg.RAMBytes = cmp.Or(b.RAMBytes, cfg.RAMBytes)
+	cfg.PartitionEdges = cmp.Or(b.PartitionEdges, cfg.PartitionEdges)
 	cfg.MaxRounds = b.MaxRounds
-	return cfg, nil
+	ssd, err := ssdPreset(b.SSDPreset)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.SSD = ssd
+	return cfg, cfg.Validate()
+}
+
+// Validate reports the first configuration error — an unknown SSD preset
+// or a negative size — so callers can reject a configuration before any
+// run; Run and Engine's RunWorkload fail on the same error.
+func (b *ExternalMemory) Validate() error {
+	_, err := b.config()
+	return err
 }
 
 // Run executes p on g under the external-memory model.
@@ -150,10 +153,11 @@ var _ program.Runner = (*ExternalMemory)(nil)
 // RunWorkload call owns a private model, so the engine is safe for
 // concurrent use by harness.Pool workers.
 //
-// The metrics bag is derived from the run's stats dump: root-level keys
-// cycles, compute_cycles, io_stall_ticks, partition_loads, bytes_paged,
-// cache_hit_rate, partitions, rounds, evictions plus per-partition detail
-// (part0.loads, …). Workloads pr and bc are bulk-synchronous and rejected.
+// The report carries the run's stats dump, which harness.Report.Metric
+// reads by record path: root-level keys cycles, compute_cycles,
+// io_stall_ticks, partition_loads, bytes_paged, cache_hit_rate,
+// partitions, rounds, evictions plus per-partition detail (part0.loads,
+// …). Workloads pr and bc are bulk-synchronous and rejected.
 func (b *ExternalMemory) Engine() harness.Engine { return extmemEngine{b} }
 
 type extmemEngine struct{ b *ExternalMemory }
@@ -163,10 +167,10 @@ func (e extmemEngine) Name() string { return "extmem" }
 func (e extmemEngine) Fingerprint() string {
 	cfg, err := e.b.config()
 	if err != nil {
-		return fmt.Sprintf("extmem{invalid ssd=%s}", e.b.SSDPreset)
+		return fmt.Sprintf("extmem{invalid: %v}", err)
 	}
 	return fmt.Sprintf("extmem{ram=%d part=%d ssd=%s qd=%d}",
-		cfg.RAMBytes, cfg.PartitionEdges, orDefault(e.b.SSDPreset, "nvme"), cfg.SSD.QueueDepth)
+		cfg.RAMBytes, cfg.PartitionEdges, cmp.Or(e.b.SSDPreset, "nvme"), cfg.SSD.QueueDepth)
 }
 
 func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
@@ -191,14 +195,10 @@ func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*har
 	}
 	rep, err := e.b.RunContext(ctx, p, w.G)
 	if rep == nil {
-		if err != nil && sim.ReasonFor(err) == "" {
-			return nil, err
-		}
 		return nil, err
 	}
 	out.Props, out.Stats = rep.Props, rep.Stats
 	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
 	out.Partial, out.StopReason = rep.Partial, rep.StopReason
 	return out, err
 }

@@ -33,7 +33,7 @@ func TestVerifyShortPropsReturnsError(t *testing.T) {
 }
 
 // TestEngineAdapters runs one workload through each harness adapter and
-// checks names, fingerprints, stats, and the backend metrics bags.
+// checks names, fingerprints, stats, and the backend stats dumps.
 func TestEngineAdapters(t *testing.T) {
 	g := testGraph()
 	root := g.LargestOutDegreeVertex()
@@ -73,8 +73,8 @@ func TestEngineAdapters(t *testing.T) {
 		if rep.EffectiveGTEPS() <= 0 {
 			t.Fatalf("%s: no throughput", names[i])
 		}
-		if _, ok := rep.Metrics[metricKeys[i]]; !ok {
-			t.Fatalf("%s: metrics bag missing %q: %v", names[i], metricKeys[i], rep.Metrics)
+		if _, ok := rep.Dump.Value(metricKeys[i]); !ok {
+			t.Fatalf("%s: stats dump missing %q", names[i], metricKeys[i])
 		}
 		// All three backends compute correct BFS distances; the ligra
 		// adapter converts -1 sentinels to program.Inf on the way.
@@ -110,7 +110,7 @@ func TestEngineAdapterMatchesDirectRun(t *testing.T) {
 }
 
 // TestEngineAdapterBC exercises the two-phase workload path, which
-// reports stats without a backend metrics bag.
+// reports stats without a backend stats dump.
 func TestEngineAdapterBC(t *testing.T) {
 	g := testGraph()
 	root := g.LargestOutDegreeVertex()

@@ -6,10 +6,10 @@ import (
 	"nova/internal/stats"
 )
 
-// Metric names for the root-level statistics the NOVA engine exports to
-// the harness metrics bag. They double as stable dump paths: the stats
-// tree registers each one at the root, so Dump.Bag() reproduces the
-// legacy flat bag while the hierarchical detail grows underneath.
+// Metric names for the root-level statistics the NOVA engine exports.
+// They are stable dump paths: the stats tree registers each one at the
+// root, where harness.Report.Metric reads it, while the hierarchical
+// detail grows underneath.
 const (
 	MetricCycles             = "cycles"
 	MetricEventsExecuted     = "events_executed"
@@ -41,7 +41,7 @@ const (
 )
 
 // buildStatsTree registers the whole machine in a stats tree at assembly
-// time. Root-level stats carry the legacy metrics-bag names; component
+// time. Root-level stats carry the headline metric names; component
 // detail nests as gpn<g>.pe<p>.{mpu,vchan,vmu,mgu} and network.*. All
 // derived values are formulas over s.result, which Run populates before
 // dumping, so the tree is read-only instrumentation: nothing on the hot

@@ -2,11 +2,11 @@ package exp
 
 import "nova"
 
-// MetricConsumers maps metrics-bag keys (root-level stats-dump paths) to
-// the figures and tables of the evaluation that read them. It exists so
-// the generated STATS.md can show where each statistic feeds the paper's
-// results, and so renaming a key without updating its consumers is a
-// visible diff in one place.
+// MetricConsumers maps root-level stats-dump paths (the keys runners pass
+// to harness.Report.Metric) to the figures and tables of the evaluation
+// that read them. It exists so the generated STATS.md can show where each
+// statistic feeds the paper's results, and so renaming a key without
+// updating its consumers is a visible diff in one place.
 var MetricConsumers = map[string][]string{
 	nova.MetricSliceCount:          {"Fig. 1"},
 	nova.MetricProcessingSeconds:   {"Fig. 2", "Fig. 6"},

@@ -228,37 +228,17 @@ func WeakScalingGraph(s Scale, gpns int) *graph.CSR {
 	return graph.GenRMAT(fmt.Sprintf("rmat%d", sc), sc, 16, graph.DefaultRMAT, 64, int64(20+sc))
 }
 
-// Shards is the simulation worker-goroutine count NOVAConfig stamps into
-// every generated configuration — the CLIs' -shards flag. Results are
-// bit-identical at every setting, so it is not part of any fingerprint.
-var Shards = 1
-
-// Topology, CoalesceWindow and CoalesceCap mirror the CLIs' fabric flags:
-// NOVAConfig stamps them into every generated configuration, so a whole
-// experiment run can be replayed on a different inter-GPN fabric. Unlike
-// Shards they change simulated timing, and they reach the engine
-// fingerprint through nova.Config. fignet sweeps the topology grid
-// explicitly and is unaffected by these defaults.
-var (
-	Topology       = "crossbar"
-	CoalesceWindow int64
-	CoalesceCap    int
-)
-
-// NOVAConfig returns the scaled NOVA system for the experiments: Table II
-// organization with the cache shrunk in proportion to the scaled graphs,
-// and — on the Large tier — the active buffers shrunk far below the
-// active-set sizes so spill/recovery dominates.
-func NOVAConfig(s Scale, gpns int) nova.Config {
-	cfg := nova.DefaultConfig()
-	cfg.GPNs = gpns
-	cfg.CacheBytesPerPE = s.CacheBytesPerPE()
-	cfg.ActiveBufferEntries = s.ActiveBufferEntries()
-	cfg.Shards = Shards
-	cfg.Topology = Topology
-	cfg.CoalesceWindow = CoalesceWindow
-	cfg.CoalesceCapacity = CoalesceCap
-	return cfg
+// NOVAConfig scales base — the CLIs' NOVA flags, or nova.DefaultConfig —
+// to the experiments' tier: gpns GPNs, the MPU cache shrunk in proportion
+// to the scaled graphs, and, on the Large tier, the active buffers shrunk
+// far below the active-set sizes so spill/recovery dominates. Every other
+// knob of base (shards, fabric topology, coalescing, …) reaches the cell
+// unchanged, so a whole experiment run can be replayed on another fabric.
+func NOVAConfig(s Scale, base nova.Config, gpns int) nova.Config {
+	base.GPNs = gpns
+	base.CacheBytesPerPE = s.CacheBytesPerPE()
+	base.ActiveBufferEntries = s.ActiveBufferEntries()
+	return base
 }
 
 // PGBaseline returns the scaled PolyGraph baseline (iso-bandwidth:

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"nova"
 	"nova/internal/harness"
 )
 
@@ -91,15 +92,15 @@ func TestLargeTierConfig(t *testing.T) {
 		t.Fatalf("large-tier buffer %d not smaller than full-tier %d",
 			got, Full.ActiveBufferEntries())
 	}
-	cfg := NOVAConfig(Large, 1)
+	cfg := NOVAConfig(Large, nova.DefaultConfig(), 1)
 	if cfg.ActiveBufferEntries != Large.ActiveBufferEntries() {
 		t.Fatalf("NOVAConfig(Large) buffer = %d, want %d",
 			cfg.ActiveBufferEntries, Large.ActiveBufferEntries())
 	}
 	for _, s := range []Scale{Small, Medium, Full} {
-		if NOVAConfig(s, 1).ActiveBufferEntries != 80 {
+		if NOVAConfig(s, nova.DefaultConfig(), 1).ActiveBufferEntries != 80 {
 			t.Fatalf("scale %s: buffer = %d, want Table II default 80",
-				s, NOVAConfig(s, 1).ActiveBufferEntries)
+				s, NOVAConfig(s, nova.DefaultConfig(), 1).ActiveBufferEntries)
 		}
 	}
 	if Large.divisor() >= Medium.divisor() || Large.divisor() < Full.divisor() {
@@ -159,7 +160,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 // TestStaticExperiments runs the cheap (analytic) experiments fully.
 func TestStaticExperiments(t *testing.T) {
 	for _, id := range []string{"tab2", "tab3", "tab4", "tab5"} {
-		tb, err := All[id](context.Background(), Small, nil)
+		tb, err := All[id](context.Background(), Small, nova.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -172,7 +173,7 @@ func TestStaticExperiments(t *testing.T) {
 // TestTab3SliceColumnConsistent verifies the rendered slice column agrees
 // with the paper column in the output itself.
 func TestTab3SliceColumnConsistent(t *testing.T) {
-	tb, err := Tab3(context.Background(), Small, nil)
+	tb, err := Tab3(context.Background(), Small, nova.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestQuickSimulatedExperiments(t *testing.T) {
 	}
 	pool := &harness.Pool{Workers: 4}
 	for _, id := range []string{"fig2", "fig8", "tab1"} {
-		tb, err := All[id](context.Background(), Small, pool)
+		tb, err := All[id](context.Background(), Small, nova.DefaultConfig(), pool)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -210,7 +211,7 @@ func TestFigOOCPagesOnEveryCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed experiments skipped in -short mode")
 	}
-	tb, err := FigOOC(context.Background(), Small, &harness.Pool{Workers: 4})
+	tb, err := FigOOC(context.Background(), Small, nova.DefaultConfig(), &harness.Pool{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestPoolDeterminism(t *testing.T) {
 		t.Skip("simulation-backed experiments skipped in -short mode")
 	}
 	for _, id := range []string{"fig2", "fig8"} {
-		seq, err := All[id](context.Background(), Small, &harness.Pool{Workers: 1})
+		seq, err := All[id](context.Background(), Small, nova.DefaultConfig(), &harness.Pool{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", id, err)
 		}
-		par, err := All[id](context.Background(), Small, &harness.Pool{Workers: 4})
+		par, err := All[id](context.Background(), Small, nova.DefaultConfig(), &harness.Pool{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}

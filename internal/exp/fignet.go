@@ -20,7 +20,7 @@ const fignetWindow = 16
 // the twitter stand-in). Each row compares a coalescing-off and a
 // coalescing-on run of one (topology, gpns) point and reads the fabric's
 // per-link counters for the hottest channel.
-func FigNet(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func FigNet(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	d, err := DatasetByName(s, "twitter")
 	if err != nil {
 		return nil, err
@@ -46,11 +46,11 @@ func FigNet(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				jobs = append(jobs, harness.Job[*harness.Report]{
 					Name: fmt.Sprintf("fignet/%s/gpns=%d/window=%d", topo, gpns, w),
 					Run: func(ctx context.Context) (*harness.Report, error) {
-						cfg := NOVAConfig(s, gpns)
+						cfg := NOVAConfig(s, base, gpns)
 						cfg.Topology = topo
 						cfg.CoalesceWindow = w
 						cfg.CoalesceCapacity = 0
-						eng, err := NovaEngineWith(cfg)
+						eng, err := NovaEngine(cfg)
 						if err != nil {
 							return nil, err
 						}
@@ -87,17 +87,21 @@ func FigNet(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 	return t, nil
 }
 
-// maxLinkUtil scans the report's metrics bag for the fabric's per-link
+// maxLinkUtil scans the report's stats dump for the fabric's per-link
 // utilization counters — routed topologies expose
 // network.links.<name>.utilization, the crossbar exposes per-GPN
 // xbar_{out,in}_utilization ports — and returns the hottest one.
 func maxLinkUtil(r *harness.Report) float64 {
 	m := 0.0
-	for k, v := range r.Metrics {
+	if r.Dump == nil {
+		return m
+	}
+	for _, rec := range r.Dump.Records {
+		k := rec.Path
 		routed := strings.HasPrefix(k, "network.links.") && strings.HasSuffix(k, ".utilization")
 		xbar := strings.HasSuffix(k, ".xbar_out_utilization") || strings.HasSuffix(k, ".xbar_in_utilization")
-		if (routed || xbar) && v > m {
-			m = v
+		if (routed || xbar) && rec.Value > m {
+			m = rec.Value
 		}
 	}
 	return m

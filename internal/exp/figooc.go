@@ -21,7 +21,7 @@ const oocResidentPages = 64
 // engines support. Each row compares one (workload, size) point: total
 // modeled time, the share of it exposed as I/O stall, and the paging
 // traffic (partition_loads / bytes_paged) each approach generated.
-func FigOOC(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func FigOOC(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	d := s.divisor()
 	sizes := []int{64000 / d, 128000 / d, 256000 / d}
 	workloads := []string{"bfs", "sssp", "prdelta"}
@@ -40,10 +40,10 @@ func FigOOC(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 			jobs = append(jobs, harness.Job[*harness.Report]{
 				Name: fmt.Sprintf("figooc/nova/%s/%d", w, n),
 				Run: func(ctx context.Context) (*harness.Report, error) {
-					cfg := NOVAConfig(s, 1)
+					cfg := NOVAConfig(s, base, 1)
 					cfg.OutOfCore = true
 					cfg.SSDResidentPages = oocResidentPages
-					eng, err := NovaEngineWith(cfg)
+					eng, err := NovaEngine(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -56,8 +56,8 @@ func FigOOC(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 					// DRAM budget of an eighth of the graph footprint, split
 					// into sixteen intervals: enough pressure that reuse
 					// beyond the cache pays SSD loads, like the NOVA cell.
-					eng := ExtmemEngine(g.FootprintBytes()/8, g.NumEdges()/16+1)
-					return eng.RunWorkload(ctx, cell(s, ds, w, 0))
+					em := &nova.ExternalMemory{RAMBytes: g.FootprintBytes() / 8, PartitionEdges: g.NumEdges()/16 + 1}
+					return em.Engine().RunWorkload(ctx, cell(s, ds, w, 0))
 				},
 			})
 		}

@@ -26,23 +26,23 @@ func workloadGraph(d *Dataset, w string) (*graph.CSR, *graph.CSR) {
 // BFS as graph size grows, with iso on-chip/bandwidth provisioning. The
 // paper's claim: PolyGraph wins small, loses big, because slice switching
 // overheads grow with graph size.
-func Fig1(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig1(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig1",
 		Title:  "BFS throughput vs graph size (GTEPS), NOVA vs PolyGraph, iso-bandwidth",
 		Header: []string{"vertices", "edges", "pg-slices", "nova-gteps", "pg-gteps", "nova/pg"},
 	}
-	base := 24000 / s.divisor()
+	n0 := 24000 / s.divisor()
 	var jobs []rowJob
 	for _, mult := range []int{1, 2, 4, 8, 16} {
 		mult := mult
 		jobs = append(jobs, rowJob{
 			Name: fmt.Sprintf("fig1/x%d", mult),
 			Run: func(ctx context.Context) ([]string, error) {
-				n := base * mult
+				n := n0 * mult
 				g := graph.GenUniform(fmt.Sprintf("urand-%d", n), n, 16, 64, int64(100+mult))
 				w := harness.Workload{Name: "bfs", G: g, Root: g.LargestOutDegreeVertex()}
-				novaRep, pgRep, err := novaPG(ctx, s, w)
+				novaRep, pgRep, err := novaPG(ctx, s, base, w)
 				if err != nil {
 					return nil, err
 				}
@@ -66,7 +66,7 @@ func Fig1(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 // Fig2 reproduces Figure 2: the execution-time breakdown of temporal
 // partitioning (processing / switching / inefficiency) as the slice count
 // grows, BFS on the twitter stand-in.
-func Fig2(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig2(ctx context.Context, s Scale, _ nova.Config, pool *harness.Pool) (*Table, error) {
 	d, err := DatasetByName(s, "twitter")
 	if err != nil {
 		return nil, err
@@ -82,7 +82,9 @@ func Fig2(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 		jobs = append(jobs, rowJob{
 			Name: fmt.Sprintf("fig2/slices=%d", slices),
 			Run: func(ctx context.Context) ([]string, error) {
-				rep, err := PGEngineSlices(s, slices).RunWorkload(ctx, cell(s, d, "bfs", 0))
+				pg := PGBaseline(s)
+				pg.ForceSlices = slices
+				rep, err := pg.Engine().RunWorkload(ctx, cell(s, d, "bfs", 0))
 				if err != nil {
 					return nil, err
 				}
@@ -103,7 +105,7 @@ func Fig2(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig4 reproduces Figure 4: NOVA vs PolyGraph vs Ligra across the five
 // workloads and five graphs, iso-bandwidth.
-func Fig4(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig4(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig4",
 		Title:  "NOVA vs PolyGraph (iso-bandwidth 332.8 GB/s) vs Ligra, effective GTEPS",
@@ -117,7 +119,7 @@ func Fig4(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				Name: fmt.Sprintf("fig4/%s/%s", d.Name, w),
 				Run: func(ctx context.Context) ([]string, error) {
 					wl := cell(s, d, w, 10)
-					novaRep, pgRep, err := novaPG(ctx, s, wl)
+					novaRep, pgRep, err := novaPG(ctx, s, base, wl)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", d.Name, w, err)
 					}
@@ -147,7 +149,7 @@ func Fig4(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig5 reproduces Figure 5: the share of messages coalesced before
 // propagation, NOVA vs PolyGraph, BFS.
-func Fig5(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig5(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig5",
 		Title:  "Messages coalesced (BFS): NOVA's DRAM-wide window vs PolyGraph's on-chip window",
@@ -159,7 +161,7 @@ func Fig5(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 		jobs = append(jobs, rowJob{
 			Name: fmt.Sprintf("fig5/%s", d.Name),
 			Run: func(ctx context.Context) ([]string, error) {
-				novaRep, pgRep, err := novaPG(ctx, s, cell(s, d, "bfs", 0))
+				novaRep, pgRep, err := novaPG(ctx, s, base, cell(s, d, "bfs", 0))
 				if err != nil {
 					return nil, err
 				}
@@ -191,7 +193,7 @@ func frac(a, b int64) float64 {
 
 // Fig6 reproduces Figure 6: execution-time breakdowns — NOVA's overfetch
 // overhead vs PolyGraph's slice-switching overhead.
-func Fig6(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig6(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig6",
 		Title:  "Execution time breakdown: NOVA (processing/overfetch) vs PolyGraph (processing/switch+ineff)",
@@ -204,7 +206,7 @@ func Fig6(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 			jobs = append(jobs, rowJob{
 				Name: fmt.Sprintf("fig6/%s/%s", d.Name, w),
 				Run: func(ctx context.Context) ([]string, error) {
-					novaRep, pgRep, err := novaPG(ctx, s, cell(s, d, w, 10))
+					novaRep, pgRep, err := novaPG(ctx, s, base, cell(s, d, w, 10))
 					if err != nil {
 						return nil, err
 					}
@@ -232,7 +234,7 @@ func Fig6(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 // GPNs — for BFS (data-driven) and BC (topology-driven). Every
 // (graph, workload, gpns) cell is an independent job; rows normalize to
 // the 1-GPN cell after the sweep completes.
-func Fig7(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig7(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig7",
 		Title:  "Strong scaling: speedup over 1 GPN for BFS and BC",
@@ -255,7 +257,7 @@ func Fig7(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				jobs = append(jobs, harness.Job[*harness.Report]{
 					Name: fmt.Sprintf("fig7/%s/%s/gpns=%d", d.Name, w, gpns),
 					Run: func(ctx context.Context) (*harness.Report, error) {
-						eng, err := NovaEngine(s, gpns)
+						eng, err := NovaEngine(NOVAConfig(s, base, gpns))
 						if err != nil {
 							return nil, err
 						}
@@ -271,10 +273,10 @@ func Fig7(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 	}
 	for r, meta := range rowMeta {
 		row := []string{meta[0], meta[1]}
-		base := reports[r*len(gpnsList)].Stats.SimSeconds
+		t1 := reports[r*len(gpnsList)].Stats.SimSeconds
 		var last float64
 		for i := range gpnsList {
-			speedup := base / reports[r*len(gpnsList)+i].Stats.SimSeconds
+			speedup := t1 / reports[r*len(gpnsList)+i].Stats.SimSeconds
 			last = speedup
 			row = append(row, f2(speedup))
 		}
@@ -288,7 +290,7 @@ func Fig7(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 // Fig8 reproduces Figure 8: weak scaling — the graph doubles with the GPN
 // count (RMAT series); ideal is constant execution time. Cells run
 // concurrently; rows normalize to the 1-GPN cell afterwards.
-func Fig8(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig8(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig8",
 		Title:  "Weak scaling (BFS on RMAT series): time normalized to 1 GPN (1.0 = ideal)",
@@ -303,7 +305,7 @@ func Fig8(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 		jobs = append(jobs, harness.Job[*harness.Report]{
 			Name: fmt.Sprintf("fig8/gpns=%d", gpns),
 			Run: func(ctx context.Context) (*harness.Report, error) {
-				eng, err := NovaEngine(s, gpns)
+				eng, err := NovaEngine(NOVAConfig(s, base, gpns))
 				if err != nil {
 					return nil, err
 				}
@@ -315,10 +317,10 @@ func Fig8(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := reports[0].Stats.SimSeconds
+	t1 := reports[0].Stats.SimSeconds
 	for i, gpns := range gpnsList {
 		t.AddRow(fmt.Sprint(gpns), graphs[i].Name, fmt.Sprint(graphs[i].NumEdges()),
-			f2(reports[i].Stats.SimSeconds/base), f3(reports[i].EffectiveGTEPS()))
+			f2(reports[i].Stats.SimSeconds/t1), f3(reports[i].EffectiveGTEPS()))
 	}
 	t.Note("paper shape: no degradation as GPNs and problem size grow together")
 	return t, nil
@@ -326,7 +328,7 @@ func Fig8(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig9a reproduces Figure 9a: sensitivity to per-PE cache size (the paper
 // sweeps 64 KiB → 4 MiB and finds <2% change on large graphs).
-func Fig9a(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig9a(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig9a",
 		Title:  "Cache-size sensitivity: time normalized to smallest cache",
@@ -348,9 +350,9 @@ func Fig9a(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				jobs = append(jobs, harness.Job[*harness.Report]{
 					Name: fmt.Sprintf("fig9a/%s/%s/x%d", d.Name, w, mult),
 					Run: func(ctx context.Context) (*harness.Report, error) {
-						cfg := NOVAConfig(s, 1)
+						cfg := NOVAConfig(s, base, 1)
 						cfg.CacheBytesPerPE = baseCache * mult
-						eng, err := NovaEngineWith(cfg)
+						eng, err := NovaEngine(cfg)
 						if err != nil {
 							return nil, err
 						}
@@ -366,11 +368,11 @@ func Fig9a(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 	}
 	for r, meta := range rowMeta {
 		row := []string{meta[0], meta[1]}
-		base := reports[r*len(mults)]
+		ref := reports[r*len(mults)]
 		for i := range mults {
-			row = append(row, f2(reports[r*len(mults)+i].Stats.SimSeconds/base.Stats.SimSeconds))
+			row = append(row, f2(reports[r*len(mults)+i].Stats.SimSeconds/ref.Stats.SimSeconds))
 		}
-		row = append(row, pct(base.Metric(nova.MetricCacheHitRate)))
+		row = append(row, pct(ref.Metric(nova.MetricCacheHitRate)))
 		t.Rows = append(t.Rows, row)
 	}
 	t.Note("paper shape: <2%% improvement from growing the cache 64x on large graphs; only road benefits")
@@ -379,7 +381,7 @@ func Fig9a(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig9b reproduces Figure 9b: sensitivity to the spatial vertex mapping
 // (load-balanced / locality / random) on a multi-GPN system.
-func Fig9b(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig9b(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	gpns := 8
 	if s == Small {
 		gpns = 2
@@ -404,9 +406,9 @@ func Fig9b(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				jobs = append(jobs, harness.Job[*harness.Report]{
 					Name: fmt.Sprintf("fig9b/%s/%s/%s", d.Name, w, mapping),
 					Run: func(ctx context.Context) (*harness.Report, error) {
-						cfg := NOVAConfig(s, gpns)
+						cfg := NOVAConfig(s, base, gpns)
 						cfg.Mapping = mapping
-						eng, err := NovaEngineWith(cfg)
+						eng, err := NovaEngine(cfg)
 						if err != nil {
 							return nil, err
 						}
@@ -422,9 +424,9 @@ func Fig9b(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 	}
 	for r, meta := range rowMeta {
 		row := []string{meta[0], meta[1]}
-		base := reports[r*len(mappings)].Stats.SimSeconds
+		ref := reports[r*len(mappings)].Stats.SimSeconds
 		for i := range mappings {
-			row = append(row, f2(reports[r*len(mappings)+i].Stats.SimSeconds/base))
+			row = append(row, f2(reports[r*len(mappings)+i].Stats.SimSeconds/ref))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -434,7 +436,7 @@ func Fig9b(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig9c reproduces Figure 9c: fabric sensitivity — the hierarchical
 // fabric vs an ideal infinite-bandwidth point-to-point network.
-func Fig9c(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig9c(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	gpns := 8
 	if s == Small {
 		gpns = 2
@@ -457,7 +459,7 @@ func Fig9c(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				Run: func(ctx context.Context) ([]string, error) {
 					var times [2]float64
 					for i, fabric := range []string{"hierarchical", "ideal"} {
-						cfg := NOVAConfig(s, gpns)
+						cfg := NOVAConfig(s, base, gpns)
 						cfg.Fabric = fabric
 						if fabric == "ideal" {
 							// The ideal fabric has no inter-GPN links, so a
@@ -467,7 +469,7 @@ func Fig9c(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 							cfg.CoalesceWindow = 0
 							cfg.CoalesceCapacity = 0
 						}
-						eng, err := NovaEngineWith(cfg)
+						eng, err := NovaEngine(cfg)
 						if err != nil {
 							return nil, err
 						}
@@ -493,7 +495,7 @@ func Fig9c(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 
 // Fig10 reproduces Figure 10: the vertex-memory bandwidth breakdown
 // (useful reads / writes / wasteful recovery reads) across tracker sizes.
-func Fig10(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Fig10(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "fig10",
 		Title:  "Vertex-memory bandwidth split vs superblock dimension (fraction of peak)",
@@ -511,9 +513,9 @@ func Fig10(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 				jobs = append(jobs, rowJob{
 					Name: fmt.Sprintf("fig10/%s/%s/dim=%d", d.Name, w, dim),
 					Run: func(ctx context.Context) ([]string, error) {
-						cfg := NOVAConfig(s, 1)
+						cfg := NOVAConfig(s, base, 1)
 						cfg.SuperblockDim = dim
-						eng, err := NovaEngineWith(cfg)
+						eng, err := NovaEngine(cfg)
 						if err != nil {
 							return nil, err
 						}

@@ -12,19 +12,9 @@ import (
 // used to repeat in each loop body, and adapt the three engines to the
 // harness layer at experiment scale.
 
-// NovaEngine returns the scaled NOVA engine (Table II organization,
-// cache shrunk with the graphs) as a harness.Engine.
-func NovaEngine(s Scale, gpns int) (harness.Engine, error) {
-	acc, err := nova.New(NOVAConfig(s, gpns))
-	if err != nil {
-		return nil, err
-	}
-	return acc.Engine(), nil
-}
-
-// NovaEngineWith wraps an explicit configuration (cache sweeps, mapping
-// and fabric sensitivity) as a harness.Engine.
-func NovaEngineWith(cfg nova.Config) (harness.Engine, error) {
+// NovaEngine wraps a NOVA configuration (usually NOVAConfig's, perhaps
+// with a swept knob changed) as a harness.Engine.
+func NovaEngine(cfg nova.Config) (harness.Engine, error) {
 	acc, err := nova.New(cfg)
 	if err != nil {
 		return nil, err
@@ -36,22 +26,8 @@ func NovaEngineWith(cfg nova.Config) (harness.Engine, error) {
 // harness.Engine.
 func PGEngine(s Scale) harness.Engine { return PGBaseline(s).Engine() }
 
-// PGEngineSlices forces the PolyGraph slice count (Fig. 2 sweep).
-func PGEngineSlices(s Scale, slices int) harness.Engine {
-	pg := PGBaseline(s)
-	pg.ForceSlices = slices
-	return pg.Engine()
-}
-
 // LigraEngine returns the software reference engine.
 func LigraEngine() harness.Engine { return (&nova.Software{}).Engine() }
-
-// ExtmemEngine returns the external-memory baseline (PartitionedVC-style
-// interval-at-a-time processing) with an explicit DRAM partition-cache
-// budget and interval edge target; zero values keep the engine defaults.
-func ExtmemEngine(ramBytes, partEdges int64) harness.Engine {
-	return (&nova.ExternalMemory{RAMBytes: ramBytes, PartitionEdges: partEdges}).Engine()
-}
 
 // cell builds the harness.Workload for one (dataset, workload) grid cell,
 // picking the right graph orientation and stamping the scale tier so
@@ -61,10 +37,10 @@ func cell(s Scale, d *Dataset, w string, prIters int) harness.Workload {
 	return harness.Workload{Name: w, G: g, GT: gT, Root: d.Root, PRIters: prIters, Tier: s.String()}
 }
 
-// novaPG runs one cell on a fresh scaled NOVA engine and on the PolyGraph
-// baseline — the comparison nearly every figure is built from.
-func novaPG(ctx context.Context, s Scale, w harness.Workload) (novaRep, pgRep *harness.Report, err error) {
-	ne, err := NovaEngine(s, 1)
+// novaPG runs one cell on a fresh scaled 1-GPN NOVA engine and on the
+// PolyGraph baseline — the comparison nearly every figure is built from.
+func novaPG(ctx context.Context, s Scale, base nova.Config, w harness.Workload) (novaRep, pgRep *harness.Report, err error) {
+	ne, err := NovaEngine(NOVAConfig(s, base, 1))
 	if err != nil {
 		return nil, nil, err
 	}

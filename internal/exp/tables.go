@@ -12,7 +12,7 @@ import (
 
 // Tab1 reproduces Table I: the spilling-method trade-offs, measured by
 // running the same workload under both VMU policies.
-func Tab1(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
+func Tab1(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error) {
 	d, err := DatasetByName(s, "twitter")
 	if err != nil {
 		return nil, err
@@ -29,10 +29,10 @@ func Tab1(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 		jobs = append(jobs, rowJob{
 			Name: fmt.Sprintf("tab1/%s", policy),
 			Run: func(ctx context.Context) ([]string, error) {
-				cfg := NOVAConfig(s, 1)
+				cfg := NOVAConfig(s, base, 1)
 				cfg.Spill = policy
 				cfg.ActiveBufferEntries = 8
-				eng, err := NovaEngineWith(cfg)
+				eng, err := NovaEngine(cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -61,8 +61,8 @@ func Tab1(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error) {
 }
 
 // Tab2 prints the Table II system specification as configured.
-func Tab2(_ context.Context, s Scale, _ *harness.Pool) (*Table, error) {
-	cfg := NOVAConfig(s, 1)
+func Tab2(_ context.Context, s Scale, base nova.Config, _ *harness.Pool) (*Table, error) {
+	cfg := NOVAConfig(s, base, 1)
 	t := &Table{
 		ID:     "tab2",
 		Title:  "System specification per GPN (scaled experiment configuration)",
@@ -82,7 +82,7 @@ func Tab2(_ context.Context, s Scale, _ *harness.Pool) (*Table, error) {
 
 // Tab3 reproduces Table III: the dataset registry with the slice counts
 // each graph needs under the (scaled) PolyGraph scratchpad.
-func Tab3(_ context.Context, s Scale, _ *harness.Pool) (*Table, error) {
+func Tab3(_ context.Context, s Scale, _ nova.Config, _ *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "tab3",
 		Title:  fmt.Sprintf("Graph workloads (scale=%s); slice counts must match the paper", s),
@@ -101,7 +101,7 @@ func Tab3(_ context.Context, s Scale, _ *harness.Pool) (*Table, error) {
 }
 
 // Tab4 reproduces Table IV: resources to support WDC12.
-func Tab4(context.Context, Scale, *harness.Pool) (*Table, error) {
+func Tab4(context.Context, Scale, nova.Config, *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "tab4",
 		Title:  "Requirements to support WDC12 (3.5B vertices, 128B edges)",
@@ -126,7 +126,7 @@ func Tab4(context.Context, Scale, *harness.Pool) (*Table, error) {
 
 // Tab5 reproduces Table V: FPGA resource composition for one GPN and the
 // multi-GPN capacity of an Alveo U280.
-func Tab5(context.Context, Scale, *harness.Pool) (*Table, error) {
+func Tab5(context.Context, Scale, nova.Config, *harness.Pool) (*Table, error) {
 	t := &Table{
 		ID:     "tab5",
 		Title:  "FPGA implementation, 1 GPN at 1 GHz (post-synthesis costs from the paper)",
@@ -163,9 +163,11 @@ func fmtBytes(b int64) string {
 }
 
 // Runner executes one experiment at a scale, fanning its independent
-// cells out over the harness pool (nil pool = sequential). Row order is
+// cells out over the harness pool (nil pool = sequential). base carries
+// the NOVA knobs every cell starts from (NOVAConfig scales it per cell;
+// nova.DefaultConfig reproduces the paper's setup). Row order is
 // deterministic regardless of the worker count.
-type Runner func(ctx context.Context, s Scale, pool *harness.Pool) (*Table, error)
+type Runner func(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*Table, error)
 
 // All maps experiment IDs to runners, covering every table and figure in
 // the paper's evaluation.

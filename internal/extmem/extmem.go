@@ -27,7 +27,7 @@ import (
 )
 
 // Metric names for the root-level statistics the external-memory engine
-// exports to the harness metrics bag. partition_loads, bytes_paged and
+// exports (stable dump paths). partition_loads, bytes_paged and
 // io_stall_ticks are shared with the NOVA engine's out-of-core tier, which
 // is what lets the spill/recovery comparison stack them side by side.
 const (

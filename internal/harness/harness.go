@@ -62,8 +62,8 @@ type Engine interface {
 
 // Report is the engine-agnostic outcome of one run. Backend-specific
 // detail (slice counts, cache hit rates, spill counters, …) travels in
-// the Metrics bag so the experiment layer never needs the native report
-// types.
+// the stats Dump, read by record path through Metric, so the experiment
+// layer never needs the native report types.
 type Report struct {
 	// Engine and Fingerprint identify the backend and its configuration.
 	Engine      string
@@ -81,13 +81,9 @@ type Report struct {
 	Props []program.Prop
 	// Scores holds BC dependency values (nil otherwise).
 	Scores []float64
-	// Metrics is the backend-specific metrics bag. Keys used by the
-	// built-in adapters are documented next to each adapter. Adapters
-	// derive the bag from Dump (Dump.Bag()), so root-level dump paths and
-	// bag keys coincide; the bag survives as the flat compatibility view.
-	Metrics map[string]float64
 	// Dump is the full hierarchical statistics dump, when the backend
-	// provides one (nil for two-phase workloads such as "bc").
+	// provides one (nil for two-phase workloads such as "bc"). The record
+	// paths each built-in adapter reports are documented next to it.
 	Dump *stats.Dump
 	// Shards is the worker-goroutine count the backend simulated with
 	// (0 for backends without a sharded kernel), and the two wall-clock
@@ -103,12 +99,15 @@ type Report struct {
 	StopReason string
 }
 
-// Metric returns a metrics-bag entry, or 0 when absent.
+// Metric returns the stats-dump record at path key ("cycles",
+// "network.inter_messages", …), or 0 when absent or when the report has
+// no dump.
 func (r *Report) Metric(key string) float64 {
-	if r == nil || r.Metrics == nil {
+	if r == nil || r.Dump == nil {
 		return 0
 	}
-	return r.Metrics[key]
+	v, _ := r.Dump.Value(key)
+	return v
 }
 
 // WorkEfficiency returns sequential edges / traversed edges.

@@ -20,9 +20,8 @@ import (
 	"nova/internal/stats"
 )
 
-// Metric names for the root-level statistics the software engine exports
-// to the harness metrics bag; they are also the stable dump paths of the
-// engine's stats tree.
+// Metric names for the root-level statistics the software engine exports:
+// the stable dump paths of the engine's stats tree.
 const (
 	MetricIterations  = "iterations"
 	MetricWallSeconds = "wall_seconds"

@@ -26,9 +26,8 @@ import (
 	"nova/program"
 )
 
-// Metric names for the root-level statistics the PolyGraph engine exports
-// to the harness metrics bag; they are also the stable dump paths of the
-// engine's stats tree.
+// Metric names for the root-level statistics the PolyGraph engine exports:
+// the stable dump paths of the engine's stats tree.
 const (
 	MetricProcessingSeconds   = "processing_seconds"
 	MetricSwitchingSeconds    = "switching_seconds"
@@ -260,7 +259,7 @@ func (m *machine) setup() {
 }
 
 // buildStatsTree registers the machine's statistics: root-level formulas
-// carry the legacy metrics-bag names (evaluated against m.result, which
+// carry the headline metric names (evaluated against m.result, which
 // collect sets before dumping), traffic counters adopt the existing plain
 // fields, and per-slice schedule detail nests under slice<i>.
 func (m *machine) buildStatsTree() {

@@ -171,12 +171,12 @@ func (s *Server) handleEvictGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := decodeBody(r, &req); err != nil {
+	req := newJobRequest()
+	if err := decodeBody(r, req); err != nil {
 		writeError(w, badRequest(err))
 		return
 	}
-	j, herr := s.submit(&req)
+	j, herr := s.submit(req)
 	if herr != nil {
 		writeError(w, herr)
 		return

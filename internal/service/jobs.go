@@ -50,55 +50,24 @@ type JobRequest struct {
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// NoCache bypasses the result cache in both directions.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Nova configures the NOVA engine (ignored by the baselines).
-	Nova *NovaOptions `json:"nova,omitempty"`
-	// PolyGraph configures the PolyGraph baseline.
-	PolyGraph *PolyGraphOptions `json:"polygraph,omitempty"`
-	// Ligra configures the software baseline.
-	Ligra *LigraOptions `json:"ligra,omitempty"`
-	// Extmem configures the external-memory baseline.
-	Extmem *ExtmemOptions `json:"extmem,omitempty"`
+	// The engine blocks decode straight into the engines' public config
+	// structs, whose json tags are the wire names. The POST /jobs handler
+	// pre-fills each block with its engine's defaults (newJobRequest), so
+	// a body overlays only the keys it names; a nil block means the
+	// defaults. Each block configures only its own engine.
+	Nova      *nova.Config            `json:"nova,omitempty"`
+	PolyGraph *nova.PolyGraphBaseline `json:"polygraph,omitempty"`
+	Ligra     *nova.Software          `json:"ligra,omitempty"`
+	Extmem    *nova.ExternalMemory    `json:"extmem,omitempty"`
 }
 
-// NovaOptions is the JSON view of the nova.Config knobs the service
-// exposes. Zero values keep the engine defaults.
-type NovaOptions struct {
-	GPNs                int    `json:"gpns,omitempty"`
-	PEsPerGPN           int    `json:"pes_per_gpn,omitempty"`
-	CacheBytesPerPE     int    `json:"cache_bytes_per_pe,omitempty"`
-	ActiveBufferEntries int    `json:"active_buffer_entries,omitempty"`
-	Spill               string `json:"spill,omitempty"`
-	Fabric              string `json:"fabric,omitempty"`
-	Topology            string `json:"topology,omitempty"`
-	CoalesceWindow      int64  `json:"coalesce_window,omitempty"`
-	CoalesceCapacity    int    `json:"coalesce_capacity,omitempty"`
-	Mapping             string `json:"mapping,omitempty"`
-	Seed                int64  `json:"seed,omitempty"`
-	Shards              int    `json:"shards,omitempty"`
-	// OutOfCore enables the SSD-backed tier; SSDPreset ("nvme"/"sata") and
-	// SSDResidentPages size it (zero values keep the engine defaults).
-	OutOfCore        bool   `json:"out_of_core,omitempty"`
-	SSDPreset        string `json:"ssd_preset,omitempty"`
-	SSDResidentPages int    `json:"ssd_resident_pages,omitempty"`
-}
-
-// PolyGraphOptions configures the temporal-partitioning baseline.
-type PolyGraphOptions struct {
-	OnChipBytes int64 `json:"onchip_bytes,omitempty"`
-	ForceSlices int   `json:"force_slices,omitempty"`
-}
-
-// LigraOptions configures the software baseline.
-type LigraOptions struct {
-	Threads int `json:"threads,omitempty"`
-}
-
-// ExtmemOptions configures the external-memory baseline (interval-at-a-
-// time partition streaming through a DRAM cache; DESIGN.md §18).
-type ExtmemOptions struct {
-	RAMBytes       int64  `json:"ram_bytes,omitempty"`
-	PartitionEdges int64  `json:"partition_edges,omitempty"`
-	SSDPreset      string `json:"ssd_preset,omitempty"`
+// newJobRequest returns a request whose engine blocks hold their engines'
+// defaults: decoding a body into it keeps every omitted key at its
+// default, while the decoder still rejects unknown keys inside a block.
+func newJobRequest() *JobRequest {
+	cfg := nova.DefaultConfig()
+	return &JobRequest{Nova: &cfg, PolyGraph: &nova.PolyGraphBaseline{},
+		Ligra: &nova.Software{}, Extmem: &nova.ExternalMemory{}}
 }
 
 // JobStatus is the wire-format view of a job record (GET /jobs/{id} and
@@ -305,50 +274,13 @@ func cacheKey(fingerprint string, contentHash uint32, w harness.Workload, prIter
 // swap in wrappers (e.g. a chaos fault injector around the same engine).
 type EngineBuilder func(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error)
 
-// BuildEngine is the default EngineBuilder: nova requests get a full
-// nova.Config (defaults + overrides + the observer interrupt), baselines
-// get their option structs applied.
+// BuildEngine is the default EngineBuilder: it validates the request's
+// block for its engine (nil means the defaults) and wires the observer
+// into nova runs.
 func BuildEngine(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error) {
 	switch req.Engine {
 	case "nova":
-		cfg := nova.DefaultConfig()
-		if o := req.Nova; o != nil {
-			if o.GPNs > 0 {
-				cfg.GPNs = o.GPNs
-			}
-			if o.PEsPerGPN > 0 {
-				cfg.PEsPerGPN = o.PEsPerGPN
-			}
-			if o.CacheBytesPerPE > 0 {
-				cfg.CacheBytesPerPE = o.CacheBytesPerPE
-			}
-			if o.ActiveBufferEntries > 0 {
-				cfg.ActiveBufferEntries = o.ActiveBufferEntries
-			}
-			if o.Spill != "" {
-				cfg.Spill = o.Spill
-			}
-			if o.Fabric != "" {
-				cfg.Fabric = o.Fabric
-			}
-			if o.Topology != "" {
-				cfg.Topology = o.Topology
-			}
-			cfg.CoalesceWindow = o.CoalesceWindow
-			cfg.CoalesceCapacity = o.CoalesceCapacity
-			if o.Mapping != "" {
-				cfg.Mapping = o.Mapping
-			}
-			if o.Seed != 0 {
-				cfg.Seed = o.Seed
-			}
-			cfg.Shards = o.Shards
-			cfg.OutOfCore = o.OutOfCore
-			if o.OutOfCore {
-				cfg.SSDPreset = o.SSDPreset
-				cfg.SSDResidentPages = o.SSDResidentPages
-			}
-		}
+		cfg := valueOr(req.Nova, nova.DefaultConfig())
 		cfg.Observer = obs
 		acc, err := nova.New(cfg)
 		if err != nil {
@@ -356,29 +288,28 @@ func BuildEngine(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error) {
 		}
 		return acc.Engine(), nil
 	case "polygraph":
-		b := &nova.PolyGraphBaseline{}
-		if o := req.PolyGraph; o != nil {
-			b.OnChipBytes = o.OnChipBytes
-			b.ForceSlices = o.ForceSlices
-		}
+		b := valueOr(req.PolyGraph, nova.PolyGraphBaseline{})
 		return b.Engine(), nil
 	case "ligra":
-		s := &nova.Software{}
-		if o := req.Ligra; o != nil {
-			s.Threads = o.Threads
-		}
+		s := valueOr(req.Ligra, nova.Software{})
 		return s.Engine(), nil
 	case "extmem":
-		b := &nova.ExternalMemory{}
-		if o := req.Extmem; o != nil {
-			b.RAMBytes = o.RAMBytes
-			b.PartitionEdges = o.PartitionEdges
-			b.SSDPreset = o.SSDPreset
+		b := valueOr(req.Extmem, nova.ExternalMemory{})
+		if err := b.Validate(); err != nil {
+			return nil, err
 		}
 		return b.Engine(), nil
 	default:
 		return nil, fmt.Errorf("service: unknown engine %q", req.Engine)
 	}
+}
+
+// valueOr returns a copy of *p, or def when p is nil.
+func valueOr[T any](p *T, def T) T {
+	if p == nil {
+		return def
+	}
+	return *p
 }
 
 // renderResult marshals the canonical result JSON for a completed (or

@@ -451,6 +451,13 @@ func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	register(t, ts.URL, "g", buildCSR(t, 200))
 
+	job := func(engine string, block map[string]any) map[string]any {
+		req := map[string]any{"engine": engine, "workload": "bfs", "graph": "g"}
+		if block != nil {
+			req[engine] = block
+		}
+		return req
+	}
 	cases := []struct {
 		name string
 		req  map[string]any
@@ -460,6 +467,16 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown workload", map[string]any{"engine": "nova", "workload": "dijkstra", "graph": "g"}, http.StatusBadRequest},
 		{"unregistered graph", map[string]any{"engine": "nova", "workload": "bfs", "graph": "missing"}, http.StatusNotFound},
 		{"unknown field", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "bogus": 1}, http.StatusBadRequest},
+		// Unknown keys inside a block, including the Go-only json:"-" fields.
+		{"unknown nova field", job("nova", map[string]any{"bogus": 1}), http.StatusBadRequest},
+		{"nova observer", job("nova", map[string]any{"observer": nil}), http.StatusBadRequest},
+		{"nova stall_timeout", job("nova", map[string]any{"stall_timeout": 1}), http.StatusBadRequest},
+		{"extmem max_rounds", job("extmem", map[string]any{"max_rounds": 1}), http.StatusBadRequest},
+		// Malformed values no longer fall back to the defaults.
+		{"negative gpns", job("nova", map[string]any{"gpns": -4}), http.StatusBadRequest},
+		{"negative pes_per_gpn", job("nova", map[string]any{"pes_per_gpn": -3}), http.StatusBadRequest},
+		{"ssd_preset without out_of_core", job("nova", map[string]any{"ssd_preset": "sata"}), http.StatusBadRequest},
+		{"negative extmem ram_bytes", job("extmem", map[string]any{"ram_bytes": -1}), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/jobs", c.req)
@@ -469,6 +486,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/jobs/j-999999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
+	}
+
+	// superblock_dim reaches the engine: accepted, and keyed apart from
+	// the default configuration.
+	fingerprint := func(req map[string]any) string {
+		st := submitAndWait(t, ts.URL, req)
+		var res service.JobResult
+		if err := json.Unmarshal(fetchResult(t, ts.URL, st.ID), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.Fingerprint
+	}
+	if def, sb := fingerprint(job("nova", nil)), fingerprint(job("nova", map[string]any{"superblock_dim": 64})); def == sb {
+		t.Errorf("superblock_dim 64 shares the default fingerprint %s", def)
+	}
+	// Spelling out a default is the same cell as omitting it.
+	if st := submitAndWait(t, ts.URL, job("nova", map[string]any{"topology": "crossbar"})); !st.Cached {
+		t.Errorf("explicit default topology missed the cache: %+v", st)
 	}
 }
 

@@ -50,9 +50,9 @@ func (d *Dump) append(s *Stat, path, statPath string, v float64) {
 	})
 }
 
-// Bag flattens the dump to the harness metrics-bag shape: every record's
-// full path mapped to its value. Root-level stats keep bare names, so the
-// pre-tree bag keys remain present alongside the hierarchical detail.
+// Bag flattens the dump to a map: every record's full path mapped to its
+// value, root-level stats under their bare names. Lookups that need one
+// record use Value instead.
 func (d *Dump) Bag() map[string]float64 {
 	m := make(map[string]float64, len(d.Records))
 	for _, r := range d.Records {

@@ -24,8 +24,8 @@
 //
 // A Group renders to a Dump — a flat, ordered record list with full
 // metadata — which serializes to JSON, aligned text, or CSV
-// (novasim -stats-out), flattens to the harness metrics bag
-// (Dump.Bag), and diffs against another dump (cmd/statdiff, the golden
+// (novasim -stats-out), answers path lookups (Dump.Value, which
+// harness.Report.Metric uses), and diffs against another dump (cmd/statdiff, the golden
 // regression test). Records carry their kind/unit/description, so the
 // generated STATS.md reference is derived from live registrations rather
 // than hand-maintained.

@@ -5,8 +5,8 @@ import "fmt"
 // Group is a node of the component tree. Stats registered on a group dump
 // under its dotted path ("gpn0.pe3.vmu"); the root group contributes no
 // path segment, so root-level stats keep bare names — which is how the
-// legacy harness metrics-bag keys ("cycles", "cache_hit_rate", …) stay
-// stable while hierarchical detail grows underneath them.
+// headline metric keys ("cycles", "cache_hit_rate", …) stay stable while
+// hierarchical detail grows underneath them.
 type Group struct {
 	name     string
 	children []*Group

@@ -7,8 +7,8 @@ import (
 	"nova/internal/polygraph"
 )
 
-// Metric name constants for the engines' metrics-bag keys (equivalently,
-// the root-level record paths of their stats dumps). They are defined in
+// Metric name constants for the root-level record paths of the engines'
+// stats dumps, which harness.Report.Metric reads. They are defined in
 // the engine packages that produce them and re-exported here so the
 // experiment layer and external callers share one set of names; see
 // STATS.md for the generated reference of every statistic.

@@ -13,7 +13,9 @@
 package nova
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -32,67 +34,78 @@ import (
 
 // Config selects the NOVA system organization. The zero value is not
 // valid; start from DefaultConfig.
+//
+// Config is the one declaration of NOVA's settings: its json tags are the
+// novad wire names (API.md), the CLIs bind their flags straight into its
+// fields, and the engine fingerprint renders its tagged fields. A zero
+// size or empty name means the default (resolved in one place, so spelling
+// a default out is the same configuration as omitting it); negative sizes
+// are rejected. Fields tagged json:"-" are Go-only run budgets and hooks,
+// neither wire-visible nor fingerprinted.
 type Config struct {
 	// GPNs is the number of graph processing nodes (Table II: 8 PEs,
 	// one HBM2 stack and four DDR4 channels each).
-	GPNs int
+	GPNs int `json:"gpns"`
 	// PEsPerGPN overrides the per-GPN processing element count.
-	PEsPerGPN int
+	PEsPerGPN int `json:"pes_per_gpn"`
 	// CacheBytesPerPE sizes the MPU vertex cache (default 64 KiB).
-	CacheBytesPerPE int
+	CacheBytesPerPE int `json:"cache_bytes_per_pe"`
 	// SuperblockDim sets the tracker granularity (default 128 blocks).
-	SuperblockDim int
+	SuperblockDim int `json:"superblock_dim"`
 	// ActiveBufferEntries sizes the VMU FIFO (default 80).
-	ActiveBufferEntries int
+	ActiveBufferEntries int `json:"active_buffer_entries"`
 	// Spill selects the vertex spilling mechanism: "overwrite" (NOVA's
 	// design) or "fifo" (the Table I strawman).
-	Spill string
+	Spill string `json:"spill"`
 	// Fabric selects the interconnect: "hierarchical" (Table II) or
 	// "ideal" (infinite-bandwidth point-to-point, Fig. 9c).
-	Fabric string
+	Fabric string `json:"fabric"`
 	// Topology selects the inter-GPN topology of the hierarchical fabric:
 	// "crossbar" (default, Table II), "ring", "mesh", or "torus".
-	Topology string
+	Topology string `json:"topology"`
 	// CoalesceWindow enables the fabric's in-flight message coalescing
 	// stage: cross-GPN batches wait up to this many core cycles for
 	// further same-destination traffic to merge with (0 disables).
-	CoalesceWindow int64
+	CoalesceWindow int64 `json:"coalesce_window"`
 	// CoalesceCapacity bounds buffered message entries per destination PE
 	// while a coalescing window is open (0 = network default, 64).
-	CoalesceCapacity int
+	CoalesceCapacity int `json:"coalesce_capacity"`
 	// OutOfCore enables the SSD-backed third memory tier (DESIGN.md §18):
 	// vertex blocks whose SSD page falls outside each PE's resident
 	// window pay a modeled page-in before the HBM2 access.
-	OutOfCore bool
+	OutOfCore bool `json:"out_of_core"`
 	// SSDPreset picks the out-of-core device timing: "nvme" (default) or
-	// "sata". Ignored unless OutOfCore is set.
-	SSDPreset string
+	// "sata". Setting it without OutOfCore is an error.
+	SSDPreset string `json:"ssd_preset"`
 	// SSDResidentPages sizes each PE's DRAM-resident window in SSD pages
-	// (0 = core default, 1024). Ignored unless OutOfCore is set.
-	SSDResidentPages int
+	// (0 = core default, 1024). Setting it without OutOfCore is an error.
+	SSDResidentPages int `json:"ssd_resident_pages"`
 	// Mapping selects spatial vertex placement: "random" (default),
 	// "interleave", "load-balanced", or "locality" (Fig. 9b).
-	Mapping string
+	Mapping string `json:"mapping"`
 	// Seed drives the random vertex mapping.
-	Seed int64
-	// MaxEvents bounds simulation length (0 = default budget).
-	MaxEvents uint64
+	Seed int64 `json:"seed"`
+	// MaxEvents bounds simulation length (0 = default budget). A budget,
+	// not a setting: a run that exhausts it is partial, and novad takes it
+	// per request (the top-level max_events), keying its cache on it
+	// beside the fingerprint.
+	MaxEvents uint64 `json:"-"`
 	// StallTimeout arms the wall-clock stall watchdog (0 = the core
-	// default, 30s; negative disables it). Excluded from the engine
-	// fingerprint: it cannot affect results, only when a stuck run aborts.
-	StallTimeout time.Duration
+	// default, 30s; negative disables it). It cannot affect results, only
+	// when a stuck run aborts.
+	StallTimeout time.Duration `json:"-"`
 	// Shards is the number of worker goroutines driving the per-GPN
 	// engine shards (0 or 1 = sequential). Clamped to GPNs; results are
-	// bit-identical at every setting.
-	Shards int
+	// bit-identical at every setting, so it is the one wire field the
+	// fingerprint leaves out (omitempty lets it drop from the rendering).
+	Shards int `json:"shards,omitempty"`
 	// Observer, when non-nil, is attached as the run's cooperative-stop
 	// interrupt instead of a private one, so an external scheduler (the
 	// novad service) can sample liveness beats while the simulation
-	// executes and trip it from outside the context path. Excluded from
-	// the engine fingerprint, like StallTimeout: observation cannot
-	// affect results, so two runs differing only in Observer are
+	// executes and trip it from outside the context path. Observation
+	// cannot affect results, so two runs differing only in Observer are
 	// cache-equivalent.
-	Observer *sim.Interrupt
+	Observer *sim.Interrupt `json:"-"`
 }
 
 // DefaultConfig returns a single-GPN Table II system with random vertex
@@ -111,29 +124,42 @@ func DefaultConfig() Config {
 	}
 }
 
+// resolved returns c with every zero value that means "the default"
+// spelled out. It is the one place NOVA's defaults are filled in:
+// coreConfig builds from it and the fingerprint renders it, so a config
+// that spells out a default and one that omits it run and cache alike.
+// Negative sizes stay negative for core.Config.Validate to reject.
+func (c Config) resolved() Config {
+	d := core.DefaultConfig(c.GPNs)
+	c.PEsPerGPN = cmp.Or(c.PEsPerGPN, d.PEsPerGPN)
+	c.CacheBytesPerPE = cmp.Or(c.CacheBytesPerPE, d.CacheBytesPerPE)
+	c.SuperblockDim = cmp.Or(c.SuperblockDim, d.SuperblockDim)
+	c.ActiveBufferEntries = cmp.Or(c.ActiveBufferEntries, d.ActiveBufferEntries)
+	c.Spill = cmp.Or(c.Spill, "overwrite")
+	c.Fabric = cmp.Or(c.Fabric, "hierarchical")
+	c.Topology = cmp.Or(c.Topology, "crossbar")
+	c.Mapping = cmp.Or(c.Mapping, "random")
+	if c.OutOfCore {
+		c.SSDPreset = cmp.Or(c.SSDPreset, "nvme")
+		c.SSDResidentPages = cmp.Or(c.SSDResidentPages, d.SSDResidentPages)
+	}
+	return c
+}
+
 func (c Config) coreConfig() (core.Config, error) {
+	c = c.resolved()
 	cc := core.DefaultConfig(c.GPNs)
-	if c.PEsPerGPN > 0 {
-		cc.PEsPerGPN = c.PEsPerGPN
-	}
-	if c.CacheBytesPerPE > 0 {
-		cc.CacheBytesPerPE = c.CacheBytesPerPE
-	}
-	if c.SuperblockDim > 0 {
-		cc.SuperblockDim = c.SuperblockDim
-	}
-	if c.ActiveBufferEntries > 0 {
-		cc.ActiveBufferEntries = c.ActiveBufferEntries
-		if cc.PrefetchBatch > cc.ActiveBufferEntries {
-			cc.PrefetchBatch = cc.ActiveBufferEntries
-		}
-	}
+	cc.PEsPerGPN = c.PEsPerGPN
+	cc.CacheBytesPerPE = c.CacheBytesPerPE
+	cc.SuperblockDim = c.SuperblockDim
+	cc.ActiveBufferEntries = c.ActiveBufferEntries
+	cc.PrefetchBatch = min(cc.PrefetchBatch, c.ActiveBufferEntries)
 	cc.MaxEvents = c.MaxEvents
 	cc.StallTimeout = c.StallTimeout
 	cc.Shards = c.Shards
 	cc.Observer = c.Observer
 	switch c.Spill {
-	case "", "overwrite":
+	case "overwrite":
 		cc.Spill = core.SpillOverwrite
 	case "fifo":
 		cc.Spill = core.SpillFIFO
@@ -141,7 +167,7 @@ func (c Config) coreConfig() (core.Config, error) {
 		return cc, fmt.Errorf("nova: unknown spill policy %q", c.Spill)
 	}
 	switch c.Fabric {
-	case "", "hierarchical":
+	case "hierarchical":
 		cc.Fabric = core.FabricHierarchical
 	case "ideal":
 		cc.Fabric = core.FabricIdeal
@@ -158,23 +184,28 @@ func (c Config) coreConfig() (core.Config, error) {
 	}
 	cc.CoalesceWindow = sim.Ticks(c.CoalesceWindow)
 	cc.CoalesceCapacity = c.CoalesceCapacity
-	if c.OutOfCore {
-		cc.OutOfCore = true
-		switch c.SSDPreset {
-		case "", "nvme":
-			cc.SSD = mem.NVMeSSDConfig("ssd")
-		case "sata":
-			cc.SSD = mem.SATASSDConfig("ssd")
-		default:
-			return cc, fmt.Errorf("nova: unknown SSD preset %q", c.SSDPreset)
+	if !c.OutOfCore {
+		if c.SSDPreset != "" || c.SSDResidentPages != 0 {
+			return cc, fmt.Errorf("nova: SSD options set without OutOfCore")
 		}
-		if c.SSDResidentPages > 0 {
-			cc.SSDResidentPages = c.SSDResidentPages
-		}
-	} else if c.SSDPreset != "" || c.SSDResidentPages != 0 {
-		return cc, fmt.Errorf("nova: SSD options set without OutOfCore")
+		return cc, nil
 	}
-	return cc, nil
+	cc.OutOfCore = true
+	cc.SSDResidentPages = c.SSDResidentPages
+	cc.SSD, err = ssdPreset(c.SSDPreset)
+	return cc, err
+}
+
+// ssdPreset maps an SSD preset name to its device timing; the out-of-core
+// NOVA tier and the extmem baseline share the presets.
+func ssdPreset(name string) (mem.SSDConfig, error) {
+	switch name {
+	case "", "nvme":
+		return mem.NVMeSSDConfig("ssd"), nil
+	case "sata":
+		return mem.SATASSDConfig("ssd"), nil
+	}
+	return mem.SSDConfig{}, fmt.Errorf("nova: unknown SSD preset %q", name)
 }
 
 func (c Config) partition(g *graph.CSR, gpns, pesPerGPN int) (*graph.Partition, error) {
@@ -436,8 +467,8 @@ func (r ctxRunner) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, 
 // call builds a private core.System, so the engine is safe for concurrent
 // use by harness.Pool workers.
 //
-// The metrics bag is derived from the run's stats dump (Report.Dump), so
-// its keys are the dump's record paths: the root-level legacy keys
+// The report carries the run's stats dump (Report.Dump), which
+// harness.Report.Metric reads by record path: the root-level keys
 // (cycles, edge_utilization, vertex_useful_frac, vertex_write_frac,
 // vertex_wasteful_frac, processing_seconds, overhead_seconds,
 // cache_hit_rate, onchip_bytes, spills, direct_pushes, spill_writes,
@@ -451,26 +482,14 @@ type novaEngine struct{ acc *Accelerator }
 
 func (e novaEngine) Name() string { return "nova" }
 
+// Fingerprint renders the resolved configuration's wire fields as JSON:
+// every field that can affect results, and nothing else (Shards is zeroed
+// and omitted; the json:"-" fields never render).
 func (e novaEngine) Fingerprint() string {
-	c := e.acc.cfg
-	fp := fmt.Sprintf("nova{gpns=%d pes=%d cache=%d sbdim=%d abuf=%d spill=%s fabric=%s topo=%s coalesce=%d/%d mapping=%s seed=%d}",
-		c.GPNs, c.PEsPerGPN, c.CacheBytesPerPE, c.SuperblockDim, c.ActiveBufferEntries,
-		orDefault(c.Spill, "overwrite"), orDefault(c.Fabric, "hierarchical"),
-		orDefault(c.Topology, "crossbar"), c.CoalesceWindow, c.CoalesceCapacity,
-		orDefault(c.Mapping, "random"), c.Seed)
-	if c.OutOfCore {
-		// Appended only when the tier is on, so every pre-existing
-		// in-core fingerprint (and its cache entries) stays unchanged.
-		fp += fmt.Sprintf("+ooc{ssd=%s resident=%d}", orDefault(c.SSDPreset, "nvme"), c.SSDResidentPages)
-	}
-	return fp
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
+	c := e.acc.cfg.resolved()
+	c.Shards = 0
+	b, _ := json.Marshal(c) // plain values only: it cannot fail
+	return "nova" + string(b)
 }
 
 func (e novaEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
@@ -519,7 +538,6 @@ func (e novaEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harne
 	}
 	out.Props, out.Stats = rep.Props, rep.Stats
 	out.Dump = rep.Dump
-	out.Metrics = rep.Dump.Bag()
 	out.Shards = rep.Shards
 	out.WindowWallSeconds = rep.WindowWallSeconds
 	out.BarrierWallSeconds = rep.BarrierWallSeconds

@@ -52,25 +52,32 @@ func TestAcceleratorBFSReport(t *testing.T) {
 }
 
 func TestConfigErrors(t *testing.T) {
-	bad := smallConfig()
-	bad.Spill = "magic"
-	if _, err := nova.New(bad); err == nil {
-		t.Fatal("bad spill accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*nova.Config)
+	}{
+		{"bad spill", func(c *nova.Config) { c.Spill = "magic" }},
+		{"bad fabric", func(c *nova.Config) { c.Fabric = "telepathy" }},
+		{"bad mapping", func(c *nova.Config) { c.Mapping = "vibes" }},
+		{"0 GPNs", func(c *nova.Config) { c.GPNs = 0 }},
+		{"negative PEsPerGPN", func(c *nova.Config) { c.PEsPerGPN = -3 }},
+		{"negative CacheBytesPerPE", func(c *nova.Config) { c.CacheBytesPerPE = -1 }},
+		{"negative SuperblockDim", func(c *nova.Config) { c.SuperblockDim = -1 }},
+		{"negative ActiveBufferEntries", func(c *nova.Config) { c.ActiveBufferEntries = -1 }},
+		{"negative CoalesceWindow", func(c *nova.Config) { c.CoalesceWindow = -1 }},
+		{"SSDPreset without OutOfCore", func(c *nova.Config) { c.SSDPreset = "sata" }},
+		{"negative SSDResidentPages", func(c *nova.Config) { c.OutOfCore, c.SSDResidentPages = true, -1 }},
+	} {
+		bad := smallConfig()
+		c.edit(&bad)
+		if _, err := nova.New(bad); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	bad = smallConfig()
-	bad.Fabric = "telepathy"
-	if _, err := nova.New(bad); err == nil {
-		t.Fatal("bad fabric accepted")
-	}
-	bad = smallConfig()
-	bad.Mapping = "vibes"
-	if _, err := nova.New(bad); err == nil {
-		t.Fatal("bad mapping accepted")
-	}
-	bad = smallConfig()
-	bad.GPNs = 0
-	if _, err := nova.New(bad); err == nil {
-		t.Fatal("0 GPNs accepted")
+	for _, em := range []nova.ExternalMemory{{RAMBytes: -1}, {PartitionEdges: -1}, {SSDPreset: "floppy"}} {
+		if err := em.Validate(); err == nil {
+			t.Errorf("extmem %+v accepted", em)
+		}
 	}
 }
 
