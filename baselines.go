@@ -16,7 +16,8 @@ import (
 
 // PolyGraphBaseline runs programs on the temporal-partitioning baseline
 // accelerator model. It implements program.Runner. Its json tags are the
-// novad "polygraph" block's wire names (API.md).
+// novad "polygraph" block's wire names (API.md); zero values mean the
+// defaults and negative ones are rejected.
 type PolyGraphBaseline struct {
 	// OnChipBytes is the scratchpad capacity (default 32 MiB; scaled
 	// experiments shrink it to keep Table III slice counts).
@@ -69,6 +70,21 @@ func (b *PolyGraphBaseline) config() polygraph.Config {
 	return cfg
 }
 
+// Validate reports the first configuration error, a negative size, rate
+// or slice count, so callers can reject a configuration before any run;
+// Run fails on the same error.
+func (b *PolyGraphBaseline) Validate() error {
+	switch {
+	case b.OnChipBytes < 0:
+		return fmt.Errorf("nova: polygraph OnChipBytes = %d", b.OnChipBytes)
+	case b.MemBandwidth < 0:
+		return fmt.Errorf("nova: polygraph MemBandwidth = %v", b.MemBandwidth)
+	case b.ForceSlices < 0:
+		return fmt.Errorf("nova: polygraph ForceSlices = %d", b.ForceSlices)
+	}
+	return nil
+}
+
 // Run executes p on g under the PolyGraph model.
 func (b *PolyGraphBaseline) Run(p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
 	return b.RunContext(context.Background(), p, g)
@@ -79,6 +95,9 @@ func (b *PolyGraphBaseline) Run(p program.Program, g *graph.CSR) (*PolyGraphRepo
 // round-budget exhaustion) it returns BOTH a partial report (Partial set,
 // with its StopReason) and the error.
 func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
 	res, err := polygraph.Run(ctx, b.config(), g, p)
 	if res == nil {
 		return nil, err
@@ -200,7 +219,8 @@ var _ harness.Engine = pgEngine{}
 // reports wall-clock performance — the paper's software reference point.
 // Its json tags are the novad "ligra" block's wire names (API.md).
 type Software struct {
-	// Threads bounds worker goroutines (0 = all cores).
+	// Threads bounds worker goroutines (0 = all cores; negative is
+	// rejected).
 	Threads int `json:"threads"`
 }
 
@@ -232,6 +252,15 @@ func (r *SoftwareReport) GTEPS() float64 {
 	return float64(r.EdgesTraversed) / r.Seconds / 1e9
 }
 
+// Validate reports a negative thread count, so callers can reject it
+// before any run; RunWorkload fails on the same error.
+func (s *Software) Validate() error {
+	if s.Threads < 0 {
+		return fmt.Errorf("nova: ligra Threads = %d", s.Threads)
+	}
+	return nil
+}
+
 func (s *Software) engine() *ligra.Engine {
 	e := ligra.NewEngine()
 	if s.Threads > 0 {
@@ -251,6 +280,9 @@ func (s *Software) RunWorkload(name string, g, gT *graph.CSR, root graph.VertexI
 // kernel checks ctx between edgeMap iterations and, when cancelled,
 // returns the partial report (Partial set) alongside the context error.
 func (s *Software) RunWorkloadContext(ctx context.Context, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*SoftwareReport, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	e := s.engine()
 	intr := sim.NewInterrupt()
 	e.Interrupt = intr

@@ -389,3 +389,46 @@ func TestSingleVertexGraph(t *testing.T) {
 		t.Fatalf("root prop = %d", res.Props[0])
 	}
 }
+
+// TestMPUMissPathAllocs pins the MPU's miss path allocation-free. Each
+// cycle delivers two messages to each of 512 local vertices (256 blocks)
+// through a 256 B cache, so nearly every message misses: primary misses
+// take MSHRs, secondary misses merge into them, and with 128 MSHRs for 256
+// blocks the MPU back-pressures. Once the inbox, the task pools and the
+// MSHR waiter buffers have grown, a cycle must allocate nothing.
+func TestMPUMissPathAllocs(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.PEsPerGPN = 1
+	cfg.CacheBytesPerPE = 256
+	s, err := NewSystem(cfg, randGraph(3, 4000, 8000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cluster.Close()
+	// Every prop is 0, the SSSP minimum, so no reduce changes a value:
+	// no activation, vertex write or propagation joins the MPU's work.
+	s.prog = program.NewSSSP(0)
+	clear(s.props)
+	pe := s.pes[0]
+	var msgs []program.Message
+	for pass := 0; pass < 2; pass++ {
+		for v := 0; v < 512; v++ {
+			msgs = append(msgs, program.Message{Dst: graph.VertexID(v), Delta: 1})
+		}
+	}
+	cycle := func() {
+		pe.deliver(msgs)
+		if err := s.clusterRun(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if !s.inboxesEmpty() {
+		t.Fatal("messages or MSHR entries still pending after a cycle ran to quiescence")
+	}
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("MPU miss path: %.0f allocations per cycle of %d messages, want 0", n, len(msgs))
+	}
+}

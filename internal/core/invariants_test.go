@@ -131,7 +131,8 @@ func TestFIFOStaleRetrievals(t *testing.T) {
 }
 
 // TestMSHRMergesSecondaryMisses: many messages to one hub vertex must not
-// issue one memory read each.
+// issue one memory read each, at every MSHR count, including counts small
+// enough that the MPU back-pressures on a full MSHR file.
 func TestMSHRMergesSecondaryMisses(t *testing.T) {
 	// Star: 500 spokes all pointing at vertex 0.
 	edges := make([]graph.Edge, 0, 1000)
@@ -140,23 +141,37 @@ func TestMSHRMergesSecondaryMisses(t *testing.T) {
 		edges = append(edges, graph.Edge{Src: graph.VertexID(i), Dst: 0, Weight: uint32(i)})
 	}
 	g := graph.FromEdges("star", 502, edges)
-	cfg := testConfig()
-	sys, err := NewSystem(cfg, g, nil)
-	if err != nil {
-		t.Fatal(err)
+	want := ref.SSSP(g, 501)
+	// reads pins the hub PE's vertex reads. 500 messages target vertex
+	// 0; without MSHR merging the hub PE would issue ≥500 reads.
+	for _, c := range []struct {
+		mshrs int
+		reads uint64
+	}{{1, 240}, {2, 170}, {128, 138}} {
+		cfg := testConfig()
+		cfg.MSHRs = c.mshrs
+		sys, err := NewSystem(cfg, g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(context.Background(), program.NewSSSP(501))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hubOwner := sys.pes[sys.part.Owner[0]]
+		if reads := hubOwner.vchan.Stats().Reads; reads != c.reads {
+			t.Errorf("MSHRs=%d: hub PE issued %d vertex reads, want %d", c.mshrs, reads, c.reads)
+		}
+		got := distsOf(res.Props)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("MSHRs=%d: vertex %d: got %d want %d", c.mshrs, v, got[v], want[v])
+			}
+		}
+		if !sys.inboxesEmpty() {
+			t.Errorf("MSHRs=%d: messages or MSHR entries still pending after Run", c.mshrs)
+		}
 	}
-	res, err := sys.Run(context.Background(), program.NewSSSP(501))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hubOwner := sys.pes[sys.part.Owner[0]]
-	reads := hubOwner.vchan.Stats().Reads
-	// 500 messages target vertex 0; without MSHR merging the hub PE
-	// would issue ≥500 reads. With merging it needs far fewer.
-	if reads > 400 {
-		t.Fatalf("hub PE issued %d vertex reads for ~500 hub messages: secondary misses not merging", reads)
-	}
-	_ = res
 }
 
 // TestOnChipBytesMatchesEquation cross-checks Result.OnChipBytes against

@@ -43,11 +43,11 @@ type PE struct {
 	ssd *mem.SSD
 
 	// MPU state.
-	inbox       []program.Message
-	inboxHead   int
-	pendingFill map[uint64][]program.Message // block addr -> waiting messages
-	redSlot     sim.Ticks
-	redUsed     int
+	inbox     []program.Message
+	inboxHead int
+	mshr      mshrFile
+	redSlot   sim.Ticks
+	redUsed   int
 
 	// MGU state.
 	mguInflight int
@@ -76,6 +76,65 @@ type PE struct {
 	// vertsScratch collects a block's active vertices in pumpMGU.
 	vertsScratch []graph.VertexID
 }
+
+// mshrFile is the MPU's miss-status holding registers: a fixed table of
+// cfg.MSHRs outstanding vertex-block reads. An entry holds the messages
+// waiting on its block in arrival order, the primary miss first and every
+// merged secondary miss after it. Entries keep their waiter buffers across
+// fills, so once those buffers have grown the miss path never allocates.
+type mshrFile struct {
+	waiters [][]program.Message // per entry
+	free    []int32             // stack of free entry indices
+	byBlock []int32             // local block index -> entry index + 1; 0 = none
+}
+
+func newMSHRFile(entries, blocks int) mshrFile {
+	f := mshrFile{
+		waiters: make([][]program.Message, entries),
+		free:    make([]int32, entries),
+		byBlock: make([]int32, blocks),
+	}
+	for i := range f.free {
+		f.free[i] = int32(i)
+	}
+	return f
+}
+
+// merge appends msg to block bi's outstanding read, if there is one.
+func (f *mshrFile) merge(bi int, msg program.Message) bool {
+	e := f.byBlock[bi]
+	if e == 0 {
+		return false
+	}
+	f.waiters[e-1] = append(f.waiters[e-1], msg)
+	return true
+}
+
+// take allocates an entry for block bi with msg as its first waiter. It
+// reports false when every entry is in use.
+func (f *mshrFile) take(bi int, msg program.Message) bool {
+	n := len(f.free)
+	if n == 0 {
+		return false
+	}
+	e := f.free[n-1]
+	f.free = f.free[:n-1]
+	f.byBlock[bi] = e + 1
+	f.waiters[e] = append(f.waiters[e][:0], msg)
+	return true
+}
+
+// release frees block bi's entry and returns its waiters in arrival order.
+// The slice is the entry's buffer: consume it before the next take.
+func (f *mshrFile) release(bi int) []program.Message {
+	e := f.byBlock[bi] - 1
+	f.byBlock[bi] = 0
+	f.free = append(f.free, e)
+	return f.waiters[e]
+}
+
+// busy reports whether any read is outstanding.
+func (f *mshrFile) busy() bool { return len(f.free) < len(f.waiters) }
 
 // reduceTask fires one message's reduce at its FU slot.
 type reduceTask struct {
@@ -345,16 +404,15 @@ func (pe *PE) pumpMPU() {
 			pe.scheduleReduce(msg)
 			continue
 		}
-		if waiters, ok := pe.pendingFill[block]; ok {
+		bi := pe.blockIndex(block)
+		if pe.mshr.merge(bi, msg) {
 			pe.inboxHead++
-			pe.pendingFill[block] = append(waiters, msg)
 			continue
 		}
-		if len(pe.pendingFill) >= cfg.MSHRs {
+		if !pe.mshr.take(bi, msg) {
 			break // back-pressure: retry when an MSHR frees
 		}
 		pe.inboxHead++
-		pe.pendingFill[block] = []program.Message{msg}
 		pe.vchan.Access(mem.Request{
 			Addr:  block,
 			Bytes: cfg.BlockBytes,
@@ -373,9 +431,7 @@ func (pe *PE) pumpMPU() {
 
 func (pe *PE) fillDone(block uint64) {
 	pe.cache.Fill(block) // eviction hook: write-back + tracker update
-	waiters := pe.pendingFill[block]
-	delete(pe.pendingFill, block)
-	for _, msg := range waiters {
+	for _, msg := range pe.mshr.release(pe.blockIndex(block)) {
 		pe.scheduleReduce(msg)
 	}
 	pe.pumpMPU() // an MSHR freed

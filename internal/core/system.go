@@ -231,7 +231,6 @@ func NewSystem(cfg Config, g *graph.CSR, part *graph.Partition) (*System, error)
 			gpn:         gpn,
 			vchan:       mem.NewChannel(engines[gpn], vc),
 			cache:       mem.NewCache(cfg.CacheBytesPerPE, cfg.BlockBytes),
-			pendingFill: make(map[uint64][]program.Message),
 			sendBuckets: make([][]program.Message, total),
 		}
 		if s.ssds != nil {
@@ -268,6 +267,7 @@ func NewSystem(cfg Config, g *graph.CSR, part *graph.Partition) (*System, error)
 		}
 		pe.edgeBase = gpnEdgeBytes[pe.gpn]
 		gpnEdgeBytes[pe.gpn] += uint64(m) * uint64(cfg.EdgeBytes)
+		pe.mshr = newMSHRFile(cfg.MSHRs, pe.numBlocks())
 		pe.vmu = newVMU(pe)
 		vmu := pe.vmu
 		pe.cache.OnEvict = vmu.onEvict
@@ -331,7 +331,7 @@ func (s *System) deactivate(v graph.VertexID) {
 
 func (s *System) inboxesEmpty() bool {
 	for _, pe := range s.pes {
-		if pe.inboxHead < len(pe.inbox) || len(pe.pendingFill) > 0 {
+		if pe.inboxHead < len(pe.inbox) || pe.mshr.busy() {
 			return false
 		}
 	}

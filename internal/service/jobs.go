@@ -289,9 +289,15 @@ func BuildEngine(req *JobRequest, obs *sim.Interrupt) (harness.Engine, error) {
 		return acc.Engine(), nil
 	case "polygraph":
 		b := valueOr(req.PolyGraph, nova.PolyGraphBaseline{})
+		if err := b.Validate(); err != nil {
+			return nil, err
+		}
 		return b.Engine(), nil
 	case "ligra":
 		s := valueOr(req.Ligra, nova.Software{})
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 		return s.Engine(), nil
 	case "extmem":
 		b := valueOr(req.Extmem, nova.ExternalMemory{})

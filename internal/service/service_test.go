@@ -477,6 +477,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative pes_per_gpn", job("nova", map[string]any{"pes_per_gpn": -3}), http.StatusBadRequest},
 		{"ssd_preset without out_of_core", job("nova", map[string]any{"ssd_preset": "sata"}), http.StatusBadRequest},
 		{"negative extmem ram_bytes", job("extmem", map[string]any{"ram_bytes": -1}), http.StatusBadRequest},
+		{"negative polygraph onchip_bytes", job("polygraph", map[string]any{"onchip_bytes": -1}), http.StatusBadRequest},
+		{"negative polygraph force_slices", job("polygraph", map[string]any{"force_slices": -2}), http.StatusBadRequest},
+		{"negative ligra threads", job("ligra", map[string]any{"threads": -1}), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+"/jobs", c.req)

@@ -15,9 +15,9 @@ var ErrStalled = errors.New("sim: stalled")
 
 // DefaultPollEvents is the default cancellation-poll stride: the kernel
 // checks the interrupt once per this many executed events. A NOVA cell
-// spends ~210–260 ns of host time per event (sim.ns_per_event on the
+// spends ~90–110 ns of host time per event (sim.ns_per_event on the
 // repository benchmark's three sim workloads, 2-vCPU Xeon VM), so a poll
-// comes every ~1.7–2.1 ms of wall time, which bounds how long a cancelled
+// comes every ~0.7–0.9 ms of wall time, which bounds how long a cancelled
 // run keeps going. One atomic load per 8192 events costs the hot loop
 // nothing measurable.
 const DefaultPollEvents = 8192

@@ -60,11 +60,12 @@ owning stat's path; their dumps expand into ".samples", ".mean",
 ".min"/".max"/".stddev" (distributions) and ".le<hi>"/".overflow"
 bucket records (histograms).
 
-Root-level paths double as the harness metrics-bag keys (see the
-Metric* constants in the nova package); the "consumed by" column names
-the figures and tables of the evaluation that read them. Volatile stats
-vary run to run (host wall-clock, racy parallel counters) and are
-skipped by dump diffs by default.
+Consumers read records by path, through harness.Report.Metric or
+stats.Dump.Value; the Metric* constants in the nova package name the
+root-level paths. The "consumed by" column names the figures and tables
+of the evaluation that read them. Volatile stats vary run to run (host
+wall-clock, racy parallel counters) and are skipped by dump diffs by
+default.
 
 Get a dump for any cell with ` + "`novasim -stats-out FILE.json`" + ` and
 compare two dumps with ` + "`statdiff`" + `.
