@@ -18,11 +18,11 @@ import (
 var ErrCorrupt = errors.New("graph: corrupt csr container")
 
 // Versioned binary CSR container — the on-disk format of the large-graph
-// scale tier. The legacy WriteBinary/ReadBinary stream (io.go) has no
-// version, no checksums and no section structure; this format adds all
-// three so multi-million-edge graphs can be generated once (cmd/graphgen)
-// and loaded repeatedly with integrity guarantees, in constant memory
-// beyond the CSR arrays themselves.
+// scale tier, with a version, checksums and a section structure, so
+// multi-million-edge graphs can be generated once (cmd/graphgen) and
+// loaded repeatedly with integrity guarantees, in constant memory beyond
+// the CSR arrays themselves. codec.go holds the one writer and the one
+// decoder both layouts share.
 //
 // Layout (all little-endian, sections contiguous and in order):
 //
@@ -117,30 +117,33 @@ func headerBytes(numVertices int, numEdges int64, flags uint16, secs [csrFileSec
 	return buf
 }
 
-// parseHeader validates the fixed-size header and returns its fields.
-func parseHeader(buf []byte) (info CSRFileInfo, secs [csrFileSections]csrSection, err error) {
+// parseHeader validates the fixed-size header and returns the layout it
+// describes: a flat file's one slab is complete, a partitioned file's
+// slabs still need readTable.
+func parseHeader(buf []byte) (*csrLayout, error) {
+	var secs [csrFileSections]csrSection
 	if len(buf) < csrFileHeaderSize {
-		return info, secs, fmt.Errorf("%w: header truncated at %d bytes", ErrCorrupt, len(buf))
+		return nil, fmt.Errorf("%w: header truncated at %d bytes", ErrCorrupt, len(buf))
 	}
 	if [4]byte(buf[0:4]) != csrFileMagic {
-		return info, secs, fmt.Errorf("%w: not a csr file (magic %q)", ErrCorrupt, buf[0:4])
+		return nil, fmt.Errorf("%w: not a csr file (magic %q)", ErrCorrupt, buf[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(buf[4:6]); v != CSRFileVersion {
-		return info, secs, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, CSRFileVersion)
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, CSRFileVersion)
 	}
 	crcOff := csrFileHeaderSize - 4
 	headerCRC := crc32.Checksum(buf[:crcOff], crcTable)
 	if want := binary.LittleEndian.Uint32(buf[crcOff:]); headerCRC != want {
-		return info, secs, fmt.Errorf("%w: header checksum mismatch (%#x != %#x)", ErrCorrupt, headerCRC, want)
+		return nil, fmt.Errorf("%w: header checksum mismatch (%#x != %#x)", ErrCorrupt, headerCRC, want)
 	}
 	flags := binary.LittleEndian.Uint16(buf[6:8])
 	if flags&^uint16(csrKnownFlags) != 0 {
-		return info, secs, fmt.Errorf("%w: unsupported header flags %#x", ErrCorrupt, flags)
+		return nil, fmt.Errorf("%w: unsupported header flags %#x", ErrCorrupt, flags)
 	}
 	n := binary.LittleEndian.Uint64(buf[8:16])
 	m := binary.LittleEndian.Uint64(buf[16:24])
 	if n == 0 || n > csrMaxVertices || m > csrMaxEdges {
-		return info, secs, fmt.Errorf("%w: implausible sizes V=%d E=%d", ErrCorrupt, n, m)
+		return nil, fmt.Errorf("%w: implausible sizes V=%d E=%d", ErrCorrupt, n, m)
 	}
 	p := 24
 	for i := range secs {
@@ -162,18 +165,18 @@ func parseHeader(buf []byte) (info CSRFileInfo, secs [csrFileSections]csrSection
 		// the payload holds (V+P)×u64 row pointers plus E edge records.
 		tl := secs[0].length
 		if secs[0].off != csrFileHeaderSize || tl < 8+csrPartEntryBytes || (tl-8)%csrPartEntryBytes != 0 {
-			return info, secs, fmt.Errorf("%w: partition table geometry inconsistent (len %d)", ErrCorrupt, tl)
+			return nil, fmt.Errorf("%w: partition table geometry inconsistent (len %d)", ErrCorrupt, tl)
 		}
 		nParts := (tl - 8) / csrPartEntryBytes
 		if nParts > n {
-			return info, secs, fmt.Errorf("%w: %d partitions for %d vertices", ErrCorrupt, nParts, n)
+			return nil, fmt.Errorf("%w: %d partitions for %d vertices", ErrCorrupt, nParts, n)
 		}
 		wantRow := (n + nParts) * 8
 		wantPayload := wantRow + m*csrEdgeRecBytes
 		if secs[1].off != secs[0].off+tl || secs[1].length != wantPayload {
-			return info, secs, fmt.Errorf("%w: section table inconsistent with V=%d E=%d P=%d", ErrCorrupt, n, m, nParts)
+			return nil, fmt.Errorf("%w: section table inconsistent with V=%d E=%d P=%d", ErrCorrupt, n, m, nParts)
 		}
-		info = CSRFileInfo{
+		return &csrLayout{secs: secs, info: CSRFileInfo{
 			Version:       CSRFileVersion,
 			NumVertices:   int(n),
 			NumEdges:      int64(m),
@@ -182,84 +185,36 @@ func parseHeader(buf []byte) (info CSRFileInfo, secs [csrFileSections]csrSection
 			Partitioned:   true,
 			NumPartitions: int(nParts),
 			ContentHash:   headerCRC,
-		}
-		return info, secs, nil
+		}}, nil
 	}
 	wantRow := uint64(n+1) * 8
 	wantEdge := m * csrEdgeRecBytes
 	if secs[0].off != csrFileHeaderSize || secs[0].length != wantRow ||
 		secs[1].off != secs[0].off+secs[0].length || secs[1].length != wantEdge {
-		return info, secs, fmt.Errorf("%w: section table inconsistent with V=%d E=%d", ErrCorrupt, n, m)
+		return nil, fmt.Errorf("%w: section table inconsistent with V=%d E=%d", ErrCorrupt, n, m)
 	}
-	info = CSRFileInfo{
-		Version:     CSRFileVersion,
-		NumVertices: int(n),
-		NumEdges:    int64(m),
-		RowPtrBytes: int64(wantRow),
-		EdgeBytes:   int64(wantEdge),
-		ContentHash: headerCRC,
-	}
-	return info, secs, nil
-}
-
-// sectionWriter accumulates a section's CRC while writing through to w.
-type sectionWriter struct {
-	w   *bufio.Writer
-	crc uint32
-	n   uint64
-}
-
-func (s *sectionWriter) write(p []byte) error {
-	s.crc = crc32.Update(s.crc, crcTable, p)
-	s.n += uint64(len(p))
-	_, err := s.w.Write(p)
-	return err
+	return &csrLayout{
+		secs: secs,
+		info: CSRFileInfo{
+			Version:     CSRFileVersion,
+			NumVertices: int(n),
+			NumEdges:    int64(m),
+			RowPtrBytes: int64(wantRow),
+			EdgeBytes:   int64(wantEdge),
+			ContentHash: headerCRC,
+		},
+		slabs: []csrPartition{{
+			vCount: int(n), edges: int64(m),
+			rowOff: secs[0].off, edgeOff: secs[1].off,
+			rowCRC: secs[0].crc, edgeCRC: secs[1].crc,
+		}},
+	}, nil
 }
 
 // WriteCSRFile serializes g into the versioned container at path.
-func WriteCSRFile(path string, g *CSR) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-
-	// Header slot first; rewritten with checksums once sections are done.
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, csrFileHeaderSize)); err != nil {
-		return err
-	}
-	var secs [csrFileSections]csrSection
-	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for _, p := range g.RowPtr {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-		if err := sw.write(scratch[:]); err != nil {
-			return err
-		}
-	}
-	secs[0] = csrSection{off: csrFileHeaderSize, length: sw.n, crc: sw.crc}
-
-	sw = &sectionWriter{w: bw}
-	for i := range g.Dst {
-		binary.LittleEndian.PutUint32(scratch[0:4], uint32(g.Dst[i]))
-		binary.LittleEndian.PutUint32(scratch[4:8], g.Weight[i])
-		if err := sw.write(scratch[:]); err != nil {
-			return err
-		}
-	}
-	secs[1] = csrSection{off: secs[0].off + secs[0].length, length: sw.n, crc: sw.crc}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(headerBytes(g.NumVertices(), g.NumEdges(), 0, secs), 0); err != nil {
-		return err
-	}
-	return nil
+func WriteCSRFile(path string, g *CSR) error {
+	_, err := writeContainer(path, g.RowPtr, []int{0, g.NumVertices()}, false, csrEdges(g))
+	return err
 }
 
 // BuildOptions tune the streaming container build.
@@ -279,12 +234,12 @@ type BuildOptions struct {
 
 // BuildCSRFile generates st directly into the versioned container at path
 // without ever materializing the graph: pass one counts degrees into the
-// row pointers (O(|V|) memory), then the edge section is scattered chunk
+// row pointers (O(|V|) memory), then the edge records are scattered chunk
 // by chunk — each chunk covers a contiguous source-vertex range holding at
 // most opt.ChunkEdges edges, filled by replaying the stream and keeping
 // only that range. Peak memory is O(|V|) + O(ChunkEdges) regardless of
 // |E|.
-func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (info CSRFileInfo, err error) {
+func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (CSRFileInfo, error) {
 	chunk := opt.ChunkEdges
 	if chunk <= 0 {
 		chunk = 4 << 20
@@ -299,7 +254,7 @@ func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (info CSRFileInf
 			break
 		}
 		if int(e.Src) >= n || int(e.Dst) >= n {
-			return info, fmt.Errorf("graph: stream edge %d->%d out of range %d", e.Src, e.Dst, n)
+			return CSRFileInfo{}, fmt.Errorf("graph: stream edge %d->%d out of range %d", e.Src, e.Dst, n)
 		}
 		rowPtr[e.Src+1]++
 		m++
@@ -307,59 +262,21 @@ func BuildCSRFile(path string, st EdgeStream, opt BuildOptions) (info CSRFileInf
 	for i := 1; i <= n; i++ {
 		rowPtr[i] += rowPtr[i-1]
 	}
+	// The row pointers are counted, so partition boundaries are known up
+	// front and each slab's edges stream out through the chunked scatter,
+	// bounded to the slab's vertex interval.
+	bounds := []int{0, n}
 	if opt.PartitionEdges > 0 {
-		return buildPartitionedCSRFile(path, st, rowPtr, m, chunk, opt.PartitionEdges)
+		bounds = partitionBoundaries(rowPtr, opt.PartitionEdges)
 	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return info, err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, csrFileHeaderSize)); err != nil {
-		return info, err
-	}
-	var secs [csrFileSections]csrSection
-	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for _, p := range rowPtr {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-		if err := sw.write(scratch[:]); err != nil {
-			return info, err
-		}
-	}
-	secs[0] = csrSection{off: csrFileHeaderSize, length: sw.n, crc: sw.crc}
-
-	sw = &sectionWriter{w: bw}
 	sc := newEdgeScatter(chunk, m)
-	if err := sc.scatter(st, rowPtr, 0, n, sw.write); err != nil {
-		return info, err
-	}
-	secs[1] = csrSection{off: secs[0].off + secs[0].length, length: sw.n, crc: sw.crc}
-	if err := bw.Flush(); err != nil {
-		return info, err
-	}
-	hdr := headerBytes(n, m, 0, secs)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return info, err
-	}
-	return CSRFileInfo{
-		Version:     CSRFileVersion,
-		NumVertices: n,
-		NumEdges:    m,
-		RowPtrBytes: int64(secs[0].length),
-		EdgeBytes:   int64(secs[1].length),
-		ContentHash: binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
+	return writeContainer(path, rowPtr, bounds, opt.PartitionEdges > 0, func(sw *slabWriter, lo, hi int) error {
+		return sc.scatter(st, rowPtr, lo, hi, sw.write)
+	})
 }
 
 // edgeScatter holds the reusable chunk buffers of the streaming edge
-// scatter shared by the flat and partitioned builds.
+// scatter that feeds BuildCSRFile's slabs.
 type edgeScatter struct {
 	chunk  int64
 	buf    []byte
@@ -367,7 +284,7 @@ type edgeScatter struct {
 }
 
 func newEdgeScatter(chunk, totalEdges int64) *edgeScatter {
-	return &edgeScatter{chunk: chunk, buf: make([]byte, 0, min64(chunk, totalEdges)*csrEdgeRecBytes)}
+	return &edgeScatter{chunk: chunk, buf: make([]byte, 0, min(chunk, totalEdges)*csrEdgeRecBytes)}
 }
 
 // scatter replays st once per chunk and hands the encoded edge records of
@@ -424,7 +341,7 @@ func (sc *edgeScatter) scatter(st EdgeStream, rowPtr []int64, vLo, vHi int, emit
 }
 
 // ReadCSR deserializes a versioned container from r, verifying the header
-// and section checksums. The payload streams through a fixed-size buffer
+// and every checksum. The payload streams through a fixed-size buffer
 // straight into the CSR arrays — no extra copy of the file and no edge
 // list, so peak memory is the returned graph plus O(1).
 func ReadCSR(name string, r io.Reader) (*CSR, error) {
@@ -432,88 +349,28 @@ func ReadCSR(name string, r io.Reader) (*CSR, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header short read: %w", ErrCorrupt, err)
 	}
-	info, secs, err := parseHeader(hdr)
+	l, err := parseHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	if info.Partitioned {
-		return readPartitionedCSR(name, r, info, secs)
-	}
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	buf := make([]byte, 1<<20)
-
-	crc := uint32(0)
-	prev, idx := int64(0), 0
-	if err := readSection(r, buf, int64(secs[0].length), &crc, func(p []byte) error {
-		for len(p) >= 8 {
-			v := int64(binary.LittleEndian.Uint64(p))
-			if v < prev || v > m {
-				return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, idx, v, prev)
-			}
-			g.RowPtr[idx] = v
-			prev = v
-			idx++
-			p = p[8:]
-		}
-		return nil
-	}); err != nil {
+	src := &slabSource{r: r}
+	if err := l.readTable(src); err != nil {
 		return nil, err
 	}
-	if crc != secs[0].crc {
-		return nil, fmt.Errorf("%w: row-pointer section checksum mismatch", ErrCorrupt)
+	// A stream cannot be reread, so a partitioned file's whole-payload
+	// checksum accumulates while the slabs decode.
+	payload := crc32.New(crcTable)
+	if l.info.Partitioned {
+		src.r = io.TeeReader(r, payload)
 	}
-	if g.RowPtr[n] != m {
-		return nil, fmt.Errorf("%w: row pointers end at %d, want %d", ErrCorrupt, g.RowPtr[n], m)
-	}
-
-	crc = 0
-	var ei int64
-	if err := readSection(r, buf, int64(secs[1].length), &crc, func(p []byte) error {
-		for len(p) >= csrEdgeRecBytes {
-			d := binary.LittleEndian.Uint32(p)
-			if int64(d) >= int64(n) {
-				return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, ei, d)
-			}
-			g.Dst[ei] = VertexID(d)
-			g.Weight[ei] = binary.LittleEndian.Uint32(p[4:])
-			ei++
-			p = p[csrEdgeRecBytes:]
-		}
-		return nil
-	}); err != nil {
+	g, err := l.decode(name, src, nil)
+	if err != nil {
 		return nil, err
 	}
-	if crc != secs[1].crc {
-		return nil, fmt.Errorf("%w: edge section checksum mismatch", ErrCorrupt)
+	if l.info.Partitioned && payload.Sum32() != l.secs[1].crc {
+		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
 	}
 	return g, nil
-}
-
-// readSection streams length bytes from r through buf in multiples of the
-// record size, updating crc and handing each full slab to decode.
-func readSection(r io.Reader, buf []byte, length int64, crc *uint32, decode func([]byte) error) error {
-	for length > 0 {
-		want := int64(len(buf))
-		if length < want {
-			want = length
-		}
-		slab := buf[:want]
-		if _, err := io.ReadFull(r, slab); err != nil {
-			return fmt.Errorf("%w: section truncated: %w", ErrCorrupt, err)
-		}
-		*crc = crc32.Update(*crc, crcTable, slab)
-		if err := decode(slab); err != nil {
-			return err
-		}
-		length -= want
-	}
-	return nil
 }
 
 // ReadCSRFile loads the versioned container at path.
@@ -538,13 +395,9 @@ func StatCSRFile(path string) (CSRFileInfo, error) {
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return CSRFileInfo{}, fmt.Errorf("%w: header short read: %w", ErrCorrupt, err)
 	}
-	info, _, err := parseHeader(hdr)
-	return info, err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+	l, err := parseHeader(hdr)
+	if err != nil {
+		return CSRFileInfo{}, err
 	}
-	return b
+	return l.info, nil
 }

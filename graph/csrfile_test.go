@@ -311,11 +311,11 @@ func TestBuildCSRFileMultiMillionEdges(t *testing.T) {
 	}
 }
 
-func FuzzReadCSR(f *testing.F) {
-	// Seed with valid containers of a few shapes plus simple mutations;
-	// the fuzzer then explores header/section corruption. The loader must
-	// never panic; on success the invariants the simulator relies on must
-	// hold.
+// readerSeeds is the container fuzz corpus: valid containers of a few
+// shapes plus simple mutations, from which the fuzzer explores header and
+// section corruption.
+func readerSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
 	add := func(g *CSR) {
 		dir := f.TempDir()
 		path := filepath.Join(dir, "seed.csr")
@@ -326,41 +326,43 @@ func FuzzReadCSR(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
+		seeds = append(seeds, data)
 	}
 	add(GenUniform("a", 20, 3, 8, 1))
 	add(FromEdges("b", 1, nil))
 	add(FromStream(NewRMATStream("c", 64, 4, DefaultRMAT, 4, 2)))
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, csrFileHeaderSize+32))
+	seeds = append(seeds, []byte{}, bytes.Repeat([]byte{0xFF}, csrFileHeaderSize+32))
 	// Corruption seeds park the fuzzer at each validation layer: truncation
 	// boundaries, payload flips behind valid header CRCs, and a resealed
 	// header promising more payload than the file carries.
 	good := validContainer(f)
-	f.Add(good[:csrFileHeaderSize/2])
-	f.Add(good[:csrFileHeaderSize])
-	f.Add(good[:len(good)-3])
+	seeds = append(seeds, good[:csrFileHeaderSize/2], good[:csrFileHeaderSize], good[:len(good)-3])
 	flipped := append([]byte(nil), good...)
 	flipped[csrFileHeaderSize] ^= 0x01
-	f.Add(flipped)
+	seeds = append(seeds, flipped)
 	oversized := append([]byte(nil), good...)
 	m := binary.LittleEndian.Uint64(oversized[16:24]) + 1000
 	binary.LittleEndian.PutUint64(oversized[16:24], m)
 	binary.LittleEndian.PutUint64(oversized[24+24+8:], m*csrEdgeRecBytes)
 	resealHeader(oversized)
-	f.Add(oversized)
+	seeds = append(seeds, oversized)
 	// Partitioned-layout seeds park the fuzzer at the partition table and
 	// per-partition slab validation layers: a valid multi-partition
 	// container, one with a flipped table byte, and one truncated inside
 	// the first row slab.
 	part := validPartitionedContainer(f)
-	f.Add(part)
 	partFlip := append([]byte(nil), part...)
 	partFlip[csrFileHeaderSize+8] ^= 0x01
-	f.Add(partFlip)
 	partTableLen := int(binary.LittleEndian.Uint64(part[24+8:]))
-	f.Add(part[:csrFileHeaderSize+partTableLen+5])
+	return append(seeds, part, partFlip, part[:csrFileHeaderSize+partTableLen+5])
+}
 
+func FuzzReadCSR(f *testing.F) {
+	for _, seed := range readerSeeds(f) {
+		f.Add(seed)
+	}
+	// The loader must never panic; on success the invariants the simulator
+	// relies on must hold.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadCSR("fuzz", bytes.NewReader(data))
 		if err != nil {

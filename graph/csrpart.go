@@ -1,12 +1,8 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 )
 
 // Partitioned container layout (header flag bit 0) — the on-disk format of
@@ -37,11 +33,13 @@ import (
 
 const csrPartEntryBytes = 48
 
-// csrPartition is one decoded partition-table entry.
+// csrPartition is one slab: a decoded partition-table entry, or a flat
+// file's whole payload.
 type csrPartition struct {
-	vFirst int
-	vCount int
-	edges  int64
+	vFirst   int
+	vCount   int
+	edgeBase int64 // global index of the slab's first edge (not stored)
+	edges    int64
 	// rowOff / edgeOff are absolute file offsets of the two slabs.
 	rowOff  uint64
 	edgeOff uint64
@@ -106,17 +104,23 @@ func parsePartitionTable(buf []byte, info CSRFileInfo, payloadOff uint64) ([]csr
 	for i := range parts {
 		p := 8 + i*csrPartEntryBytes
 		pt := csrPartition{
-			vFirst:  int(binary.LittleEndian.Uint64(buf[p:])),
-			vCount:  int(binary.LittleEndian.Uint64(buf[p+8:])),
-			edges:   int64(binary.LittleEndian.Uint64(buf[p+16:])),
-			rowOff:  binary.LittleEndian.Uint64(buf[p+24:]),
-			edgeOff: binary.LittleEndian.Uint64(buf[p+32:]),
-			rowCRC:  binary.LittleEndian.Uint32(buf[p+40:]),
-			edgeCRC: binary.LittleEndian.Uint32(buf[p+44:]),
+			vFirst:   int(binary.LittleEndian.Uint64(buf[p:])),
+			vCount:   int(binary.LittleEndian.Uint64(buf[p+8:])),
+			edges:    int64(binary.LittleEndian.Uint64(buf[p+16:])),
+			rowOff:   binary.LittleEndian.Uint64(buf[p+24:]),
+			edgeOff:  binary.LittleEndian.Uint64(buf[p+32:]),
+			rowCRC:   binary.LittleEndian.Uint32(buf[p+40:]),
+			edgeCRC:  binary.LittleEndian.Uint32(buf[p+44:]),
+			edgeBase: int64(nextEdge),
 		}
 		if uint64(pt.vFirst) != nextV || pt.vCount < 1 || pt.edges < 0 ||
 			uint64(pt.vFirst)+uint64(pt.vCount) > uint64(info.NumVertices) {
 			return nil, fmt.Errorf("%w: partition %d interval [%d,+%d) out of order", ErrCorrupt, i, pt.vFirst, pt.vCount)
+		}
+		// Bounding each count, not just the sum, keeps a crafted table from
+		// wrapping the sum around to |E|.
+		if uint64(pt.edges) > uint64(info.NumEdges)-nextEdge {
+			return nil, fmt.Errorf("%w: partition %d holds %d edges, past E=%d", ErrCorrupt, i, pt.edges, info.NumEdges)
 		}
 		if pt.rowOff != nextOff || pt.edgeOff != pt.rowOff+pt.rowLen() {
 			return nil, fmt.Errorf("%w: partition %d slab offsets inconsistent", ErrCorrupt, i)
@@ -143,334 +147,9 @@ const DefaultPartitionEdges = 1 << 20
 // when <= 0). The payload bytes are the same row pointers and edge records
 // a flat write produces, restructured into independently checksummed
 // vertex-interval slabs.
-func WritePartitionedCSRFile(path string, g *CSR, targetEdges int64) (info CSRFileInfo, err error) {
+func WritePartitionedCSRFile(path string, g *CSR, targetEdges int64) (CSRFileInfo, error) {
 	if targetEdges <= 0 {
 		targetEdges = DefaultPartitionEdges
 	}
-	bounds := partitionBoundaries(g.RowPtr, targetEdges)
-	nParts := len(bounds) - 1
-	n, m := g.NumVertices(), g.NumEdges()
-
-	f, err := os.Create(path)
-	if err != nil {
-		return info, err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	tableLen := uint64(8 + nParts*csrPartEntryBytes)
-	payloadOff := uint64(csrFileHeaderSize) + tableLen
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, payloadOff)); err != nil {
-		return info, err
-	}
-
-	parts := make([]csrPartition, nParts)
-	sw := &sectionWriter{w: bw}
-	var scratch [8]byte
-	for i := range parts {
-		lo, hi := bounds[i], bounds[i+1]
-		pt := csrPartition{
-			vFirst: lo,
-			vCount: hi - lo,
-			edges:  g.RowPtr[hi] - g.RowPtr[lo],
-			rowOff: payloadOff + sw.n,
-		}
-		for _, p := range g.RowPtr[lo : hi+1] {
-			binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-			pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		pt.edgeOff = payloadOff + sw.n
-		for e := g.RowPtr[lo]; e < g.RowPtr[hi]; e++ {
-			binary.LittleEndian.PutUint32(scratch[0:4], uint32(g.Dst[e]))
-			binary.LittleEndian.PutUint32(scratch[4:8], g.Weight[e])
-			pt.edgeCRC = crc32.Update(pt.edgeCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		parts[i] = pt
-	}
-	if err := bw.Flush(); err != nil {
-		return info, err
-	}
-
-	table := partitionTableBytes(parts)
-	if _, err := f.WriteAt(table, csrFileHeaderSize); err != nil {
-		return info, err
-	}
-	secs := [csrFileSections]csrSection{
-		{off: csrFileHeaderSize, length: tableLen, crc: crc32.Checksum(table, crcTable)},
-		{off: payloadOff, length: sw.n, crc: sw.crc},
-	}
-	hdr := headerBytes(n, m, csrFlagPartitioned, secs)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return info, err
-	}
-	return CSRFileInfo{
-		Version:       CSRFileVersion,
-		NumVertices:   n,
-		NumEdges:      m,
-		RowPtrBytes:   int64(secs[1].length) - m*csrEdgeRecBytes,
-		EdgeBytes:     m * csrEdgeRecBytes,
-		Partitioned:   true,
-		NumPartitions: nParts,
-		ContentHash:   binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
-}
-
-// buildPartitionedCSRFile is the partitioned arm of BuildCSRFile: the row
-// pointers are already counted, so partition boundaries are known up front
-// and each partition's slabs stream out in order — the edge slabs through
-// the same chunked scatter the flat build uses, bounded to the partition's
-// vertex interval. Peak memory stays O(|V|) + O(chunk).
-func buildPartitionedCSRFile(path string, st EdgeStream, rowPtr []int64, m, chunk, partEdges int64) (info CSRFileInfo, err error) {
-	bounds := partitionBoundaries(rowPtr, partEdges)
-	nParts := len(bounds) - 1
-	n := len(rowPtr) - 1
-
-	f, err := os.Create(path)
-	if err != nil {
-		return info, err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	tableLen := uint64(8 + nParts*csrPartEntryBytes)
-	payloadOff := uint64(csrFileHeaderSize) + tableLen
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(make([]byte, payloadOff)); err != nil {
-		return info, err
-	}
-
-	parts := make([]csrPartition, nParts)
-	sw := &sectionWriter{w: bw}
-	sc := newEdgeScatter(chunk, m)
-	var scratch [8]byte
-	for i := range parts {
-		lo, hi := bounds[i], bounds[i+1]
-		pt := csrPartition{
-			vFirst: lo,
-			vCount: hi - lo,
-			edges:  rowPtr[hi] - rowPtr[lo],
-			rowOff: payloadOff + sw.n,
-		}
-		for _, p := range rowPtr[lo : hi+1] {
-			binary.LittleEndian.PutUint64(scratch[:], uint64(p))
-			pt.rowCRC = crc32.Update(pt.rowCRC, crcTable, scratch[:])
-			if err := sw.write(scratch[:]); err != nil {
-				return info, err
-			}
-		}
-		pt.edgeOff = payloadOff + sw.n
-		if err := sc.scatter(st, rowPtr, lo, hi, func(p []byte) error {
-			pt.edgeCRC = crc32.Update(pt.edgeCRC, crcTable, p)
-			return sw.write(p)
-		}); err != nil {
-			return info, err
-		}
-		parts[i] = pt
-	}
-	if err := bw.Flush(); err != nil {
-		return info, err
-	}
-
-	table := partitionTableBytes(parts)
-	if _, err := f.WriteAt(table, csrFileHeaderSize); err != nil {
-		return info, err
-	}
-	secs := [csrFileSections]csrSection{
-		{off: csrFileHeaderSize, length: tableLen, crc: crc32.Checksum(table, crcTable)},
-		{off: payloadOff, length: sw.n, crc: sw.crc},
-	}
-	hdr := headerBytes(n, m, csrFlagPartitioned, secs)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return info, err
-	}
-	return CSRFileInfo{
-		Version:       CSRFileVersion,
-		NumVertices:   n,
-		NumEdges:      m,
-		RowPtrBytes:   int64(secs[1].length) - m*csrEdgeRecBytes,
-		EdgeBytes:     m * csrEdgeRecBytes,
-		Partitioned:   true,
-		NumPartitions: nParts,
-		ContentHash:   binary.LittleEndian.Uint32(hdr[csrFileHeaderSize-4:]),
-	}, nil
-}
-
-// readPartitionedCSR is the partitioned arm of ReadCSR: it streams the
-// table and every partition slab in file order, verifying the table CRC,
-// each partition's row and edge CRCs, and the whole-payload CRC, while
-// reassembling the flat CSR arrays. The result is byte-for-byte the graph
-// a flat container of the same payload yields.
-func readPartitionedCSR(name string, r io.Reader, info CSRFileInfo, secs [csrFileSections]csrSection) (*CSR, error) {
-	table := make([]byte, secs[0].length)
-	if _, err := io.ReadFull(r, table); err != nil {
-		return nil, fmt.Errorf("%w: partition table truncated: %w", ErrCorrupt, err)
-	}
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
-	if err != nil {
-		return nil, err
-	}
-
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	buf := make([]byte, 1<<20)
-	payloadCRC := uint32(0)
-	edgeBase := int64(0)
-	for pi, pt := range parts {
-		rowCRC := uint32(0)
-		prev, idx := edgeBase, pt.vFirst
-		first := true
-		if err := readSection(r, buf, int64(pt.rowLen()), &rowCRC, func(p []byte) error {
-			payloadCRC = crc32.Update(payloadCRC, crcTable, p)
-			for len(p) >= 8 {
-				v := int64(binary.LittleEndian.Uint64(p))
-				// The interval's first row pointer must resume exactly
-				// where the previous partition's edges ended — the
-				// duplicated boundary is validated, not trusted.
-				if first && v != edgeBase {
-					return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-				}
-				first = false
-				if v < prev || v > m {
-					return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, idx, v, prev)
-				}
-				g.RowPtr[idx] = v
-				prev = v
-				idx++
-				p = p[8:]
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if rowCRC != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if prev != edgeBase+pt.edges {
-			return nil, fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-		}
-
-		edgeCRC := uint32(0)
-		ei := edgeBase
-		if err := readSection(r, buf, int64(pt.edgeLen()), &edgeCRC, func(p []byte) error {
-			payloadCRC = crc32.Update(payloadCRC, crcTable, p)
-			for len(p) >= csrEdgeRecBytes {
-				d := binary.LittleEndian.Uint32(p)
-				if int64(d) >= int64(n) {
-					return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, ei, d)
-				}
-				g.Dst[ei] = VertexID(d)
-				g.Weight[ei] = binary.LittleEndian.Uint32(p[4:])
-				ei++
-				p = p[csrEdgeRecBytes:]
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if edgeCRC != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, pi)
-		}
-		edgeBase += pt.edges
-	}
-	if payloadCRC != secs[1].crc {
-		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
-	}
-	return g, nil
-}
-
-// decodePartitionedPayload validates and decodes a fully in-memory
-// partitioned container image (the mmap open path). Identical checks to
-// readPartitionedCSR, against slices instead of a stream.
-func decodePartitionedPayload(name string, data []byte, info CSRFileInfo, secs [csrFileSections]csrSection) (*CSR, error) {
-	end := secs[1].off + secs[1].length
-	if uint64(len(data)) < end {
-		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
-	}
-	table := data[secs[0].off : secs[0].off+secs[0].length]
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	if got := crc32.Checksum(data[secs[1].off:end], crcTable); got != secs[1].crc {
-		return nil, fmt.Errorf("%w: payload section checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
-	if err != nil {
-		return nil, err
-	}
-	n, m := info.NumVertices, info.NumEdges
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	edgeBase := int64(0)
-	for pi, pt := range parts {
-		row := data[pt.rowOff : pt.rowOff+pt.rowLen()]
-		edge := data[pt.edgeOff : pt.edgeOff+pt.edgeLen()]
-		if got := crc32.Checksum(row, crcTable); got != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if got := crc32.Checksum(edge, crcTable); got != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, pi)
-		}
-		if err := decodePartitionSlabs(g, pt, pi, edgeBase, row, edge); err != nil {
-			return nil, err
-		}
-		edgeBase += pt.edges
-	}
-	return g, nil
-}
-
-// decodePartitionSlabs decodes one partition's verified row and edge slabs
-// into the flat arrays at their global positions, revalidating the row
-// pointers (monotone, resuming at edgeBase, ending at edgeBase+edges) and
-// edge destinations — the CRCs prove the bytes are the writer's, not that
-// a crafted file is well-formed.
-func decodePartitionSlabs(g *CSR, pt csrPartition, pi int, edgeBase int64, row, edge []byte) error {
-	n := int64(g.NumVertices())
-	m := int64(len(g.Dst))
-	prev := edgeBase
-	for i := 0; i <= pt.vCount; i++ {
-		v := int64(binary.LittleEndian.Uint64(row[i*8:]))
-		if i == 0 && v != edgeBase {
-			return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-		}
-		if v < prev || v > m {
-			return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, pt.vFirst+i, v, prev)
-		}
-		g.RowPtr[pt.vFirst+i] = v
-		prev = v
-	}
-	if prev != edgeBase+pt.edges {
-		return fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-	}
-	for i := int64(0); i < pt.edges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if int64(d) >= n {
-			return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, edgeBase+i, d)
-		}
-		g.Dst[edgeBase+i] = VertexID(d)
-		g.Weight[edgeBase+i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
-	}
-	return nil
+	return writeContainer(path, g.RowPtr, partitionBoundaries(g.RowPtr, targetEdges), true, csrEdges(g))
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,83 +68,4 @@ func (g *CSR) WriteEdgeList(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// csrMagic identifies the binary CSR format.
-const csrMagic = uint32(0x4e4f5641) // "NOVA"
-
-// WriteBinary serializes the CSR in a compact little-endian binary format
-// (magic, |V|, |E|, row pointers, destinations, weights).
-func (g *CSR) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{uint64(csrMagic), uint64(g.NumVertices()), uint64(g.NumEdges())}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, p := range g.RowPtr {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(p)); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Dst); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Weight); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a CSR written by WriteBinary.
-func ReadBinary(name string, r io.Reader) (*CSR, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: binary header: %w", err)
-		}
-	}
-	if uint32(hdr[0]) != csrMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	n, m := int(hdr[1]), int64(hdr[2])
-	if n < 0 || m < 0 || m > 1<<40 || n > 1<<32 {
-		return nil, fmt.Errorf("graph: implausible sizes V=%d E=%d", n, m)
-	}
-	g := &CSR{
-		RowPtr: make([]int64, n+1),
-		Dst:    make([]VertexID, m),
-		Weight: make([]uint32, m),
-		Name:   name,
-	}
-	raw := make([]uint64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
-		return nil, fmt.Errorf("graph: row pointers: %w", err)
-	}
-	prev := int64(0)
-	for i, v := range raw {
-		p := int64(v)
-		if p < prev || p > m {
-			return nil, fmt.Errorf("graph: row pointer %d out of order", i)
-		}
-		g.RowPtr[i] = p
-		prev = p
-	}
-	if g.RowPtr[n] != m {
-		return nil, fmt.Errorf("graph: row pointers end at %d, want %d", g.RowPtr[n], m)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Dst); err != nil {
-		return nil, fmt.Errorf("graph: destinations: %w", err)
-	}
-	for i, d := range g.Dst {
-		if int(d) >= n {
-			return nil, fmt.Errorf("graph: edge %d: destination %d out of range", i, d)
-		}
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Weight); err != nil {
-		return nil, fmt.Errorf("graph: weights: %w", err)
-	}
-	return g, nil
 }

@@ -67,65 +67,3 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(60)
-		g := FromEdges("t", n, randEdges(rng, n, rng.Intn(300)))
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			return false
-		}
-		back, err := ReadBinary("t", &buf)
-		if err != nil {
-			return false
-		}
-		if back.NumVertices() != g.NumVertices() || back.NumEdges() != g.NumEdges() {
-			return false
-		}
-		for i := range g.RowPtr {
-			if g.RowPtr[i] != back.RowPtr[i] {
-				return false
-			}
-		}
-		for i := range g.Dst {
-			if g.Dst[i] != back.Dst[i] || g.Weight[i] != back.Weight[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadBinaryRejectsCorruption(t *testing.T) {
-	g := GenUniform("t", 50, 4, 8, 1)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Bad magic.
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xFF
-	if _, err := ReadBinary("t", bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated.
-	if _, err := ReadBinary("t", bytes.NewReader(good[:len(good)/2])); err == nil {
-		t.Error("truncated stream accepted")
-	}
-	// Out-of-range destination: corrupt a Dst entry to a huge value.
-	bad = append([]byte(nil), good...)
-	dstOff := 24 + 8*(g.NumVertices()+1)
-	for i := 0; i < 4; i++ {
-		bad[dstOff+i] = 0xFF
-	}
-	if _, err := ReadBinary("t", bytes.NewReader(bad)); err == nil {
-		t.Error("out-of-range destination accepted")
-	}
-}

@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"unsafe"
 )
 
@@ -66,74 +65,47 @@ func OpenCSRFileMapped(path string) (m *MappedCSR, err error) {
 	if len(data) < csrFileHeaderSize {
 		return nil, fmt.Errorf("%w: file shorter than header (%d bytes)", ErrCorrupt, len(data))
 	}
-	info, secs, err := parseHeader(data[:csrFileHeaderSize])
+	l, err := parseHeader(data[:csrFileHeaderSize])
 	if err != nil {
 		return nil, err
 	}
-	if info.Partitioned {
+	if end := l.secs[1].off + l.secs[1].length; uint64(len(data)) < end {
+		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
+	}
+	src := &slabSource{data: data}
+	if err := l.readTable(src); err != nil {
+		return nil, err
+	}
+	if err := l.verifyPayload(src); err != nil {
+		return nil, err
+	}
+	if l.info.Partitioned {
 		// Partitioned payloads cannot alias the mapping — the row
 		// pointers are split into per-interval slabs with duplicated
 		// boundaries — so the graph is decoded into private slices and
 		// the mapping released immediately. The result reports
 		// Mapped() == false: it is a heap copy, exactly like the
 		// non-unix fallback, and operators can tell (service /graphs).
-		g, derr := decodePartitionedPayload(path, data, info, secs)
+		g, derr := l.decode(path, src, nil)
 		if derr != nil {
 			return nil, derr
 		}
 		if uerr := unmap(data); uerr != nil {
 			return nil, uerr
 		}
-		return &MappedCSR{G: g, Info: info}, nil
+		return &MappedCSR{G: g, Info: l.info}, nil
 	}
-	end := secs[1].off + secs[1].length
-	if uint64(len(data)) < end {
-		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
+	// A flat file's row section is the in-memory []int64 on little-endian
+	// hosts: alias it, and let the decoder verify it in place.
+	var rowPtr []int64
+	if row := data[l.secs[0].off:]; hostIsLittleEndian() {
+		rowPtr = unsafe.Slice((*int64)(unsafe.Pointer(&row[0])), l.info.NumVertices+1)
 	}
-	row := data[secs[0].off : secs[0].off+secs[0].length]
-	edge := data[secs[1].off : secs[1].off+secs[1].length]
-	if got := crc32.Checksum(row, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: row-pointer section checksum mismatch", ErrCorrupt)
+	g, err := l.decode(path, src, rowPtr)
+	if err != nil {
+		return nil, err
 	}
-	if got := crc32.Checksum(edge, crcTable); got != secs[1].crc {
-		return nil, fmt.Errorf("%w: edge section checksum mismatch", ErrCorrupt)
-	}
-
-	n, nEdges := info.NumVertices, info.NumEdges
-	g := &CSR{Name: path}
-	aliased := false
-	if hostIsLittleEndian() && len(row) > 0 {
-		g.RowPtr = unsafe.Slice((*int64)(unsafe.Pointer(&row[0])), n+1)
-		aliased = true
-	} else {
-		g.RowPtr = make([]int64, n+1)
-		for i := range g.RowPtr {
-			g.RowPtr[i] = int64(binary.LittleEndian.Uint64(row[i*8:]))
-		}
-	}
-	// Monotonicity still needs checking — the section CRC proves the
-	// bytes are the writer's, not that a crafted file is well-formed.
-	prev := int64(0)
-	for i, v := range g.RowPtr {
-		if v < prev || v > nEdges {
-			return nil, fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, i, v, prev)
-		}
-		prev = v
-	}
-	if g.RowPtr[n] != nEdges {
-		return nil, fmt.Errorf("%w: row pointers end at %d, want %d", ErrCorrupt, g.RowPtr[n], nEdges)
-	}
-	g.Dst = make([]VertexID, nEdges)
-	g.Weight = make([]uint32, nEdges)
-	for i := int64(0); i < nEdges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if int(d) >= n {
-			return nil, fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, i, d)
-		}
-		g.Dst[i] = VertexID(d)
-		g.Weight[i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
-	}
-	return &MappedCSR{G: g, Info: info, data: data, aliased: aliased, backed: backed, unmap: unmap}, nil
+	return &MappedCSR{G: g, Info: l.info, data: data, aliased: rowPtr != nil, backed: backed, unmap: unmap}, nil
 }
 
 // Close releases the mapping. The caller must not touch G (or any slice

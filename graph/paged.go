@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -32,8 +30,7 @@ type PartitionedCSR struct {
 	f     *os.File
 	data  []byte // live mapping when non-nil; otherwise the ReadAt path
 	unmap func([]byte) error
-	info  CSRFileInfo
-	parts []csrPartition
+	l     *csrLayout
 	name  string
 
 	mu          sync.Mutex
@@ -102,28 +99,19 @@ func OpenPartitionedCSR(path string, maxResident int) (pc *PartitionedCSR, err e
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header short read: %w", ErrCorrupt, err)
 	}
-	info, secs, err := parseHeader(hdr)
+	l, err := parseHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	if !info.Partitioned {
+	if !l.info.Partitioned {
 		return nil, fmt.Errorf("graph: %s is a flat container; paging needs the partitioned layout (graphgen -partition-edges)", path)
 	}
-	table := make([]byte, secs[0].length)
-	if _, err := f.ReadAt(table, int64(secs[0].off)); err != nil {
-		return nil, fmt.Errorf("%w: partition table truncated: %w", ErrCorrupt, err)
-	}
-	if got := crc32.Checksum(table, crcTable); got != secs[0].crc {
-		return nil, fmt.Errorf("%w: partition table checksum mismatch", ErrCorrupt)
-	}
-	parts, err := parsePartitionTable(table, info, secs[1].off)
-	if err != nil {
+	if err := l.readTable(&slabSource{ra: f}); err != nil {
 		return nil, err
 	}
 	pc = &PartitionedCSR{
 		f:           f,
-		info:        info,
-		parts:       parts,
+		l:           l,
 		name:        path,
 		resident:    make(map[int]*GraphPart),
 		maxResident: maxResident,
@@ -132,7 +120,7 @@ func OpenPartitionedCSR(path string, maxResident int) (pc *PartitionedCSR, err e
 	// non-unix fallback reads the whole file, which is exactly what a
 	// pager must not hold on to, so it is released and ReadAt takes over.
 	if data, unmap, backed, merr := mapFile(path); merr == nil {
-		if backed && uint64(len(data)) >= secs[1].off+secs[1].length {
+		if backed && uint64(len(data)) >= l.secs[1].off+l.secs[1].length {
 			pc.data = data
 			pc.unmap = unmap
 		} else {
@@ -143,10 +131,10 @@ func OpenPartitionedCSR(path string, maxResident int) (pc *PartitionedCSR, err e
 }
 
 // Info describes the underlying container.
-func (pc *PartitionedCSR) Info() CSRFileInfo { return pc.info }
+func (pc *PartitionedCSR) Info() CSRFileInfo { return pc.l.info }
 
 // NumPartitions returns the partition count.
-func (pc *PartitionedCSR) NumPartitions() int { return len(pc.parts) }
+func (pc *PartitionedCSR) NumPartitions() int { return len(pc.l.slabs) }
 
 // Mapped reports whether partition loads decode from a live memory
 // mapping rather than explicit reads.
@@ -154,16 +142,16 @@ func (pc *PartitionedCSR) Mapped() bool { return pc.data != nil }
 
 // PartitionSpan returns partition i's vertex interval and edge count.
 func (pc *PartitionedCSR) PartitionSpan(i int) (vFirst, vCount int, edges int64) {
-	pt := pc.parts[i]
+	pt := pc.l.slabs[i]
 	return pt.vFirst, pt.vCount, pt.edges
 }
 
 // PartitionFor returns the index of the partition containing v.
 func (pc *PartitionedCSR) PartitionFor(v VertexID) int {
-	lo, hi := 0, len(pc.parts)-1
+	lo, hi := 0, len(pc.l.slabs)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if int(v) >= pc.parts[mid].vFirst {
+		if int(v) >= pc.l.slabs[mid].vFirst {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -191,13 +179,13 @@ func (pc *PartitionedCSR) ResidentPartitions() int {
 // Release; pinned partitions are never evicted, so over-subscribing pins
 // beyond MaxResident is allowed and simply holds more memory.
 func (pc *PartitionedCSR) Acquire(i int) (*GraphPart, error) {
-	if i < 0 || i >= len(pc.parts) {
-		return nil, fmt.Errorf("graph: partition %d out of range [0,%d)", i, len(pc.parts))
+	if i < 0 || i >= len(pc.l.slabs) {
+		return nil, fmt.Errorf("graph: partition %d out of range [0,%d)", i, len(pc.l.slabs))
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.closed {
-		return nil, fmt.Errorf("graph: %s: pager closed", pc.name)
+	if err := pc.closedErrLocked(); err != nil {
+		return nil, err
 	}
 	pc.seq++
 	if p, ok := pc.resident[i]; ok {
@@ -215,6 +203,14 @@ func (pc *PartitionedCSR) Acquire(i int) (*GraphPart, error) {
 	pc.resident[i] = p
 	pc.evictLocked()
 	return p, nil
+}
+
+// closedErrLocked refuses work once Close has run.
+func (pc *PartitionedCSR) closedErrLocked() error {
+	if pc.closed {
+		return fmt.Errorf("graph: %s: pager closed", pc.name)
+	}
+	return nil
 }
 
 // Release unpins a partition returned by Acquire.
@@ -247,36 +243,16 @@ func (pc *PartitionedCSR) evictLocked() {
 
 // loadLocked decodes and verifies partition i from the container.
 func (pc *PartitionedCSR) loadLocked(i int) (*GraphPart, error) {
-	pt := pc.parts[i]
-	edgeBase := pc.edgeBase(i)
+	pt := pc.l.slabs[i]
 	p := &GraphPart{
 		VFirst:   pt.vFirst,
 		VCount:   pt.vCount,
-		EdgeBase: edgeBase,
+		EdgeBase: pt.edgeBase,
 		RowPtr:   make([]int64, pt.vCount+1),
 		Dst:      make([]VertexID, pt.edges),
 		Weight:   make([]uint32, pt.edges),
 	}
-	var row, edge []byte
-	if pc.data != nil {
-		row = pc.data[pt.rowOff : pt.rowOff+pt.rowLen()]
-		edge = pc.data[pt.edgeOff : pt.edgeOff+pt.edgeLen()]
-		if got := crc32.Checksum(row, crcTable); got != pt.rowCRC {
-			return nil, fmt.Errorf("%w: partition %d row slab checksum mismatch", ErrCorrupt, i)
-		}
-		if got := crc32.Checksum(edge, crcTable); got != pt.edgeCRC {
-			return nil, fmt.Errorf("%w: partition %d edge slab checksum mismatch", ErrCorrupt, i)
-		}
-	} else {
-		var err error
-		if row, err = pc.readSlab(pt.rowOff, pt.rowLen(), pt.rowCRC, i, "row"); err != nil {
-			return nil, err
-		}
-		if edge, err = pc.readSlab(pt.edgeOff, pt.edgeLen(), pt.edgeCRC, i, "edge"); err != nil {
-			return nil, err
-		}
-	}
-	if err := decodePartSlabs(p, pt, i, edgeBase, int64(pc.info.NumVertices), pc.info.NumEdges, row, edge); err != nil {
+	if err := pc.l.readSlab(pc.sourceLocked(), i, slabView{rows: p.RowPtr, dst: p.Dst, wgt: p.Weight}); err != nil {
 		return nil, err
 	}
 	pc.stats.Loads++
@@ -284,73 +260,38 @@ func (pc *PartitionedCSR) loadLocked(i int) (*GraphPart, error) {
 	return p, nil
 }
 
-// readSlab reads [off, off+length) in bounded chunks, verifying the CRC.
-func (pc *PartitionedCSR) readSlab(off, length uint64, wantCRC uint32, pi int, what string) ([]byte, error) {
-	slab := make([]byte, length)
-	const chunk = 1 << 20
-	for done := uint64(0); done < length; {
-		n := min64(int64(length-done), chunk)
-		if _, err := pc.f.ReadAt(slab[done:done+uint64(n)], int64(off+done)); err != nil {
-			return nil, fmt.Errorf("%w: partition %d %s slab truncated: %w", ErrCorrupt, pi, what, err)
-		}
-		done += uint64(n)
+// sourceLocked returns the reader loads go through: the live mapping, or
+// chunked ReadAt calls.
+func (pc *PartitionedCSR) sourceLocked() *slabSource {
+	if pc.data != nil {
+		return &slabSource{data: pc.data}
 	}
-	if got := crc32.Checksum(slab, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("%w: partition %d %s slab checksum mismatch", ErrCorrupt, pi, what)
-	}
-	return slab, nil
-}
-
-// decodePartSlabs decodes verified slabs into a GraphPart with the same
-// structural validation the full readers apply.
-func decodePartSlabs(p *GraphPart, pt csrPartition, pi int, edgeBase, n, m int64, row, edge []byte) error {
-	prev := edgeBase
-	for i := 0; i <= pt.vCount; i++ {
-		v := int64(binary.LittleEndian.Uint64(row[i*8:]))
-		if i == 0 && v != edgeBase {
-			return fmt.Errorf("%w: partition %d starts at edge %d, want %d", ErrCorrupt, pi, v, edgeBase)
-		}
-		if v < prev || v > m {
-			return fmt.Errorf("%w: row pointer %d out of order (%d after %d)", ErrCorrupt, pt.vFirst+i, v, prev)
-		}
-		p.RowPtr[i] = v
-		prev = v
-	}
-	if prev != edgeBase+pt.edges {
-		return fmt.Errorf("%w: partition %d rows end at edge %d, table says %d", ErrCorrupt, pi, prev, edgeBase+pt.edges)
-	}
-	for i := int64(0); i < pt.edges; i++ {
-		d := binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes:])
-		if d >= uint32(n) {
-			return fmt.Errorf("%w: edge %d: destination %d out of range", ErrCorrupt, edgeBase+i, d)
-		}
-		p.Dst[i] = VertexID(d)
-		p.Weight[i] = binary.LittleEndian.Uint32(edge[i*csrEdgeRecBytes+4:])
-	}
-	return nil
-}
-
-// edgeBase returns the global index of partition i's first edge.
-func (pc *PartitionedCSR) edgeBase(i int) int64 {
-	var base int64
-	for k := 0; k < i; k++ {
-		base += pc.parts[k].edges
-	}
-	return base
+	return &slabSource{ra: pc.f}
 }
 
 // Materialize assembles the whole graph by paging every partition through
-// the cache in order. The result is bit-identical to ReadCSRFile on the
-// same container at every MaxResident setting — paging affects PagedStats,
-// never graph content.
+// the cache in order. It first checks the whole-payload CRC in one bounded
+// pass, the check Acquire leaves to the full readers, so it accepts and
+// rejects exactly what ReadCSRFile does. The result is bit-identical to
+// ReadCSRFile on the same container at every MaxResident setting — paging
+// affects PagedStats, never graph content.
 func (pc *PartitionedCSR) Materialize() (*CSR, error) {
+	pc.mu.Lock()
+	err := pc.closedErrLocked()
+	if err == nil {
+		err = pc.l.verifyPayload(pc.sourceLocked())
+	}
+	pc.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	g := &CSR{
-		RowPtr: make([]int64, pc.info.NumVertices+1),
-		Dst:    make([]VertexID, pc.info.NumEdges),
-		Weight: make([]uint32, pc.info.NumEdges),
+		RowPtr: make([]int64, pc.l.info.NumVertices+1),
+		Dst:    make([]VertexID, pc.l.info.NumEdges),
+		Weight: make([]uint32, pc.l.info.NumEdges),
 		Name:   pc.name,
 	}
-	for i := range pc.parts {
+	for i := range pc.l.slabs {
 		p, err := pc.Acquire(i)
 		if err != nil {
 			return nil, err

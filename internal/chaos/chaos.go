@@ -165,15 +165,15 @@ func (e *Engine) stall() error {
 	eng.SetInterrupt(intr, 1)
 	stopDog := sim.StartWatchdog(intr, interval)
 	defer stopDog()
-	eng.ScheduleFunc(0, func() {
+	eng.Schedule(0, sim.HandlerFunc(func() {
 		deadline := time.Now().Add(10 * interval)
 		for intr.Err() == nil && time.Now().Before(deadline) {
 			time.Sleep(interval / 4)
 		}
-	})
+	}))
 	// A second event so the engine visits the interrupt poll after the
 	// stalled handler finally returns.
-	eng.ScheduleFunc(1, func() {})
+	eng.Schedule(1, sim.HandlerFunc(func() {}))
 	err := eng.Run(0, 0)
 	if err == nil {
 		return fmt.Errorf("chaos: stall fault completed without tripping the watchdog")

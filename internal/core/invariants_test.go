@@ -74,10 +74,10 @@ func TestMidRunTrackerInvariants(t *testing.T) {
 			pending += e.Pending()
 		}
 		if pending > 0 { // this checker already popped; any event counts
-			sys.Engine().ScheduleFunc(sim.Ticks(500), check)
+			sys.Engine().Schedule(sim.Ticks(500), sim.HandlerFunc(check))
 		}
 	}
-	sys.Engine().ScheduleFunc(100, check)
+	sys.Engine().Schedule(100, sim.HandlerFunc(check))
 	if _, err := sys.Run(context.Background(), program.NewSSSP(g.LargestOutDegreeVertex())); err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestHierarchicalExchangePastArrival(t *testing.T) {
 	f.Send(0, 5, 8, sim.HandlerFunc(func() {}))
 	// Simulate an unsound window: the destination engine free-runs far
 	// beyond the arrival tick before the barrier exchanges messages.
-	engines[1].ScheduleFuncAt(500, func() {})
+	engines[1].ScheduleAt(500, sim.HandlerFunc(func() {}))
 	if err := engines[1].RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}

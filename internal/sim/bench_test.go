@@ -37,9 +37,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEventThroughputFunc is the same loop through the ScheduleFunc
-// compat shim with pooled one-shot events — the path unconverted or ad-hoc
-// callers take.
+// BenchmarkEventThroughputFunc is the same loop with pooled one-shot
+// events scheduled through a HandlerFunc — the path ad-hoc callers take.
 func BenchmarkEventThroughputFunc(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -47,12 +46,12 @@ func BenchmarkEventThroughputFunc(b *testing.B) {
 	tick = func() {
 		n++
 		if n < b.N {
-			e.ScheduleFunc(1, tick)
+			e.Schedule(1, HandlerFunc(tick))
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.ScheduleFunc(0, tick)
+	e.Schedule(0, HandlerFunc(tick))
 	if err := e.RunUntilQuiet(0); err != nil {
 		b.Fatal(err)
 	}

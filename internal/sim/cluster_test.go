@@ -69,7 +69,7 @@ func (m *mailbox) exchange() (int, error) {
 				return n, errors.New("mailbox: delivery in destination past")
 			}
 			dst := msg.dst
-			e.ScheduleFuncAt(msg.when, func() { m.fired[dst]++ })
+			e.ScheduleAt(msg.when, HandlerFunc(func() { m.fired[dst]++ }))
 			n++
 		}
 		m.pending[src] = m.pending[src][:0]
@@ -85,11 +85,11 @@ func TestBarrierTickEvent(t *testing.T) {
 	engines := []*Engine{NewEngine(), NewEngine()}
 	mb := newMailbox(engines)
 	var firedAt Ticks
-	engines[0].ScheduleFuncAt(0, func() {
+	engines[0].ScheduleAt(0, HandlerFunc(func() {
 		// Send from tick 0 with exactly the minimum latency: arrival at
 		// tick 10 is the first tick outside the current window.
 		mb.send(0, mbMsg{when: lookahead, dst: 1})
-	})
+	}))
 	c, err := NewCluster(engines, lookahead, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -134,14 +134,14 @@ func TestExchangePastDeliveryError(t *testing.T) {
 		tick = func() {
 			n++
 			if n < 50 {
-				engines[i].ScheduleFunc(1, tick)
+				engines[i].Schedule(1, HandlerFunc(tick))
 			}
 		}
-		e.ScheduleFunc(0, tick)
+		e.Schedule(0, HandlerFunc(tick))
 	}
-	engines[0].ScheduleFuncAt(3, func() {
+	engines[0].ScheduleAt(3, HandlerFunc(func() {
 		mb.send(0, mbMsg{when: 1, dst: 1}) // arrival before the window even closes
-	})
+	}))
 	c, err := NewCluster(engines, 5, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +175,10 @@ func clusterPingPong(t *testing.T, shards, workers, rounds int) ([]int, []uint64
 			n++
 			mb.send(i, mbMsg{when: engines[i].Now() + lookahead, dst: (i + 1) % shards})
 			if n < rounds {
-				engines[i].ScheduleFunc(3, tick)
+				engines[i].Schedule(3, HandlerFunc(tick))
 			}
 		}
-		engines[i].ScheduleFuncAt(Ticks(i), tick)
+		engines[i].ScheduleAt(Ticks(i), HandlerFunc(tick))
 	}
 	c, err := NewCluster(engines, lookahead, workers)
 	if err != nil {
@@ -224,8 +224,8 @@ func TestClusterBudget(t *testing.T) {
 	for _, e := range engines {
 		e := e
 		var tick func()
-		tick = func() { e.ScheduleFunc(1, tick) } // runs forever
-		e.ScheduleFuncAt(0, tick)
+		tick = func() { e.Schedule(1, HandlerFunc(tick)) } // runs forever
+		e.ScheduleAt(0, HandlerFunc(tick))
 	}
 	c, err := NewCluster(engines, 4, 1)
 	if err != nil {

@@ -55,9 +55,9 @@ func TestEnginePollStopsRun(t *testing.T) {
 		if count == 10 {
 			intr.Trip(context.Canceled)
 		}
-		e.ScheduleFunc(1, step)
+		e.Schedule(1, HandlerFunc(step))
 	}
-	e.ScheduleFunc(0, step)
+	e.Schedule(0, HandlerFunc(step))
 	err := e.Run(0, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
@@ -80,10 +80,10 @@ func TestEnginePollDoesNotChangeResults(t *testing.T) {
 		step = func() {
 			n++
 			if n < 1000 {
-				e.ScheduleFunc(3, step)
+				e.Schedule(3, HandlerFunc(step))
 			}
 		}
-		e.ScheduleFunc(0, step)
+		e.Schedule(0, HandlerFunc(step))
 		if err := e.Run(0, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestClusterBarrierObservesInterrupt(t *testing.T) {
 		}
 		if rounds < 100 {
 			for _, e := range engines {
-				e.ScheduleFunc(5, func() {})
+				e.Schedule(5, HandlerFunc(func() {}))
 			}
 			return len(engines), nil
 		}

@@ -280,22 +280,6 @@ func (e *Engine) ScheduleAt(when Ticks, h Handler) *Event {
 	return ev
 }
 
-// ScheduleFunc is the func() compatibility shim over Schedule.
-func (e *Engine) ScheduleFunc(delay Ticks, fn func()) *Event {
-	if fn == nil {
-		panic("sim: schedule nil callback")
-	}
-	return e.ScheduleAt(e.now+delay, HandlerFunc(fn))
-}
-
-// ScheduleFuncAt is the func() compatibility shim over ScheduleAt.
-func (e *Engine) ScheduleFuncAt(when Ticks, fn func()) *Event {
-	if fn == nil {
-		panic("sim: schedule nil callback")
-	}
-	return e.ScheduleAt(when, HandlerFunc(fn))
-}
-
 // ScheduleEvent enqueues a component-owned event delay ticks from now.
 func (e *Engine) ScheduleEvent(ev *Event, delay Ticks) {
 	e.ScheduleEventAt(ev, e.now+delay)

@@ -12,9 +12,9 @@ import (
 func TestScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.ScheduleFunc(10, func() { got = append(got, 2) })
-	e.ScheduleFunc(5, func() { got = append(got, 1) })
-	e.ScheduleFunc(20, func() { got = append(got, 3) })
+	e.Schedule(10, HandlerFunc(func() { got = append(got, 2) }))
+	e.Schedule(5, HandlerFunc(func() { got = append(got, 1) }))
+	e.Schedule(20, HandlerFunc(func() { got = append(got, 3) }))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestTieBreakByInsertion(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.ScheduleFunc(7, func() { got = append(got, i) })
+		e.Schedule(7, HandlerFunc(func() { got = append(got, i) }))
 	}
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
@@ -61,15 +61,15 @@ func TestEventsFireInNondecreasingTime(t *testing.T) {
 			last = e.Now()
 			if n < 500 {
 				n++
-				e.ScheduleFunc(Ticks(rng.Intn(50)), spawn)
+				e.Schedule(Ticks(rng.Intn(50)), HandlerFunc(spawn))
 				if rng.Intn(3) == 0 {
-					e.ScheduleFunc(Ticks(rng.Intn(50)), spawn)
+					e.Schedule(Ticks(rng.Intn(50)), HandlerFunc(spawn))
 					n++
 				}
 			}
 		}
 		for i := 0; i < 5; i++ {
-			e.ScheduleFunc(Ticks(rng.Intn(100)), spawn)
+			e.Schedule(Ticks(rng.Intn(100)), HandlerFunc(spawn))
 		}
 		if err := e.RunUntilQuiet(0); err != nil {
 			return false
@@ -84,7 +84,7 @@ func TestEventsFireInNondecreasingTime(t *testing.T) {
 func TestDeschedule(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.ScheduleFunc(10, func() { fired = true })
+	ev := e.Schedule(10, HandlerFunc(func() { fired = true }))
 	e.Deschedule(ev)
 	e.Deschedule(ev) // idempotent
 	if err := e.RunUntilQuiet(0); err != nil {
@@ -130,13 +130,13 @@ func TestRescheduleComponentEvent(t *testing.T) {
 
 func TestPooledEventRecycled(t *testing.T) {
 	e := NewEngine()
-	ev := e.ScheduleFunc(1, func() {})
+	ev := e.Schedule(1, HandlerFunc(func() {}))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
 	// The fired one-shot went back to the pool: the next Schedule must
 	// reuse the same Event without allocating.
-	ev2 := e.ScheduleFunc(1, func() {})
+	ev2 := e.Schedule(1, HandlerFunc(func() {}))
 	if ev != ev2 {
 		t.Fatal("pooled event was not reused by the next Schedule")
 	}
@@ -147,7 +147,7 @@ func TestPooledEventRecycled(t *testing.T) {
 
 func TestRescheduleRecycledPanics(t *testing.T) {
 	e := NewEngine()
-	ev := e.ScheduleFunc(1, func() {})
+	ev := e.Schedule(1, HandlerFunc(func() {}))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +162,13 @@ func TestRescheduleRecycledPanics(t *testing.T) {
 func TestReset(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.ScheduleFunc(1, func() { fired++ })
+	e.Schedule(1, HandlerFunc(func() { fired++ }))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
 	ev := NewEvent(HandlerFunc(func() { fired++ }))
 	e.ScheduleEvent(ev, 100)
-	e.ScheduleFunc(50, func() { fired++ })
+	e.Schedule(50, HandlerFunc(func() { fired++ }))
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
 		t.Fatalf("Reset left now=%d pending=%d executed=%d", e.Now(), e.Pending(), e.Executed())
@@ -178,7 +178,7 @@ func TestReset(t *testing.T) {
 	}
 	// The engine is fully reusable: the component event can be re-armed.
 	e.ScheduleEvent(ev, 5)
-	e.ScheduleFunc(3, func() { fired++ })
+	e.Schedule(3, HandlerFunc(func() { fired++ }))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestReset(t *testing.T) {
 func TestHorizon(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.ScheduleFunc(100, func() { fired = true })
+	e.Schedule(100, HandlerFunc(func() { fired = true }))
 	if err := e.Run(50, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestMaxEvents(t *testing.T) {
 	e := NewEngine()
 	var tick func()
 	n := 0
-	tick = func() { n++; e.ScheduleFunc(1, tick) }
-	e.ScheduleFunc(0, tick)
+	tick = func() { n++; e.Schedule(1, HandlerFunc(tick)) }
+	e.Schedule(0, HandlerFunc(tick))
 	err := e.RunUntilQuiet(1000)
 	if !errors.Is(err, ErrMaxEvents) {
 		t.Fatalf("err = %v, want ErrMaxEvents", err)
@@ -224,8 +224,8 @@ func TestStop(t *testing.T) {
 	e := NewEngine()
 	stopErr := errors.New("boom")
 	ran := 0
-	e.ScheduleFunc(1, func() { ran++; e.Stop(stopErr) })
-	e.ScheduleFunc(2, func() { ran++ })
+	e.Schedule(1, HandlerFunc(func() { ran++; e.Stop(stopErr) }))
+	e.Schedule(2, HandlerFunc(func() { ran++ }))
 	if err := e.RunUntilQuiet(0); !errors.Is(err, stopErr) {
 		t.Fatalf("err = %v, want %v", err, stopErr)
 	}
@@ -234,7 +234,7 @@ func TestStop(t *testing.T) {
 	}
 	// Clean stop returns nil.
 	e2 := NewEngine()
-	e2.ScheduleFunc(1, func() { e2.Stop(nil) })
+	e2.Schedule(1, HandlerFunc(func() { e2.Stop(nil) }))
 	if err := e2.RunUntilQuiet(0); err != nil {
 		t.Fatalf("clean stop returned %v", err)
 	}
@@ -242,14 +242,14 @@ func TestStop(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleFunc(10, func() {
+	e.Schedule(10, HandlerFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.ScheduleFuncAt(5, func() {})
-	})
+		e.ScheduleAt(5, HandlerFunc(func() {}))
+	}))
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +339,10 @@ func TestDeterminism(t *testing.T) {
 			got = append(got, id)
 			if n < 2000 {
 				n++
-				e.ScheduleFunc(Ticks(rng.Intn(10)), func() { spawn(n) })
+				e.Schedule(Ticks(rng.Intn(10)), HandlerFunc(func() { spawn(n) }))
 			}
 		}
-		e.ScheduleFunc(0, func() { spawn(-1) })
+		e.Schedule(0, HandlerFunc(func() { spawn(-1) }))
 		if err := e.RunUntilQuiet(0); err != nil {
 			t.Fatal(err)
 		}
