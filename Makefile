@@ -1,43 +1,9 @@
-# Build/test/bench entry points. `make bench` records the perf
-# trajectory of the harness sweep (sequential vs parallel wall clock per
-# figure) into BENCH_harness.json; `make bench-sim` records the event
-# kernel's ns/event, allocs/event, and events/sec into BENCH_sim.json.
+# Build/test/bench entry points. `make bench` runs the repository
+# benchmark (bench/, the command BENCHMARK.json names); the kernel and
+# fabric micro-benchmarks are `go test -bench` in their packages, and their
+# allocation gates are tests that plain `go test` runs.
 
 GO ?= go
-
-BENCH_OUT   ?= BENCH_harness.json
-BENCH_JOBS  ?= 4
-BENCH_SCALE ?= small
-BENCH_FIGS  ?= fig1,fig2,fig4,fig10
-
-BENCH_SIM_OUT ?= BENCH_sim.json
-
-# bench-check compares a fresh event-kernel record against the checked-in
-# one. Timing drift warns (runners vary); allocations gate.
-BENCH_CHECK_OUT       ?= /tmp/BENCH_sim.fresh.json
-BENCH_CHECK_THRESHOLD ?= 50
-
-BENCH_NET_OUT ?= BENCH_net.json
-# bench-net-check compares a fresh fabric record against the checked-in
-# one: timing drift warns, allocations and the coalescing macro speedups
-# gate. The fresh record runs -micro-only so the gate stays quick; the
-# committed record (and the nightly artifact) carry the macro cells.
-BENCH_NET_CHECK_OUT ?= /tmp/BENCH_net.fresh.json
-
-BENCH_SHARD_OUT    ?= BENCH_shard.json
-BENCH_SHARD_COUNTS ?= 1,2,4
-# bench-shard gates the 1-shard cluster fast path within 2% of a kernel
-# record measured back-to-back on the same machine (timing vs the
-# committed BENCH_sim.json would gate runner noise, not code).
-BENCH_SHARD_BASE ?= /tmp/BENCH_sim.shardbase.json
-
-BENCH_SERVE_OUT ?= BENCH_serve.json
-# serve-bench load-tests the novad serving path in-process: 50 clients
-# replaying the default grid. Latency drifts with the runner (warn-only)
-# but serve.errors must stay exactly 0.
-BENCH_SERVE_CLIENTS ?= 50
-BENCH_SERVE_ROUNDS  ?= 4
-BENCH_SERVE_CHECK_OUT ?= /tmp/BENCH_serve.fresh.json
 
 # Worker-goroutine count for the spill-stress run (the nightly shard job
 # overrides this; results are bit-identical at every setting).
@@ -60,10 +26,8 @@ OOC_CSR        ?= /tmp/ooc_stress.csr
 OOC_STATS_OUT  ?= ooc_stress_stats.json
 OOC_TIMEOUT    ?= 90m
 
-.PHONY: all build vet test race bench bench-sim bench-check bench-shard \
-	bench-net bench-net-check serve-bench serve-bench-check golden \
-	fmt-check stats-md staticcheck spill-stress outofcore-stress \
-	clean-bench chaos
+.PHONY: all build vet test race bench golden fmt-check stats-md \
+	staticcheck spill-stress outofcore-stress chaos
 
 all: build vet test
 
@@ -79,58 +43,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench: build
-	$(GO) run ./cmd/experiments -scale $(BENCH_SCALE) -only $(BENCH_FIGS) \
-		-jobs $(BENCH_JOBS) -bench $(BENCH_OUT) -quiet > /dev/null
-	@cat $(BENCH_OUT)
-
-bench-sim: build
-	$(GO) run ./cmd/simbench -o $(BENCH_SIM_OUT)
-	@cat $(BENCH_SIM_OUT)
-
-bench-check: build
-	$(GO) run ./cmd/simbench -o $(BENCH_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_CHECK_THRESHOLD) -warn-only \
-		-assert-zero 'benchmarks.*allocs_per_event' BENCH_sim.json $(BENCH_CHECK_OUT)
-
-# Record the inter-GPN fabric benchmarks (per-topology send/exchange
-# micro-paths plus the coalescing off/on macro cells) into BENCH_net.json,
-# then assert the fabric hot paths stayed allocation-free.
-bench-net: build
-	$(GO) run ./cmd/netbench -o $(BENCH_NET_OUT)
-	$(GO) run ./cmd/benchdiff -warn-only \
-		-assert-zero 'benchmarks.*allocs_per_event' $(BENCH_NET_OUT) $(BENCH_NET_OUT)
-
-bench-net-check: build
-	$(GO) run ./cmd/netbench -micro-only -o $(BENCH_NET_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -threshold $(BENCH_CHECK_THRESHOLD) -warn-only \
-		-assert-zero 'benchmarks.*allocs_per_event' $(BENCH_NET_OUT) $(BENCH_NET_CHECK_OUT)
-
-# Record the novad serving-path load test (latency quantiles, cache-hit
-# rate, throughput) into BENCH_serve.json; a single failed request fails
-# the target through the loadtest's own exit code.
-serve-bench: build
-	$(GO) run ./cmd/novad loadtest -clients $(BENCH_SERVE_CLIENTS) \
-		-rounds $(BENCH_SERVE_ROUNDS) -out $(BENCH_SERVE_OUT)
-	@cat $(BENCH_SERVE_OUT)
-
-# serve-bench-check compares a fresh load-test record against the
-# checked-in one: latency/throughput drift warns, request errors gate.
-serve-bench-check: build
-	$(GO) run ./cmd/novad loadtest -clients $(BENCH_SERVE_CLIENTS) \
-		-rounds $(BENCH_SERVE_ROUNDS) -out $(BENCH_SERVE_CHECK_OUT)
-	$(GO) run ./cmd/benchdiff -warn-only -assert-zero 'serve.errors' \
-		$(BENCH_SERVE_OUT) $(BENCH_SERVE_CHECK_OUT)
-
-# Measure the sharded cluster kernel (aggregate events/sec across shards)
-# into BENCH_shard.json, then gate: the single-engine cluster fast path
-# must stay within 2% of the raw kernel measured in the same run, and the
-# cluster benchmarks must stay allocation-free.
-bench-shard: build
-	$(GO) run ./cmd/simbench -o $(BENCH_SHARD_BASE)
-	$(GO) run ./cmd/simbench -shard-out $(BENCH_SHARD_OUT) -shards $(BENCH_SHARD_COUNTS)
-	$(GO) run ./cmd/benchdiff -threshold 2 \
-		-assert-zero 'benchmarks.*allocs_per_event' $(BENCH_SHARD_BASE) $(BENCH_SHARD_OUT)
+bench:
+	bash bench/run.sh
 
 # Run the spill-stress workload (delta PageRank on the large tier, active
 # buffers shrunk far below the active set) at 4 GPNs and dump its stats;
@@ -158,13 +72,6 @@ outofcore-stress: build
 		-out-of-core -ssd-resident-pages 64 \
 		-extmem-ram 16777216 -extmem-part-edges $(OOC_PART_EDGES) \
 		-timeout $(OOC_TIMEOUT) -stats-out $(OOC_STATS_OUT)
-
-# Drop the fresh /tmp bench records the *-check targets write, so a
-# failed gate doesn't leave stale records behind to confuse the next
-# comparison (CI runs this with `if: always()`).
-clean-bench:
-	rm -f $(BENCH_CHECK_OUT) $(BENCH_NET_CHECK_OUT) $(BENCH_SERVE_CHECK_OUT) \
-		$(BENCH_SHARD_BASE)
 
 # Randomized fault-injection sweep (DESIGN.md §15): 100+ injected faults
 # per run, seed logged for replay via CHAOS_SEED.

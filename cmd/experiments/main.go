@@ -9,14 +9,11 @@
 // note recalling the paper's expected shape. Independent simulation cells
 // fan out over -jobs worker goroutines through the harness pool; tables
 // land on stdout (byte-identical at any -jobs value for the simulated
-// engines), progress and timing lines on stderr. -bench FILE additionally
-// re-runs each experiment sequentially and records the wall-clock
-// comparison as JSON.
+// engines), progress and timing lines on stderr.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,7 +36,6 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit GitHub markdown instead of aligned text")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation cells per experiment")
-	benchPath := flag.String("bench", "", "also run each experiment at -jobs 1 and write the wall-clock comparison JSON here")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
 	// The NOVA flags bind straight into the base configuration every
 	// experiment cell starts from (exp.NOVAConfig scales it per cell).
@@ -87,25 +83,23 @@ func main() {
 	defer stopSignals()
 	context.AfterFunc(ctx, stopSignals)
 	fmt.Printf("NOVA reproduction experiments — scale=%s\n", scale)
-	if *benchPath != "" {
-		// Pre-build the dataset registry so the timed sequential and
-		// parallel sweeps pay no one-time generation cost.
-		exp.Warm(scale)
-	}
-
-	type benchEntry struct {
-		Jobs      int     `json:"jobs"`
-		Cells     int     `json:"cells"`
-		SeqMillis float64 `json:"seq_ms"`
-		ParMillis float64 `json:"par_ms"`
-		Speedup   float64 `json:"speedup"`
-		CellsBusy float64 `json:"cells_busy_ms"`
-	}
-	bench := map[string]benchEntry{}
-
 	for _, id := range ids {
-		runner := exp.All[id]
-		table, st, err := runOne(ctx, runner, id, scale, base, *jobs, !*quiet)
+		cells := 0
+		pool := &harness.Pool{Workers: *jobs}
+		pool.OnDone = func(ev harness.Event) {
+			cells++
+			if *quiet {
+				return
+			}
+			status := ""
+			if ev.Err != nil {
+				status = " FAILED"
+			}
+			fmt.Fprintf(os.Stderr, "  [%s %d/%d] %s (%v)%s\n",
+				id, ev.Done, ev.Total, ev.Name, ev.Elapsed.Round(time.Millisecond), status)
+		}
+		start := time.Now()
+		table, err := exp.All[id](ctx, scale, base, pool)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted\n", id)
@@ -119,73 +113,8 @@ func main() {
 			table.Render(os.Stdout)
 		}
 		fmt.Fprintf(os.Stderr, "  [%s completed in %v, %d cells, jobs=%d]\n",
-			id, st.wall.Round(time.Millisecond), st.cells, *jobs)
-		if *benchPath != "" {
-			_, seq, err := runOne(ctx, runner, id, scale, base, 1, false)
-			if err != nil {
-				fatal(fmt.Errorf("%s (sequential bench): %w", id, err))
-			}
-			speedup := 0.0
-			if st.wall > 0 {
-				speedup = float64(seq.wall) / float64(st.wall)
-			}
-			bench[id] = benchEntry{
-				Jobs:      *jobs,
-				Cells:     st.cells,
-				SeqMillis: float64(seq.wall) / float64(time.Millisecond),
-				ParMillis: float64(st.wall) / float64(time.Millisecond),
-				Speedup:   speedup,
-				CellsBusy: float64(st.busy) / float64(time.Millisecond),
-			}
-			fmt.Fprintf(os.Stderr, "  [%s bench: seq %v vs jobs=%d %v → %.2fx]\n",
-				id, seq.wall.Round(time.Millisecond), *jobs, st.wall.Round(time.Millisecond), speedup)
-		}
+			id, time.Since(start).Round(time.Millisecond), cells, *jobs)
 	}
-	if *benchPath != "" {
-		out := struct {
-			Scale    string                `json:"scale"`
-			Jobs     int                   `json:"jobs"`
-			MaxProcs int                   `json:"gomaxprocs"`
-			Figures  map[string]benchEntry `json:"figures"`
-		}{scale.String(), *jobs, runtime.GOMAXPROCS(0), bench}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*benchPath, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wall-clock comparison written to %s\n", *benchPath)
-	}
-}
-
-// sweepStats aggregates one experiment run: wall clock, cumulative busy
-// time across cells (the sequential-equivalent cost), and cell count.
-type sweepStats struct {
-	wall  time.Duration
-	busy  time.Duration
-	cells int
-}
-
-func runOne(ctx context.Context, runner exp.Runner, id string, scale exp.Scale, base nova.Config, jobs int, progress bool) (*exp.Table, sweepStats, error) {
-	var st sweepStats
-	pool := &harness.Pool{Workers: jobs}
-	pool.OnDone = func(ev harness.Event) {
-		st.busy += ev.Elapsed
-		st.cells++
-		if progress {
-			status := ""
-			if ev.Err != nil {
-				status = " FAILED"
-			}
-			fmt.Fprintf(os.Stderr, "  [%s %d/%d] %s (%v)%s\n",
-				id, ev.Done, ev.Total, ev.Name, ev.Elapsed.Round(time.Millisecond), status)
-		}
-	}
-	start := time.Now()
-	table, err := runner(ctx, scale, base, pool)
-	st.wall = time.Since(start)
-	return table, st, err
 }
 
 func fatal(err error) {

@@ -9,10 +9,10 @@
 //	novad -addr :8314 -graph twitter=data/twitter.csr -graph road=data/road.csr
 //
 // Load test — replay an engine×workload grid from N concurrent clients
-// and record latency quantiles plus the cache-hit rate to a benchdiff
-// record (`make serve-bench` commits it as BENCH_serve.json):
+// and report the failure count, throughput and cache-hit rate; any failed
+// request, or a hit rate under -min-hit-rate, exits nonzero:
 //
-//	novad loadtest -clients 50 -rounds 4 -out BENCH_serve.json
+//	novad loadtest -clients 50 -rounds 4
 //
 // With -addr empty, loadtest boots an in-process server on a loopback
 // listener (generating a medium uniform graph if -csr is not given), so
@@ -37,7 +37,6 @@ import (
 
 	"nova/graph"
 	"nova/internal/service"
-	"nova/internal/stats"
 )
 
 func main() {
@@ -230,10 +229,30 @@ func loadtest(args []string) error {
 	workloads := fs.String("workloads", "bfs,sssp,pr", "comma-separated workload list")
 	timeoutMS := fs.Int64("timeout-ms", 120_000, "per-job timeout sent with every request")
 	minHitRate := fs.Float64("min-hit-rate", 0, "fail unless the cache-hit rate reaches this fraction (CI gates warm rounds with it)")
-	out := fs.String("out", "", "write the benchdiff record here (default stdout)")
-	histOut := fs.String("hist-out", "", "write the latency histogram buckets as CSV (nightly artifact)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Reject a run that would test nothing before any graph or server is
+	// built.
+	if *clients < 1 {
+		return fmt.Errorf("-clients %d: need at least 1", *clients)
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds %d: need at least 1", *rounds)
+	}
+	engineNames, err := splitNames("-engines", *engines)
+	if err != nil {
+		return err
+	}
+	workloadNames, err := splitNames("-workloads", *workloads)
+	if err != nil {
+		return err
+	}
+	var grid []cell
+	for _, e := range engineNames {
+		for _, w := range workloadNames {
+			grid = append(grid, cell{e, w})
+		}
 	}
 
 	base := *addr
@@ -267,21 +286,9 @@ func loadtest(args []string) error {
 	}
 	baseURL := "http://" + base
 
-	var grid []cell
-	for _, e := range strings.Split(*engines, ",") {
-		for _, w := range strings.Split(*workloads, ",") {
-			grid = append(grid, cell{strings.TrimSpace(e), strings.TrimSpace(w)})
-		}
-	}
-	if len(grid) == 0 {
-		return fmt.Errorf("empty engine×workload grid")
-	}
-
-	// Each client owns a histogram and counters; merged after the run so
-	// the hot path takes no shared locks.
+	// Each client owns its counters; merged after the run so the hot path
+	// takes no shared locks.
 	type clientStats struct {
-		lat       stats.Histogram
-		requests  uint64
 		errors    uint64
 		cacheHits uint64
 		lastErr   string
@@ -297,10 +304,7 @@ func loadtest(args []string) error {
 			defer wg.Done()
 			for r := 0; r < *rounds; r++ {
 				for _, cl := range grid {
-					t0 := time.Now()
 					hit, err := runCell(httpc, baseURL, cl, *graphName, *timeoutMS)
-					cs.lat.Observe(uint64(time.Since(t0).Microseconds()))
-					cs.requests++
 					if err != nil {
 						cs.errors++
 						cs.lastErr = err.Error()
@@ -316,73 +320,39 @@ func loadtest(args []string) error {
 	wg.Wait()
 	wall := time.Since(start)
 
-	var lat stats.Histogram
-	var requests, errCount, hits uint64
+	requests := uint64(*clients * *rounds * len(grid))
+	var errCount, hits uint64
 	lastErr := ""
 	for i := range perClient {
-		lat.Merge(perClient[i].lat)
-		requests += perClient[i].requests
 		errCount += perClient[i].errors
 		hits += perClient[i].cacheHits
 		if perClient[i].lastErr != "" {
 			lastErr = perClient[i].lastErr
 		}
 	}
+	hitRate := float64(hits) / float64(requests)
+	fmt.Printf("loadtest: %d requests (%d clients × %d rounds × %d cells) in %v, %.1f req/s: %d failed, cache-hit rate %.3f\n",
+		requests, *clients, *rounds, len(grid), wall.Round(time.Millisecond),
+		float64(requests)/wall.Seconds(), errCount, hitRate)
 	if errCount > 0 {
-		fmt.Fprintf(os.Stderr, "loadtest: %d/%d requests failed (last: %s)\n", errCount, requests, lastErr)
+		return fmt.Errorf("%d/%d request(s) failed (last: %s)", errCount, requests, lastErr)
 	}
-
-	record := map[string]any{
-		"serve": map[string]any{
-			"clients":          *clients,
-			"rounds":           *rounds,
-			"grid_cells":       len(grid),
-			"requests":         requests,
-			"errors":           errCount,
-			"cache_hits":       hits,
-			"cache_hit_rate":   ratio(hits, requests),
-			"wall_ms":          float64(wall.Milliseconds()),
-			"requests_per_sec": float64(requests) / wall.Seconds(),
-			"latency_us": map[string]any{
-				"mean": lat.Mean(),
-				"p50":  lat.Quantile(0.50),
-				"p90":  lat.Quantile(0.90),
-				"p99":  lat.Quantile(0.99),
-			},
-		},
-	}
-	body, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	body = append(body, '\n')
-	if *out == "" {
-		_, err = os.Stdout.Write(body)
-	} else {
-		err = os.WriteFile(*out, body, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	if *histOut != "" {
-		if err := writeHistCSV(*histOut, &lat); err != nil {
-			return err
-		}
-	}
-	if errCount > 0 {
-		return fmt.Errorf("%d request(s) failed", errCount)
-	}
-	if hr := ratio(hits, requests); hr < *minHitRate {
-		return fmt.Errorf("cache-hit rate %.3f below -min-hit-rate %.3f (warm rounds must hit)", hr, *minHitRate)
+	if hitRate < *minHitRate {
+		return fmt.Errorf("cache-hit rate %.3f below -min-hit-rate %.3f (warm rounds must hit)", hitRate, *minHitRate)
 	}
 	return nil
 }
 
-func ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
+// splitNames splits a comma-separated flag value, rejecting empty names.
+func splitNames(flagName, list string) ([]string, error) {
+	names := strings.Split(list, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+		if names[i] == "" {
+			return nil, fmt.Errorf("%s %q: empty name", flagName, list)
+		}
 	}
-	return float64(a) / float64(b)
+	return names, nil
 }
 
 // runCell submits one job and waits for its result, reporting whether the
@@ -444,37 +414,4 @@ func decodeAndClose(resp *http.Response, v any) error {
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(b)))
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// writeHistCSV dumps the latency histogram's populated buckets — the
-// nightly workflow uploads this as its latency artifact.
-func writeHistCSV(path string, h *stats.Histogram) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "bucket,hi_us,count"); err != nil {
-		return err
-	}
-	for b := 0; b < h.NumBuckets(); b++ {
-		n := h.Bucket(b)
-		if n == 0 {
-			continue
-		}
-		// Log2 bucketing: bucket 0 counts zeros, bucket b counts
-		// [2^(b-1), 2^b), the last bucket is unbounded (see
-		// stats.Histogram).
-		hi := "inf"
-		switch {
-		case b == 0:
-			hi = "0"
-		case b < h.NumBuckets()-1:
-			hi = fmt.Sprintf("%d", uint64(1)<<b-1)
-		}
-		if _, err := fmt.Fprintf(f, "%d,%s,%d\n", b, hi, n); err != nil {
-			return err
-		}
-	}
-	return nil
 }

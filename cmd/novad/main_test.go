@@ -1,0 +1,45 @@
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestLoadtestRejectsEmptyRuns holds loadtest to rejecting, before any
+// graph or server is built, every setting that would send no request or a
+// request with an empty engine or workload. The -csr path does not exist,
+// so a check that ran after registration would fail on the graph instead.
+func TestLoadtestRejectsEmptyRuns(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.csr")
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"zero clients", []string{"-clients", "0"}, "-clients"},
+		{"negative clients", []string{"-clients", "-3"}, "-clients"},
+		{"zero rounds", []string{"-rounds", "0"}, "-rounds"},
+		{"trailing comma in engines", []string{"-engines", "nova,"}, "-engines"},
+		{"empty engines", []string{"-engines", ""}, "-engines"},
+		{"trailing comma in workloads", []string{"-workloads", "bfs,"}, "-workloads"},
+		{"blank workload", []string{"-workloads", " ,pr"}, "-workloads"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := loadtest(append([]string{"-csr", missing, "-clients", "1", "-rounds", "1"}, tc.args...))
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("loadtest(%q) = %v, want an error naming %s", tc.args, err, tc.flag)
+			}
+		})
+	}
+}
+
+// TestLoadtestWarmRoundHits is the positive control: a tiny in-process run
+// passes, and its identical second round is served from the cache.
+func TestLoadtestWarmRoundHits(t *testing.T) {
+	err := loadtest([]string{"-clients", "1", "-rounds", "2", "-vertices", "200",
+		"-engines", "nova", "-workloads", "bfs,sssp", "-min-hit-rate", "0.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

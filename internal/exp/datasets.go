@@ -189,16 +189,6 @@ func Datasets(s Scale) []*Dataset {
 	return build
 }
 
-// Warm pre-builds the dataset registry — base graphs plus their
-// symmetrized and transposed variants — so timed sweeps (make bench)
-// exclude one-time generation cost.
-func Warm(s Scale) {
-	for _, d := range Datasets(s) {
-		d.Sym()
-		d.Transpose()
-	}
-}
-
 // DatasetByName returns one registry entry.
 func DatasetByName(s Scale, name string) (*Dataset, error) {
 	for _, d := range Datasets(s) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nova/internal/sim"
+	"nova/program"
 )
 
 // arrivalCounter is a pre-allocated delivery handler, the pattern the PE
@@ -58,4 +59,140 @@ func BenchmarkHierarchicalSendInterGPN(b *testing.B) {
 	if done.n != b.N {
 		b.Fatalf("delivered %d of %d messages", done.n, b.N)
 	}
+}
+
+// fabricGPNs is the fabric size of the send and exchange paths: 8 GPNs
+// give every routed topology multi-hop routes (an 8-ring, a 2×4 mesh).
+const fabricGPNs = 8
+
+var fabricTopologies = []TopoKind{TopoCrossbar, TopoRing, TopoMesh, TopoTorus}
+
+func topoFabric(engines []*sim.Engine, kind TopoKind, coalesce CoalesceConfig, vertices int) *Hierarchical {
+	return NewFabric(engines, 1, FabricConfig{
+		P2P:      DefaultP2PConfig(),
+		Crossbar: DefaultCrossbarConfig(),
+		Link:     DefaultLinkConfig(),
+		Topology: kind,
+		Coalesce: coalesce,
+		Vertices: vertices,
+	})
+}
+
+// farthestGPN returns the GPN whose route from GPN 0 has the most hops,
+// so the routed topologies pay their full diameter.
+func farthestGPN(f *Hierarchical) int {
+	far := 1
+	for d := 2; d < fabricGPNs; d++ {
+		if len(f.topo.route(0, d)) > len(f.topo.route(0, far)) {
+			far = d
+		}
+	}
+	return far
+}
+
+// sendBody sends one message from GPN 0 to the farthest GPN through the
+// shared-engine fast path (route lookup, per-hop link reservation,
+// delivery event) and drains the engine, so the event pool recycles.
+func sendBody(tb testing.TB, kind TopoKind) func() {
+	eng := sim.NewEngine()
+	f := topoFabric(SharedEngines(eng, fabricGPNs), kind, CoalesceConfig{}, 0)
+	done := &arrivalCounter{}
+	dst := farthestGPN(f)
+	return func() {
+		f.Send(0, dst, 8, done)
+		if err := eng.RunUntilQuiet(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// exchangeBody is the sharded path: Send parks the message in the source
+// shard's outbox, and Exchange recomputes the route and schedules the
+// delivery on the destination shard.
+func exchangeBody(tb testing.TB, kind TopoKind) func() {
+	engines := make([]*sim.Engine, fabricGPNs)
+	for i := range engines {
+		engines[i] = sim.NewEngine()
+	}
+	f := topoFabric(engines, kind, CoalesceConfig{}, 0)
+	done := &arrivalCounter{}
+	dst := farthestGPN(f)
+	return func() {
+		f.Send(0, dst, 8, done)
+		if _, err := f.Exchange(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := engines[dst].RunUntilQuiet(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// coalesceBody is the absorb path: the second batch merges into the
+// buffered head through the vertex index, and the window timer flushes
+// the pair as one fabric message.
+func coalesceBody(tb testing.TB) (*Hierarchical, func()) {
+	eng := sim.NewEngine()
+	f := topoFabric(SharedEngines(eng, 2), TopoCrossbar, CoalesceConfig{Window: 8}, 8)
+	f.SetMerge(minMerge)
+	b1 := &testBatch{msgs: make([]program.Message, 0, 4)}
+	b2 := &testBatch{msgs: make([]program.Message, 0, 4)}
+	return f, func() {
+		b1.msgs = append(b1.msgs[:0], program.Message{Dst: 1, Delta: 5})
+		b2.msgs = append(b2.msgs[:0], program.Message{Dst: 1, Delta: 3})
+		f.Send(0, 1, 8, b1)
+		f.Send(0, 1, 8, b2)
+		if err := eng.RunUntilQuiet(0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func benchBody(b *testing.B, body func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body()
+	}
+}
+
+func BenchmarkFabricSend(b *testing.B) {
+	for _, kind := range fabricTopologies {
+		b.Run(kind.String(), func(b *testing.B) { benchBody(b, sendBody(b, kind)) })
+	}
+}
+
+func BenchmarkFabricExchange(b *testing.B) {
+	for _, kind := range fabricTopologies {
+		b.Run(kind.String(), func(b *testing.B) { benchBody(b, exchangeBody(b, kind)) })
+	}
+}
+
+// BenchmarkCoalesceAbsorb reports ns/op per pair of offered batches.
+func BenchmarkCoalesceAbsorb(b *testing.B) {
+	_, body := coalesceBody(b)
+	benchBody(b, body)
+}
+
+// TestFabricAllocs pins the fabric's send, exchange and coalescing paths
+// at zero allocations in steady state, on every topology.
+func TestFabricAllocs(t *testing.T) {
+	noAllocs := func(t *testing.T, body func()) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
+			t.Errorf("%v allocations per iteration, want 0", allocs)
+		}
+	}
+	for _, kind := range fabricTopologies {
+		t.Run("send/"+kind.String(), func(t *testing.T) { noAllocs(t, sendBody(t, kind)) })
+		t.Run("exchange/"+kind.String(), func(t *testing.T) { noAllocs(t, exchangeBody(t, kind)) })
+	}
+	t.Run("coalesce", func(t *testing.T) {
+		f, body := coalesceBody(t)
+		noAllocs(t, body)
+		// AllocsPerRun makes one warm-up call before its 100 runs.
+		if st := f.Stats(); st.MergedUpdates != 101 {
+			t.Errorf("merged %d updates in 101 iterations, want one per iteration", st.MergedUpdates)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,92 +10,139 @@ import (
 // ticker is the pre-allocated recurring-event pattern every converted
 // component uses: one Handler struct, one Event, Reschedule per cycle.
 type ticker struct {
-	e   *Engine
-	ev  *Event
-	n   int
-	max int
+	e    *Engine
+	ev   *Event
+	left int
 }
 
 func (t *ticker) Fire() {
-	t.n++
-	if t.n < t.max {
+	t.left--
+	if t.left > 0 {
 		t.e.Reschedule(t.ev, t.e.Now()+1)
 	}
 }
 
-// BenchmarkEventThroughput measures raw event-loop rate — the figure that
-// bounds how large a graph the cycle-level model can simulate per second.
-// The pooled-reschedule pattern must be allocation-free.
-func BenchmarkEventThroughput(b *testing.B) {
-	e := NewEngine()
-	t := &ticker{e: e, max: b.N}
-	t.ev = NewEvent(t)
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.ScheduleEvent(t.ev, 0)
+// arm makes the ticker fire n more times, one tick apart, starting delay
+// ticks from now.
+func (t *ticker) arm(n int, delay Ticks) {
+	t.left = n
+	t.e.ScheduleEvent(t.ev, delay)
+}
+
+// kernelCases are the event kernel's hot paths. Each setup builds its own
+// engine and returns a body that runs n iterations (events, or 64-event
+// bursts for FanOut) and may be called again: BenchmarkKernel times one
+// call with n = b.N, and TestKernelAllocs requires repeated calls to
+// allocate nothing.
+var kernelCases = []struct {
+	name  string
+	setup func(tb testing.TB) func(n int)
+}{
+	// EventThroughput is the raw event-loop rate, the figure that bounds
+	// how large a graph the cycle-level model can simulate per second.
+	{"EventThroughput", func(tb testing.TB) func(int) {
+		e := NewEngine()
+		t := &ticker{e: e}
+		t.ev = NewEvent(t)
+		return func(n int) {
+			t.arm(n, 0)
+			runQuiet(tb, e)
+		}
+	}},
+	// EventThroughputFunc is the same loop with pooled one-shot events
+	// scheduled through a HandlerFunc, the path ad-hoc callers take.
+	{"EventThroughputFunc", func(tb testing.TB) func(int) {
+		e := NewEngine()
+		left := 0
+		var tick func()
+		tick = func() {
+			left--
+			if left > 0 {
+				e.Schedule(1, HandlerFunc(tick))
+			}
+		}
+		return func(n int) {
+			left = n
+			e.Schedule(0, HandlerFunc(tick))
+			runQuiet(tb, e)
+		}
+	}},
+	// ScheduleDeschedule is timer churn (MGU/prefetch usage).
+	{"ScheduleDeschedule", func(tb testing.TB) func(int) {
+		e := NewEngine()
+		h := HandlerFunc(func() {})
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				e.Deschedule(e.Schedule(1000, h))
+			}
+		}
+	}},
+	// ReschedulePending moves an armed timer, the cheapest state-machine
+	// operation (deadline extension).
+	{"ReschedulePending", func(tb testing.TB) func(int) {
+		e := NewEngine()
+		ev := NewEvent(HandlerFunc(func() {}))
+		e.ScheduleEvent(ev, 1000)
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				e.Reschedule(ev, 1000+Ticks(i&1))
+			}
+		}
+	}},
+	// FanOut is bursty same-tick scheduling (message delivery): 64 events
+	// over 8 ticks per iteration.
+	{"FanOut", func(tb testing.TB) func(int) {
+		e := NewEngine()
+		h := HandlerFunc(func() {})
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				for j := 0; j < 64; j++ {
+					e.Schedule(Ticks(j%8), h)
+				}
+				runQuiet(tb, e)
+			}
+		}
+	}},
+	// DeepQueue is the kernel at the queue depth and delay mix of a real
+	// cell, where the single-pending-event loops above are the queue's
+	// best case.
+	{"DeepQueue", func(tb testing.TB) func(int) {
+		d := newDeepQueue(tb)
+		return func(n int) {
+			if err := d.e.Run(0, d.e.Executed()+uint64(n)); !errors.Is(err, ErrMaxEvents) {
+				tb.Fatal(err)
+			}
+		}
+	}},
+}
+
+func runQuiet(tb testing.TB, e *Engine) {
 	if err := e.RunUntilQuiet(0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
-// BenchmarkEventThroughputFunc is the same loop with pooled one-shot
-// events scheduled through a HandlerFunc — the path ad-hoc callers take.
-func BenchmarkEventThroughputFunc(b *testing.B) {
-	e := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.Schedule(1, HandlerFunc(tick))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Schedule(0, HandlerFunc(tick))
-	if err := e.RunUntilQuiet(0); err != nil {
-		b.Fatal(err)
+func BenchmarkKernel(b *testing.B) {
+	for _, c := range kernelCases {
+		b.Run(c.name, func(b *testing.B) {
+			run := c.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
 	}
 }
 
-// BenchmarkScheduleDeschedule measures timer churn (MGU/prefetch usage).
-func BenchmarkScheduleDeschedule(b *testing.B) {
-	e := NewEngine()
-	h := HandlerFunc(func() {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := e.Schedule(1000, h)
-		e.Deschedule(ev)
-	}
-}
-
-// BenchmarkReschedulePending measures moving an armed timer, the cheapest
-// state-machine operation (deadline extension).
-func BenchmarkReschedulePending(b *testing.B) {
-	e := NewEngine()
-	ev := NewEvent(HandlerFunc(func() {}))
-	e.ScheduleEvent(ev, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reschedule(ev, 1000+Ticks(i&1))
-	}
-}
-
-// BenchmarkFanOut measures bursty same-tick scheduling (message delivery).
-func BenchmarkFanOut(b *testing.B) {
-	e := NewEngine()
-	h := HandlerFunc(func() {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			e.Schedule(Ticks(j%8), h)
-		}
-		if err := e.RunUntilQuiet(0); err != nil {
-			b.Fatal(err)
-		}
+// TestKernelAllocs pins every kernel hot path at zero allocations once
+// the event pool is warm.
+func TestKernelAllocs(t *testing.T) {
+	for _, c := range kernelCases {
+		t.Run(c.name, func(t *testing.T) {
+			run := c.setup(t)
+			if allocs := testing.AllocsPerRun(10, func() { run(100) }); allocs != 0 {
+				t.Errorf("%v allocations per 100 iterations, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -116,7 +164,7 @@ func (d *deepQueue) Fire() {
 	d.i++
 }
 
-func newDeepQueue(b *testing.B) *deepQueue {
+func newDeepQueue(tb testing.TB) *deepQueue {
 	rng := rand.New(rand.NewSource(1))
 	d := &deepQueue{e: NewEngine(), delays: make([]Ticks, 4096)}
 	for i := range d.delays {
@@ -138,19 +186,146 @@ func newDeepQueue(b *testing.B) *deepQueue {
 	}
 	// One pass through the population fills the event pool.
 	if err := d.e.Run(0, deepPending); !errors.Is(err, ErrMaxEvents) {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }
 
-// BenchmarkDeepQueue measures the kernel at the queue depth and delay mix
-// of a real cell, where the single-pending-event loops above are the
-// queue's best case.
-func BenchmarkDeepQueue(b *testing.B) {
-	d := newDeepQueue(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := d.e.Run(0, d.e.Executed()+uint64(b.N)); !errors.Is(err, ErrMaxEvents) {
-		b.Fatal(err)
+// clusterBody builds engines under one Cluster with the crossbar's
+// default lookahead of 120 ticks, each engine owning tickersPer tickers.
+// The body fires every ticker n more times and runs the cluster to
+// quiescence: n·engines·tickersPer events. tickersPer sets the work per
+// window (tickersPer·120 events per engine between barriers).
+func clusterBody(tb testing.TB, engines, workers, tickersPer int) func(n int) {
+	es := make([]*Engine, engines)
+	var tickers []*ticker
+	for i := range es {
+		es[i] = NewEngine()
+		for j := 0; j < tickersPer; j++ {
+			t := &ticker{e: es[i]}
+			t.ev = NewEvent(t)
+			tickers = append(tickers, t)
+		}
 	}
+	c, err := NewCluster(es, 120, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	noExchange := func() (int, error) { return 0, nil }
+	return func(n int) {
+		for j, t := range tickers {
+			t.arm(n, Ticks(j%tickersPer))
+		}
+		if err := c.Run(0, noExchange); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// clusterCases are the sharded kernel's shapes: the one-engine fast path,
+// and 2 and 4 engines with sequential windows and with one worker per
+// engine.
+var clusterCases = []struct{ engines, workers int }{{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 4}}
+
+// BenchmarkCluster reports ns/op per firing of every ticker, so divide by
+// engines·tickers for the aggregate time per event across shards. One
+// ticker isolates the one-engine wrapper against the raw kernel; 64 per
+// engine stand in for a loaded GPN, so the multi-worker cases amortize
+// the barrier the way a real window does.
+func BenchmarkCluster(b *testing.B) {
+	for _, c := range clusterCases {
+		tickers := 64
+		if c.engines == 1 {
+			tickers = 1
+		}
+		b.Run(fmt.Sprintf("engines=%d/workers=%d/tickers=%d", c.engines, c.workers, tickers), func(b *testing.B) {
+			run := clusterBody(b, c.engines, c.workers, tickers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
+	}
+}
+
+// TestClusterAllocs pins the cluster's window loop, barrier and worker
+// hand-off at zero allocations. 300 firings span three windows.
+func TestClusterAllocs(t *testing.T) {
+	for _, c := range clusterCases {
+		t.Run(fmt.Sprintf("engines=%d/workers=%d", c.engines, c.workers), func(t *testing.T) {
+			run := clusterBody(t, c.engines, c.workers, 8)
+			if allocs := testing.AllocsPerRun(3, func() { run(300) }); allocs != 0 {
+				t.Errorf("%v allocations per run, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestClusterSingleEngineFastPath holds the one-engine cluster to the bare
+// kernel loop: on the same schedule it fires exactly the events
+// Engine.Run fires, in the same order, and opens no window and times no
+// barrier.
+func TestClusterSingleEngineFastPath(t *testing.T) {
+	bare := tracedRun(t, func(e *Engine) error { return e.Run(0, 0) })
+	clustered := tracedRun(t, func(e *Engine) error {
+		c, err := NewCluster([]*Engine{e}, 120, 1)
+		if err != nil {
+			return err
+		}
+		defer c.Close()
+		if err := c.Run(0, func() (int, error) { return 0, nil }); err != nil {
+			return err
+		}
+		if c.Windows() != 0 || c.WindowSeconds() != 0 || c.BarrierSeconds() != 0 {
+			t.Errorf("one-engine cluster ran %d windows (%gs) and %gs of barriers, want none",
+				c.Windows(), c.WindowSeconds(), c.BarrierSeconds())
+		}
+		return nil
+	})
+	if len(clustered) != len(bare) {
+		t.Fatalf("cluster fired %d events, bare engine %d", len(clustered), len(bare))
+	}
+	for i := range bare {
+		if clustered[i] != bare[i] {
+			t.Fatalf("firing %d: cluster %+v, bare engine %+v", i, clustered[i], bare[i])
+		}
+	}
+}
+
+type firing struct {
+	id int
+	at Ticks
+}
+
+// tracedRun seeds a fresh engine with a fixed random schedule (same-tick
+// ties, and delays past the wheel span into the far heap), runs it with
+// run, and returns every firing in order.
+func tracedRun(t *testing.T, run func(*Engine) error) []firing {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(9))
+	var log []firing
+	var fire func(id int)
+	fire = func(id int) {
+		log = append(log, firing{id, e.Now()})
+		if len(log) >= 5000 {
+			return
+		}
+		delay := Ticks(rng.Intn(4))
+		if rng.Intn(64) == 0 {
+			delay = Ticks(2048 + rng.Intn(4096))
+		}
+		next := len(log)
+		e.Schedule(delay, HandlerFunc(func() { fire(next) }))
+	}
+	for i := 0; i < 16; i++ {
+		id := -1 - i
+		e.ScheduleAt(Ticks(i%3), HandlerFunc(func() { fire(id) }))
+	}
+	if err := run(e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events still pending", e.Pending())
+	}
+	return log
 }

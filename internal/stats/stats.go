@@ -246,42 +246,6 @@ func (h *Histogram) Bucket(b int) uint64 {
 // NumBuckets returns the fixed bucket count.
 func (h *Histogram) NumBuckets() int { return histBuckets }
 
-// Quantile returns an upper bound on the q-quantile of the observed
-// samples (q in [0,1]): the inclusive upper edge of the first bucket at
-// which the cumulative count reaches q·N. Resolution is the bucket width
-// — exact ranks are not recoverable from a fixed-bucket histogram — which
-// is the right trade for serving-latency reporting: percentiles rounded
-// up to a bucket edge, computed in O(buckets) with no retained samples.
-// The overflow bucket reports the largest representable bound, ^uint64(0).
-// With no samples Quantile returns 0.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.n))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for b := 0; b < histBuckets; b++ {
-		cum += h.buckets[b]
-		if cum >= rank {
-			hi, overflow := h.bucketHi(b)
-			if overflow {
-				return ^uint64(0)
-			}
-			return hi
-		}
-	}
-	return ^uint64(0)
-}
-
 // bucketHi returns the inclusive upper bound of bucket b, and whether the
 // bucket is the overflow bucket (unbounded above).
 func (h *Histogram) bucketHi(b int) (uint64, bool) {

@@ -8,40 +8,32 @@ import (
 	"nova/program"
 )
 
-// topoGolden pins one 4-GPN SSSP cell per inter-GPN topology (and one
-// coalescing-enabled crossbar cell) to golden cycle/work counts. Recorded
-// at -shards 1 when the topology fabric landed; every worker count must
+// topoGoldens pins 4-GPN SSSP cells per inter-GPN topology, with
+// coalescing off, at a 16-cycle window (crossbar) and at a 64-cycle
+// window, to golden cycle, work and event counts. Every worker count must
 // reproduce them exactly, like TestShardedDeterminismGolden does for the
-// default crossbar.
+// default crossbar. The window-64 rows gate coalescing's payoff: on every
+// topology they run fewer simulator events than the window-0 row.
 var topoGoldens = []struct {
 	topology  string
 	window    int64
 	cycles    uint64
 	edges     int64
 	coalesced uint64 // network-level (fabric) coalesced batches
+	events    uint64 // simulator events executed across all shards
 }{
-	{"crossbar", 0, goldenShardCycles, int64(27274), 0},
-	{"ring", 0, goldenRingCycles, goldenRingEdges, 0},
-	{"mesh", 0, goldenMeshCycles, goldenMeshEdges, 0},
-	{"torus", 0, goldenTorusCycles, goldenTorusEdges, 0},
-	{"crossbar", 16, goldenCoalCycles, goldenCoalEdges, goldenCoalBatches},
-}
-
-// Golden values for TestTopologyShardDeterminismGolden, recorded at
-// -shards 1 when the pluggable-topology fabric landed.
-const (
-	goldenRingCycles = uint64(17353)
-	goldenRingEdges  = int64(26748)
-	goldenMeshCycles = uint64(17716)
-	goldenMeshEdges  = int64(26728)
+	{"crossbar", 0, goldenShardCycles, int64(27274), 0, 45232},
+	{"ring", 0, 17353, 26748, 0, 44698},
+	{"mesh", 0, 17716, 26728, 0, 44723},
 	// A 4-GPN torus is a 2×2 grid whose wrap links coincide with the mesh
 	// links, so its goldens equal the mesh's by construction.
-	goldenTorusCycles = uint64(17716)
-	goldenTorusEdges  = int64(26728)
-	goldenCoalCycles  = uint64(20723)
-	goldenCoalEdges   = int64(27673)
-	goldenCoalBatches = uint64(1441)
-)
+	{"torus", 0, 17716, 26728, 0, 44723},
+	{"crossbar", 16, 20723, 27673, 1441, 47748},
+	{"crossbar", 64, 20382, 27841, 3193, 42737},
+	{"ring", 64, 17738, 27120, 3216, 40641},
+	{"mesh", 64, 17780, 26792, 3178, 40491},
+	{"torus", 64, 17780, 26792, 3178, 40491},
+}
 
 func topoCellConfig(topology string, window int64, shards int) Config {
 	cfg := DefaultConfig()
@@ -59,6 +51,18 @@ func topoCellConfig(topology string, window int64, shards int) Config {
 // extended over the inter-GPN topology × coalescing grid: each cell must
 // be bit-identical at 1, 2 and 4 workers and match its pinned golden.
 func TestTopologyShardDeterminismGolden(t *testing.T) {
+	uncoalesced := map[string]uint64{}
+	for _, gold := range topoGoldens {
+		if gold.window == 0 {
+			uncoalesced[gold.topology] = gold.events
+		}
+	}
+	for _, gold := range topoGoldens {
+		if gold.window == 64 && gold.events >= uncoalesced[gold.topology] {
+			t.Errorf("%s: window 64 runs %d events, window 0 runs %d; coalescing must cut events",
+				gold.topology, gold.events, uncoalesced[gold.topology])
+		}
+	}
 	g := graph.GenRMATN("golden", 2048, 8, graph.DefaultRMAT, 64, 7)
 	root := g.LargestOutDegreeVertex()
 	for _, gold := range topoGoldens {
@@ -76,9 +80,10 @@ func TestTopologyShardDeterminismGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				t.Logf("shards=%d: cycles=%d edges=%d netcoalesced=%d avghops=%.3f",
+				events, _ := rep.Dump.Value(MetricEventsExecuted)
+				t.Logf("shards=%d: cycles=%d edges=%d netcoalesced=%d events=%.0f avghops=%.3f",
 					shards, rep.Cycles, rep.Stats.EdgesTraversed,
-					rep.NetworkMessagesCoalesced, rep.NetworkAvgHops)
+					rep.NetworkMessagesCoalesced, events, rep.NetworkAvgHops)
 				if rep.Cycles != gold.cycles {
 					t.Errorf("shards=%d: cycles = %d, golden %d", shards, rep.Cycles, gold.cycles)
 				}
@@ -88,6 +93,9 @@ func TestTopologyShardDeterminismGolden(t *testing.T) {
 				if rep.NetworkMessagesCoalesced != gold.coalesced {
 					t.Errorf("shards=%d: fabric coalesced = %d, golden %d",
 						shards, rep.NetworkMessagesCoalesced, gold.coalesced)
+				}
+				if uint64(events) != gold.events {
+					t.Errorf("shards=%d: events = %.0f, golden %d", shards, events, gold.events)
 				}
 				if err := Verify("sssp", g, root, rep.Props); err != nil {
 					t.Errorf("shards=%d: %v", shards, err)
