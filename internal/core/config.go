@@ -65,10 +65,11 @@ type Config struct {
 	// ClockHz is the core frequency.
 	ClockHz float64
 	// VertexBytes is the size of a vertex record
-	// (cur_prop, next_prop, active flags).
+	// (cur_prop, next_prop, active flags), a power of two.
 	VertexBytes int
 	// BlockBytes is the vertex-memory atom (HBM2: 32 B); it is both the
-	// cache line size and the tracker's block granularity.
+	// cache line size and the tracker's block granularity. A power of
+	// two no smaller than VertexBytes.
 	BlockBytes int
 	// CacheBytesPerPE is the MPU's direct-mapped vertex cache capacity.
 	CacheBytesPerPE int
@@ -197,7 +198,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: PEsPerGPN = %d", c.PEsPerGPN)
 	case c.ClockHz <= 0:
 		return fmt.Errorf("core: ClockHz = %v", c.ClockHz)
-	case c.VertexBytes <= 0 || c.BlockBytes%c.VertexBytes != 0:
+	case c.VertexBytes <= 0 || c.BlockBytes <= 0:
+		return fmt.Errorf("core: VertexBytes %d and BlockBytes %d must be positive", c.VertexBytes, c.BlockBytes)
+	case !isPow2(c.VertexBytes) || !isPow2(c.BlockBytes):
+		return fmt.Errorf("core: VertexBytes %d and BlockBytes %d must be powers of two", c.VertexBytes, c.BlockBytes)
+	case c.BlockBytes%c.VertexBytes != 0:
 		return fmt.Errorf("core: BlockBytes %d not a multiple of VertexBytes %d", c.BlockBytes, c.VertexBytes)
 	case c.CacheBytesPerPE < c.BlockBytes || c.CacheBytesPerPE%c.BlockBytes != 0:
 		return fmt.Errorf("core: cache %d B incompatible with block %d B", c.CacheBytesPerPE, c.BlockBytes)
@@ -239,6 +244,9 @@ func (c Config) Validate() error {
 	}
 	return c.EdgeChannel.Validate()
 }
+
+// isPow2 reports whether n is a positive power of two.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // TotalPEs returns GPNs × PEsPerGPN.
 func (c Config) TotalPEs() int { return c.GPNs * c.PEsPerGPN }

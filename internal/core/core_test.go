@@ -314,6 +314,21 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("0 GPNs validated")
 	}
+	// Block and vertex sizes must be positive powers of two; each case
+	// must come back as an error, never a panic here or in NewSystem.
+	// The 48 KiB cache holds a whole number of 48 B blocks, so only the
+	// power-of-two rule rejects the last case.
+	for _, geom := range []struct{ vertex, block, cache int }{
+		{16, 0, 64 << 10},
+		{16, -32, 64 << 10},
+		{24, 48, 48 << 10},
+	} {
+		bad = DefaultConfig(1)
+		bad.VertexBytes, bad.BlockBytes, bad.CacheBytesPerPE = geom.vertex, geom.block, geom.cache
+		if err := bad.Validate(); err == nil {
+			t.Errorf("VertexBytes %d / BlockBytes %d validated", geom.vertex, geom.block)
+		}
+	}
 }
 
 func TestTrackerCapacityEquation(t *testing.T) {

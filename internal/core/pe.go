@@ -318,12 +318,11 @@ func (pe *PE) numBlocks() int {
 
 // vaddr returns the PE-local byte address of a vertex record.
 func (pe *PE) vaddr(v graph.VertexID) uint64 {
-	return uint64(pe.sys.slot[v]) * uint64(pe.sys.cfg.VertexBytes)
+	return uint64(pe.sys.slot[v]) << pe.sys.vertexShift
 }
 
 func (pe *PE) blockAddrOf(addr uint64) uint64 {
-	bb := uint64(pe.sys.cfg.BlockBytes)
-	return addr / bb * bb
+	return addr >> pe.sys.blockShift << pe.sys.blockShift
 }
 
 func (pe *PE) vertexBlockAddr(v graph.VertexID) uint64 {
@@ -331,15 +330,14 @@ func (pe *PE) vertexBlockAddr(v graph.VertexID) uint64 {
 }
 
 func (pe *PE) blockIndex(blockAddr uint64) int {
-	return int(blockAddr / uint64(pe.sys.cfg.BlockBytes))
+	return int(blockAddr >> pe.sys.blockShift)
 }
 
 // blockSlots returns the slot range [lo, hi) covered by a block.
 func (pe *PE) blockSlots(blockAddr uint64) (int, int) {
-	cfg := &pe.sys.cfg
-	perBlock := cfg.BlockBytes / cfg.VertexBytes
-	lo := int(blockAddr) / cfg.VertexBytes
-	hi := lo + perBlock
+	sys := pe.sys
+	lo := int(blockAddr >> sys.vertexShift)
+	hi := lo + 1<<(sys.blockShift-sys.vertexShift)
 	if hi > len(pe.localVerts) {
 		hi = len(pe.localVerts)
 	}
@@ -440,8 +438,7 @@ func (pe *PE) fillDone(block uint64) {
 // markDirty records the vertex write. If the block slipped out of the
 // cache while the reduce was in flight, charge a direct write-through.
 func (pe *PE) markDirty(addr uint64) {
-	if pe.cache.Contains(addr) {
-		pe.cache.MarkDirty(addr)
+	if pe.cache.MarkDirty(addr) {
 		return
 	}
 	pe.vchan.Access(mem.Request{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -41,6 +42,10 @@ type System struct {
 	shards  []shardState
 	// slot maps a global vertex to its local slot on its owner PE.
 	slot []int32
+	// vertexShift and blockShift are log2 of cfg.VertexBytes and
+	// cfg.BlockBytes: the PE's vertex and block address arithmetic.
+	vertexShift uint
+	blockShift  uint
 	// edgeChans[gpn] are the DDR4 channels shared by that GPN's PEs.
 	edgeChans [][]*mem.Channel
 	// ssds[gpn] is the GPN's out-of-core paging device (nil slice unless
@@ -167,14 +172,16 @@ func NewSystem(cfg Config, g *graph.CSR, part *graph.Partition) (*System, error)
 		engines[i] = sim.NewEngine()
 	}
 	s := &System{
-		cfg:        cfg,
-		engines:    engines,
-		g:          g,
-		part:       part,
-		shards:     make([]shardState, cfg.GPNs),
-		slot:       make([]int32, g.NumVertices()),
-		props:      make([]program.Prop, g.NumVertices()),
-		activeFlag: make([]bool, g.NumVertices()),
+		cfg:         cfg,
+		engines:     engines,
+		g:           g,
+		part:        part,
+		shards:      make([]shardState, cfg.GPNs),
+		slot:        make([]int32, g.NumVertices()),
+		vertexShift: uint(bits.TrailingZeros(uint(cfg.VertexBytes))),
+		blockShift:  uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		props:       make([]program.Prop, g.NumVertices()),
+		activeFlag:  make([]bool, g.NumVertices()),
 	}
 	for gpn := range s.shards {
 		sh := &s.shards[gpn]

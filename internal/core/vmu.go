@@ -342,7 +342,7 @@ func (u *VMU) onEvict(blockAddr uint64, dirty bool) {
 // blocks from the next superblock with a nonzero counter. Blocks that turn
 // out inactive are wasted bandwidth (Fig. 10).
 func (u *VMU) maybePrefetch() {
-	cfg := u.pe.sys.cfg
+	cfg := &u.pe.sys.cfg
 	if cfg.Spill == SpillFIFO {
 		u.fifoRefill()
 		return
@@ -382,7 +382,7 @@ func (u *VMU) nextSuperblock() int {
 }
 
 func (u *VMU) issueBlockRead(bi int) {
-	cfg := u.pe.sys.cfg
+	cfg := &u.pe.sys.cfg
 	addr := uint64(bi) * uint64(cfg.BlockBytes)
 	u.inflightPrefetch++
 	u.stats.PrefetchedBlocks++
@@ -410,7 +410,7 @@ func (u *VMU) issueBlockRead(bi int) {
 // issueVertexRead performs the vertex-channel half of a recovery read,
 // once the block is (or has become) DRAM-resident.
 func (u *VMU) issueVertexRead(bi int, addr uint64) {
-	cfg := u.pe.sys.cfg
+	cfg := &u.pe.sys.cfg
 	kind := mem.WastefulRead
 	if u.tracked.get(bi) {
 		kind = mem.UsefulRead
@@ -425,7 +425,7 @@ func (u *VMU) issueVertexRead(bi int, addr uint64) {
 
 // fifoRefill pops spilled FIFO entries back into the on-chip buffer.
 func (u *VMU) fifoRefill() {
-	cfg := u.pe.sys.cfg
+	cfg := &u.pe.sys.cfg
 	for u.bufferFree()-u.inflightPrefetch >= cfg.PrefetchBatch && u.fifoHead < len(u.fifo) && u.inflightPrefetch == 0 {
 		n := cfg.PrefetchBatch
 		if avail := len(u.fifo) - u.fifoHead; avail < n {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nova/internal/stats"
 )
@@ -12,8 +13,12 @@ import (
 // so the vertex management unit can implement on_evict from Listing 1.
 // Timing for hits and misses is charged by the caller.
 type Cache struct {
-	blockBytes int
-	numLines   int
+	// blockShift is log2 of the block size. A block maps to line
+	// block & lineMask, or to block % lineMod when lineMod is set: the
+	// line count is not a power of two.
+	blockShift uint
+	lineMask   uint64
+	lineMod    uint64
 	tags       []uint64
 	valid      []bool
 	dirty      []bool
@@ -43,26 +48,31 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // NewCache builds a direct-mapped cache of the given total capacity and
-// block size. Both must be positive and capacity a multiple of blockBytes.
+// block size. The block size must be a power of two and the capacity a
+// positive multiple of it.
 func NewCache(capacityBytes, blockBytes int) *Cache {
-	if blockBytes <= 0 || capacityBytes <= 0 || capacityBytes%blockBytes != 0 {
+	if !isPow2(blockBytes) || capacityBytes <= 0 || capacityBytes%blockBytes != 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %d/%d", capacityBytes, blockBytes))
 	}
 	n := capacityBytes / blockBytes
-	return &Cache{
-		blockBytes: blockBytes,
-		numLines:   n,
+	c := &Cache{
+		blockShift: log2(blockBytes),
+		lineMask:   uint64(n - 1),
 		tags:       make([]uint64, n),
 		valid:      make([]bool, n),
 		dirty:      make([]bool, n),
 	}
+	if !isPow2(n) {
+		c.lineMod = uint64(n)
+	}
+	return c
 }
 
-// BlockBytes returns the cache line size.
-func (c *Cache) BlockBytes() int { return c.blockBytes }
+// isPow2 reports whether n is a positive power of two.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Lines returns the number of cache lines.
-func (c *Cache) Lines() int { return c.numLines }
+// log2 returns the exponent of a power of two.
+func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
@@ -78,14 +88,12 @@ func (c *Cache) RegisterStats(g *stats.Group) {
 		"hit_rate", stats.Ratio, "hits / (hits + misses)")
 }
 
-// BlockAddr returns the base address of the block containing addr.
-func (c *Cache) BlockAddr(addr uint64) uint64 {
-	return addr / uint64(c.blockBytes) * uint64(c.blockBytes)
-}
-
 func (c *Cache) line(addr uint64) (idx int, tag uint64) {
-	block := addr / uint64(c.blockBytes)
-	return int(block % uint64(c.numLines)), block
+	block := addr >> c.blockShift
+	if c.lineMod != 0 {
+		return int(block % c.lineMod), block
+	}
+	return int(block & c.lineMask), block
 }
 
 // Contains reports whether the block holding addr is resident, without
@@ -119,7 +127,7 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, evictedDirty, hadEviction boo
 	}
 	if c.valid[idx] {
 		hadEviction = true
-		evicted = c.tags[idx] * uint64(c.blockBytes)
+		evicted = c.tags[idx] << c.blockShift
 		evictedDirty = c.dirty[idx]
 		c.stats.Evictions++
 		if evictedDirty {
@@ -135,37 +143,26 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, evictedDirty, hadEviction boo
 	return evicted, evictedDirty, hadEviction
 }
 
-// MarkDirty marks the resident block containing addr as modified. It panics
-// if the block is not resident: writing through a non-resident line is a
-// protocol bug in the caller.
-func (c *Cache) MarkDirty(addr uint64) {
+// MarkDirty marks the block containing addr as modified and reports
+// whether it was resident. A non-resident block is left untouched: the
+// caller writes it through to memory instead.
+func (c *Cache) MarkDirty(addr uint64) bool {
 	idx, tag := c.line(addr)
 	if !c.valid[idx] || c.tags[idx] != tag {
-		panic(fmt.Sprintf("mem: MarkDirty on non-resident block %#x", addr))
+		return false
 	}
 	c.dirty[idx] = true
-}
-
-// Invalidate drops the block containing addr without firing OnEvict.
-// It returns whether the block was resident and dirty.
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	idx, tag := c.line(addr)
-	if c.valid[idx] && c.tags[idx] == tag {
-		wasDirty = c.dirty[idx]
-		c.valid[idx] = false
-		c.dirty[idx] = false
-	}
-	return wasDirty
+	return true
 }
 
 // FlushAll evicts every resident block through OnEvict (the drain used at
 // quiescence boundaries so active vertices parked in the cache are tracked).
 func (c *Cache) FlushAll() {
-	for i := 0; i < c.numLines; i++ {
+	for i := range c.valid {
 		if !c.valid[i] {
 			continue
 		}
-		addr := c.tags[i] * uint64(c.blockBytes)
+		addr := c.tags[i] << c.blockShift
 		dirty := c.dirty[i]
 		c.valid[i] = false
 		c.dirty[i] = false
@@ -175,15 +172,6 @@ func (c *Cache) FlushAll() {
 		}
 		if c.OnEvict != nil {
 			c.OnEvict(addr, dirty)
-		}
-	}
-}
-
-// ResidentBlocks calls fn with the base address of every resident block.
-func (c *Cache) ResidentBlocks(fn func(blockAddr uint64, dirty bool)) {
-	for i := 0; i < c.numLines; i++ {
-		if c.valid[i] {
-			fn(c.tags[i]*uint64(c.blockBytes), c.dirty[i])
 		}
 	}
 }

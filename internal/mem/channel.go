@@ -59,7 +59,7 @@ type ChannelConfig struct {
 	// Name labels the channel in statistics output.
 	Name string
 	// AtomBytes is the minimum access granularity (32 B for HBM2,
-	// 64 B for DDR4).
+	// 64 B for DDR4), a power of two.
 	AtomBytes int
 	// BytesPerCycle is the peak data rate expressed in bytes per core
 	// clock cycle.
@@ -67,27 +67,33 @@ type ChannelConfig struct {
 	// FixedLatency is the pipelined access latency added on top of the
 	// bandwidth-limited service time.
 	FixedLatency sim.Ticks
-	// RowBytes is the row-buffer size; consecutive accesses within one row
-	// avoid RowMissPenalty. Zero disables the row-buffer model.
+	// RowBytes is the row-buffer size, a power of two no smaller than
+	// AtomBytes; consecutive accesses within one row avoid
+	// RowMissPenalty. Zero disables the row-buffer model.
 	RowBytes int
 	// RowMissPenalty is added to access latency on a row-buffer miss.
 	RowMissPenalty sim.Ticks
-	// Banks is the number of independent banks; rows are interleaved
-	// across banks at row granularity and each bank keeps its own open
-	// row. Zero or one models a single row register.
+	// Banks is the number of independent banks, zero or a power of two;
+	// rows are interleaved across banks at row granularity and each bank
+	// keeps its own open row. Zero or one models a single row register.
 	Banks int
 }
 
-// Validate reports a configuration error, if any.
+// Validate reports a configuration error, if any. Atom, row and bank
+// sizes must be powers of two, so Access splits addresses by shift and
+// mask.
 func (c ChannelConfig) Validate() error {
-	if c.AtomBytes <= 0 {
-		return fmt.Errorf("mem: channel %q: AtomBytes must be positive", c.Name)
+	if !isPow2(c.AtomBytes) {
+		return fmt.Errorf("mem: channel %q: AtomBytes %d must be a power of two", c.Name, c.AtomBytes)
 	}
 	if c.BytesPerCycle <= 0 {
 		return fmt.Errorf("mem: channel %q: BytesPerCycle must be positive", c.Name)
 	}
-	if c.RowBytes < 0 || (c.RowBytes > 0 && c.RowBytes < c.AtomBytes) {
+	if c.RowBytes != 0 && (!isPow2(c.RowBytes) || c.RowBytes < c.AtomBytes) {
 		return fmt.Errorf("mem: channel %q: RowBytes %d invalid for atom %d", c.Name, c.RowBytes, c.AtomBytes)
+	}
+	if c.Banks != 0 && !isPow2(c.Banks) {
+		return fmt.Errorf("mem: channel %q: Banks %d must be zero or a power of two", c.Name, c.Banks)
 	}
 	return nil
 }
@@ -118,6 +124,13 @@ type Channel struct {
 	eng      *sim.Engine
 	cfg      ChannelConfig
 	nextFree sim.Ticks
+	// Geometry fixed at construction: an address's atom is
+	// addr >> atomShift, an atom's row is atom >> rowShift, and a row's
+	// bank is row & bankMask. atomTicks is one atom's bus time.
+	atomShift uint
+	rowShift  uint
+	bankMask  uint64
+	atomTicks sim.Ticks
 	// openRow[b] is bank b's open row (hasRow[b] gates validity).
 	openRow []uint64
 	hasRow  []bool
@@ -133,35 +146,32 @@ func NewChannel(eng *sim.Engine, cfg ChannelConfig) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	banks := cfg.Banks
-	if banks < 1 {
-		banks = 1
+	banks := max(cfg.Banks, 1)
+	atomTicks := sim.Ticks(float64(cfg.AtomBytes)/cfg.BytesPerCycle + 0.999999)
+	c := &Channel{
+		eng:       eng,
+		cfg:       cfg,
+		atomShift: log2(cfg.AtomBytes),
+		bankMask:  uint64(banks - 1),
+		atomTicks: max(atomTicks, 1),
+		openRow:   make([]uint64, banks),
+		hasRow:    make([]bool, banks),
 	}
-	return &Channel{
-		eng:     eng,
-		cfg:     cfg,
-		openRow: make([]uint64, banks),
-		hasRow:  make([]bool, banks),
+	if cfg.RowBytes > 0 {
+		c.rowShift = log2(cfg.RowBytes) - c.atomShift
 	}
+	return c
 }
-
-// Config returns the channel's configuration.
-func (c *Channel) Config() ChannelConfig { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
-// ResetStats zeroes the statistics (used between BSP phases or warmup).
-func (c *Channel) ResetStats() { c.stats = ChannelStats{} }
-
-// atoms returns the number of atom transfers a request needs.
-func (c *Channel) atoms(addr uint64, bytes int) int {
-	if bytes <= 0 {
-		return 1
-	}
-	first := addr / uint64(c.cfg.AtomBytes)
-	last := (addr + uint64(bytes) - 1) / uint64(c.cfg.AtomBytes)
-	return int(last-first) + 1
+// atoms returns the index of a request's first atom and how many atom
+// transfers it needs.
+func (c *Channel) atoms(addr uint64, bytes int) (first, n uint64) {
+	first = addr >> c.atomShift
+	last := (addr + uint64(bytes) - 1) >> c.atomShift
+	return first, last - first + 1
 }
 
 // Access enqueues a request and returns its completion time. Done (if set)
@@ -170,37 +180,33 @@ func (c *Channel) Access(req Request) sim.Ticks {
 	if req.Bytes <= 0 {
 		panic(fmt.Sprintf("mem: access of %d bytes", req.Bytes))
 	}
-	n := c.atoms(req.Addr, req.Bytes)
-	moved := uint64(n * c.cfg.AtomBytes)
+	first, n := c.atoms(req.Addr, req.Bytes)
+	moved := n << c.atomShift
 	c.reqBytes.Observe(moved)
 
 	// The data bus is occupied for the transfer time only; row-buffer
 	// misses add latency (bank activate/precharge proceeds in parallel
 	// with other banks' transfers — DRAM bank-level parallelism, which
 	// is what keeps HBM2 fast under NOVA's random vertex accesses).
-	service := sim.Ticks(0)
+	service := sim.Ticks(n) * c.atomTicks
 	extraLatency := sim.Ticks(0)
-	for i := 0; i < n; i++ {
-		atomAddr := (req.Addr/uint64(c.cfg.AtomBytes) + uint64(i)) * uint64(c.cfg.AtomBytes)
-		t := sim.Ticks(float64(c.cfg.AtomBytes)/c.cfg.BytesPerCycle + 0.999999)
-		if t == 0 {
-			t = 1
-		}
-		if c.cfg.RowBytes > 0 {
-			row := atomAddr / uint64(c.cfg.RowBytes)
-			bank := int(row % uint64(len(c.openRow)))
-			if c.hasRow[bank] && row == c.openRow[bank] {
-				c.stats.RowHits++
-			} else {
-				c.stats.RowMisses++
-				if c.cfg.RowMissPenalty > extraLatency {
-					extraLatency = c.cfg.RowMissPenalty
-				}
+	if c.cfg.RowBytes > 0 {
+		// A request's atoms are consecutive, so only its first atom in
+		// each row can miss: every later one hits the row it opened.
+		var misses uint64
+		for row, end := first>>c.rowShift, (first+n-1)>>c.rowShift; row <= end; row++ {
+			bank := row & c.bankMask
+			if !c.hasRow[bank] || c.openRow[bank] != row {
+				misses++
+				c.openRow[bank] = row
+				c.hasRow[bank] = true
 			}
-			c.openRow[bank] = row
-			c.hasRow[bank] = true
 		}
-		service += t
+		c.stats.RowMisses += misses
+		c.stats.RowHits += n - misses
+		if misses > 0 {
+			extraLatency = c.cfg.RowMissPenalty
+		}
 	}
 
 	now := c.eng.Now()

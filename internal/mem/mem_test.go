@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -71,7 +72,7 @@ func TestChannelMultiAtomRequest(t *testing.T) {
 	}
 	// Unaligned request spanning a boundary: 32 bytes at addr 16.
 	ch2 := NewChannel(sim.NewEngine(), testChannelConfig())
-	if got := ch2.atoms(16, 32); got != 2 {
+	if _, got := ch2.atoms(16, 32); got != 2 {
 		t.Fatalf("atoms(16,32) = %d, want 2", got)
 	}
 }
@@ -124,6 +125,9 @@ func TestChannelConfigValidation(t *testing.T) {
 		{AtomBytes: 0, BytesPerCycle: 1},
 		{AtomBytes: 32, BytesPerCycle: 0},
 		{AtomBytes: 32, BytesPerCycle: 1, RowBytes: 16},
+		{AtomBytes: 48, BytesPerCycle: 1},
+		{AtomBytes: 32, BytesPerCycle: 1, RowBytes: 1536},
+		{AtomBytes: 32, BytesPerCycle: 1, RowBytes: 1024, Banks: 6},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -182,14 +186,19 @@ func TestCacheEvictionHook(t *testing.T) {
 	}
 }
 
-func TestCacheMarkDirtyNonResidentPanics(t *testing.T) {
-	c := NewCache(64, 32)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MarkDirty on non-resident block did not panic")
-		}
-	}()
-	c.MarkDirty(128)
+func TestCacheMarkDirtyNonResident(t *testing.T) {
+	c := NewCache(64, 32) // 2 lines
+	c.Fill(0)
+	// Block 128 maps to block 0's line but is not resident.
+	if c.MarkDirty(128) {
+		t.Fatal("MarkDirty on a non-resident block reported it resident")
+	}
+	if _, dirty, _ := c.Fill(64); dirty {
+		t.Fatal("MarkDirty on a non-resident block dirtied its line's occupant")
+	}
+	if !c.MarkDirty(64) {
+		t.Fatal("MarkDirty on a resident block reported it absent")
+	}
 }
 
 func TestCacheFlushAll(t *testing.T) {
@@ -208,55 +217,109 @@ func TestCacheFlushAll(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(64, 32)
-	c.OnEvict = func(addr uint64, dirty bool) { t.Fatal("Invalidate must not fire OnEvict") }
-	c.Fill(0)
-	c.MarkDirty(0)
-	if !c.Invalidate(0) {
-		t.Fatal("Invalidate lost dirtiness")
-	}
-	if c.Contains(0) {
-		t.Fatal("block resident after Invalidate")
-	}
-	if c.Invalidate(999) {
-		t.Fatal("Invalidate of absent block reported dirty")
-	}
-}
-
 func TestCacheResidencyProperty(t *testing.T) {
-	// Property: after any sequence of fills, Contains agrees with a model
-	// map from line index to tag, and ResidentBlocks enumerates exactly
-	// the resident set.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := NewCache(512, 32) // 16 lines
-		model := map[int]uint64{}
-		for i := 0; i < 300; i++ {
-			addr := uint64(rng.Intn(4096))
-			block := addr / 32
-			line := int(block % 16)
-			c.Fill(addr)
-			model[line] = block
-		}
-		count := 0
-		ok := true
-		c.ResidentBlocks(func(blockAddr uint64, dirty bool) {
-			count++
-			line := int(blockAddr / 32 % 16)
-			if model[line] != blockAddr/32 {
-				ok = false
+	// Property: under any sequence of Access, Fill, MarkDirty and
+	// FlushAll, the cache agrees with a model map from line index to
+	// resident block: every lookup, every eviction and its dirtiness,
+	// the counters, and Contains over the whole address range. The
+	// 1,536-line cache (48 KiB of 32 B blocks, a legal
+	// cache_bytes_per_pe) and the 3-line one take the modulo path.
+	type entry struct {
+		block uint64
+		dirty bool
+	}
+	for _, lines := range []int{16, 3, 1536} {
+		t.Run(fmt.Sprintf("%d_lines", lines), func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				c := NewCache(lines*32, 32)
+				var evicted []entry
+				c.OnEvict = func(addr uint64, dirty bool) { evicted = append(evicted, entry{addr / 32, dirty}) }
+				model := map[int]entry{}
+				var want CacheStats
+				blocks := 4 * lines
+				for i := 0; i < 20*lines+300; i++ {
+					addr := uint64(rng.Intn(blocks * 32))
+					block := addr / 32
+					line := int(block % uint64(lines))
+					old, resident := model[line]
+					resident = resident && old.block == block
+					evicted = evicted[:0]
+					switch op := rng.Intn(100); {
+					case op < 40:
+						if c.Access(addr) != resident {
+							return false
+						}
+						if resident {
+							want.Hits++
+						} else {
+							want.Misses++
+						}
+					case op < 75:
+						got, gotDirty, had := c.Fill(addr)
+						if resident {
+							if had || len(evicted) != 0 {
+								return false
+							}
+							break
+						}
+						if _, occupied := model[line]; occupied {
+							if !had || got != old.block*32 || gotDirty != old.dirty ||
+								len(evicted) != 1 || evicted[0] != old {
+								return false
+							}
+							want.Evictions++
+							if old.dirty {
+								want.DirtyEvictions++
+							}
+						} else if had || len(evicted) != 0 {
+							return false
+						}
+						model[line] = entry{block: block}
+					case op < 99:
+						if c.MarkDirty(addr) != resident {
+							return false
+						}
+						if resident {
+							model[line] = entry{block, true}
+						}
+					default:
+						c.FlushAll()
+						if len(evicted) != len(model) {
+							return false
+						}
+						for _, e := range evicted {
+							if model[int(e.block%uint64(lines))] != e {
+								return false
+							}
+							want.Evictions++
+							if e.dirty {
+								want.DirtyEvictions++
+							}
+						}
+						clear(model)
+					}
+				}
+				if c.Stats() != want {
+					return false
+				}
+				for b := 0; b < blocks; b++ {
+					e, ok := model[b%lines]
+					if c.Contains(uint64(b)*32+31) != (ok && e.block == uint64(b)) {
+						return false
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Fatal(err)
 			}
 		})
-		return ok && count == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestCacheGeometryPanics(t *testing.T) {
-	for _, geom := range [][2]int{{0, 32}, {64, 0}, {100, 32}} {
+	for _, geom := range [][2]int{{0, 32}, {64, 0}, {100, 32}, {96, 48}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -345,5 +408,150 @@ func TestBankedRowBuffers(t *testing.T) {
 	}
 	if st := ch2.Stats(); st.RowMisses != 20 {
 		t.Fatalf("single bank should thrash: %d misses, want 20", st.RowMisses)
+	}
+}
+
+// refChannel is the per-atom Channel.Access loop that the shift-and-mask
+// row walk replaced, kept as the reference the walk must match: it
+// divides every address by the atom and row sizes and steps the row
+// buffers once per atom.
+type refChannel struct {
+	cfg      ChannelConfig
+	nextFree sim.Ticks
+	openRow  []uint64
+	hasRow   []bool
+	stats    ChannelStats
+}
+
+func newRefChannel(cfg ChannelConfig) *refChannel {
+	banks := cfg.Banks
+	if banks < 1 {
+		banks = 1
+	}
+	return &refChannel{cfg: cfg, openRow: make([]uint64, banks), hasRow: make([]bool, banks)}
+}
+
+func (c *refChannel) access(now sim.Ticks, req Request) sim.Ticks {
+	atom := uint64(c.cfg.AtomBytes)
+	n := int((req.Addr+uint64(req.Bytes)-1)/atom-req.Addr/atom) + 1
+	moved := uint64(n * c.cfg.AtomBytes)
+	service := sim.Ticks(0)
+	extraLatency := sim.Ticks(0)
+	for i := 0; i < n; i++ {
+		atomAddr := (req.Addr/atom + uint64(i)) * atom
+		t := sim.Ticks(float64(c.cfg.AtomBytes)/c.cfg.BytesPerCycle + 0.999999)
+		if t == 0 {
+			t = 1
+		}
+		if c.cfg.RowBytes > 0 {
+			row := atomAddr / uint64(c.cfg.RowBytes)
+			bank := int(row % uint64(len(c.openRow)))
+			if c.hasRow[bank] && row == c.openRow[bank] {
+				c.stats.RowHits++
+			} else {
+				c.stats.RowMisses++
+				if c.cfg.RowMissPenalty > extraLatency {
+					extraLatency = c.cfg.RowMissPenalty
+				}
+			}
+			c.openRow[bank] = row
+			c.hasRow[bank] = true
+		}
+		service += t
+	}
+	start := now
+	if c.nextFree > start {
+		start = c.nextFree
+	}
+	c.nextFree = start + service
+	c.stats.BusyTicks += service
+	complete := start + service + c.cfg.FixedLatency + extraLatency
+	switch req.Kind {
+	case UsefulRead:
+		c.stats.Reads++
+		c.stats.UsefulBytes += moved
+	case WastefulRead:
+		c.stats.Reads++
+		c.stats.WastefulBytes += moved
+	case WriteAccess:
+		c.stats.Writes++
+		c.stats.WrittenBytes += moved
+	}
+	if complete > c.stats.LastCompletion {
+		c.stats.LastCompletion = complete
+	}
+	return complete
+}
+
+// TestChannelMatchesPerAtomReference feeds identical random request
+// streams to a Channel and to refChannel and requires the same
+// completion tick and the same counters after every request. The
+// simulated machine never sends a request that spans rows (edge chunks
+// stop at 4 KiB page boundaries, vertex blocks are 32 B), so this test is
+// what exercises the multi-row walk: unaligned requests of 1 B to 16 KiB
+// cross row and bank boundaries on every geometry below.
+func TestChannelMatchesPerAtomReference(t *testing.T) {
+	var cfgs []ChannelConfig
+	for _, banks := range []int{1, 4, 16} {
+		for _, row := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10} {
+			for _, atom := range []int{32, 64} {
+				cfgs = append(cfgs, ChannelConfig{
+					Name:           fmt.Sprintf("b%d-r%d-a%d", banks, row, atom),
+					AtomBytes:      atom,
+					BytesPerCycle:  []float64{16, 9.6, 3, 100}[len(cfgs)%4],
+					FixedLatency:   100,
+					RowBytes:       row,
+					RowMissPenalty: 24,
+					Banks:          banks,
+				})
+			}
+		}
+	}
+	cfgs = append(cfgs, HBM2ChannelConfig("hbm2"), DDR4ChannelConfig("ddr4"), testChannelConfig())
+	for i, cfg := range cfgs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			eng := sim.NewEngine()
+			ch := NewChannel(eng, cfg)
+			ref := newRefChannel(cfg)
+			const requests = 2000
+			issued, multiRow := 0, 0
+			var next uint64
+			var step sim.HandlerFunc
+			step = func() {
+				// Half the requests continue near the previous one, so
+				// open rows get reused; the rest land anywhere in 8 MiB.
+				addr := uint64(rng.Intn(8 << 20))
+				if rng.Intn(2) == 0 {
+					addr = next + uint64(rng.Intn(256))
+				}
+				bytes := 1 + rng.Intn(1<<rng.Intn(15))
+				next = addr + uint64(bytes)
+				req := Request{Addr: addr, Bytes: bytes, Kind: AccessKind(rng.Intn(3))}
+				if cfg.RowBytes > 0 && addr/uint64(cfg.RowBytes) != (next-1)/uint64(cfg.RowBytes) {
+					multiRow++
+				}
+				want := ref.access(eng.Now(), req)
+				if got := ch.Access(req); got != want {
+					t.Fatalf("request %d %+v: completes at %d, reference %d", issued, req, got, want)
+				}
+				if got := ch.Stats(); got != ref.stats {
+					t.Fatalf("request %d %+v: stats %+v, reference %+v", issued, req, got, ref.stats)
+				}
+				if issued++; issued < requests {
+					eng.Schedule(sim.Ticks(rng.Intn(400)), step)
+				}
+			}
+			eng.Schedule(0, step)
+			if err := eng.RunUntilQuiet(0); err != nil {
+				t.Fatal(err)
+			}
+			if issued != requests {
+				t.Fatalf("issued %d of %d requests", issued, requests)
+			}
+			if cfg.RowBytes > 0 && multiRow < requests/20 {
+				t.Fatalf("only %d of %d requests spanned rows", multiRow, requests)
+			}
+		})
 	}
 }
