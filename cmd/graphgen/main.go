@@ -22,43 +22,100 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"nova/graph"
 )
 
+// maxEdges is the most edges a CSR container holds; its readers reject a
+// header that claims more.
+const maxEdges = 1 << 40
+
 func main() {
-	kind := flag.String("kind", "rmat", "rmat|uniform|grid")
-	vertices := flag.Int("vertices", 65536, "vertex count (rmat, uniform)")
-	degree := flag.Float64("degree", 16, "average out-degree")
-	rows := flag.Int("rows", 256, "grid rows")
-	cols := flag.Int("cols", 256, "grid cols")
-	drop := flag.Float64("drop", 0.39, "grid edge drop probability")
-	maxWeight := flag.Int("max-weight", 64, "maximum edge weight")
-	seed := flag.Int64("seed", 1, "generator seed")
-	dump := flag.Bool("dump", false, "write edge list to stdout")
-	parts := flag.Int("parts", 0, "if >0, report partitioner statistics for this many parts")
-	stream := flag.Bool("stream", false, "generate via the constant-memory streaming generators")
-	out := flag.String("o", "", "write the binary CSR container to FILE")
-	chunkEdges := flag.Int64("chunk-edges", 0, "scatter-buffer budget for streaming container builds (0 = default)")
-	partitionEdges := flag.Int64("partition-edges", 0, "if >0, write the partitioned container layout with at most this many edges per vertex interval (pageable via novasim -partition-cache)")
-	info := flag.String("info", "", "print the header of a binary CSR container and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command, with its arguments and output streams passed
+// in so that tests can drive it; every failure comes back as an error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("graphgen", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	kind := fs.String("kind", "rmat", "rmat|uniform|grid")
+	vertices := fs.Int("vertices", 65536, "vertex count (rmat, uniform)")
+	degree := fs.Float64("degree", 16, "average out-degree")
+	rows := fs.Int("rows", 256, "grid rows")
+	cols := fs.Int("cols", 256, "grid cols")
+	drop := fs.Float64("drop", 0.39, "grid edge drop probability")
+	maxWeight := fs.Int("max-weight", 64, "maximum edge weight")
+	seed := fs.Int64("seed", 1, "generator seed")
+	dump := fs.Bool("dump", false, "write edge list to stdout")
+	parts := fs.Int("parts", 0, "if >0, report partitioner statistics for this many parts")
+	stream := fs.Bool("stream", false, "generate via the constant-memory streaming generators")
+	out := fs.String("o", "", "write the binary CSR container to FILE")
+	chunkEdges := fs.Int64("chunk-edges", 0, "scatter-buffer budget for streaming container builds (0 = default)")
+	partitionEdges := fs.Int64("partition-edges", 0, "if >0, write the partitioned container layout with at most this many edges per vertex interval (pageable via novasim -partition-cache)")
+	info := fs.String("info", "", "print the header of a binary CSR container and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *info != "" {
 		fi, err := graph.StatCSRFile(*info)
-		check(err)
+		if err != nil {
+			return err
+		}
 		layout := "flat"
 		if fi.Partitioned {
 			layout = fmt.Sprintf("partitioned x%d", fi.NumPartitions)
 		}
-		fmt.Printf("%s: format v%d (%s), V=%d E=%d, rowptr %d bytes, edges %d bytes\n",
+		fmt.Fprintf(stdout, "%s: format v%d (%s), V=%d E=%d, rowptr %d bytes, edges %d bytes\n",
 			*info, fi.Version, layout, fi.NumVertices, fi.NumEdges, fi.RowPtrBytes, fi.EdgeBytes)
-		return
+		return nil
 	}
 	if *partitionEdges > 0 && *out == "" {
-		fmt.Fprintln(os.Stderr, "graphgen: -partition-edges shapes the container layout; add -o FILE")
-		os.Exit(1)
+		return fmt.Errorf("-partition-edges shapes the container layout; add -o FILE")
+	}
+	// Reject, before anything is generated, the flag values at which a
+	// generator would panic or build a graph other than the one asked
+	// for: too few vertices, rows or columns; a degree that is negative,
+	// not finite, or asks for more edges than a CSR container holds; a
+	// drop probability outside [0, 1]; and a maximum weight past uint32.
+	switch *kind {
+	case "rmat", "uniform":
+		minVertices := 1
+		if *kind == "rmat" {
+			minVertices = 2
+		}
+		if *vertices < minVertices {
+			return fmt.Errorf("-vertices %d: %s needs at least %d", *vertices, *kind, minVertices)
+		}
+		if math.IsNaN(*degree) || math.IsInf(*degree, 0) || *degree < 0 {
+			return fmt.Errorf("-degree %v: need a finite number ≥ 0", *degree)
+		}
+		if float64(*vertices)**degree > maxEdges {
+			return fmt.Errorf("-degree %v: %d vertices × %v edges is past the %d a CSR container holds",
+				*degree, *vertices, *degree, int64(maxEdges))
+		}
+	case "grid":
+		if *rows < 1 {
+			return fmt.Errorf("-rows %d: need at least 1", *rows)
+		}
+		if *cols < 1 {
+			return fmt.Errorf("-cols %d: need at least 1", *cols)
+		}
+		if !(*drop >= 0 && *drop <= 1) { // NaN fails too
+			return fmt.Errorf("-drop %v: need a probability in [0, 1]", *drop)
+		}
+	default:
+		return fmt.Errorf("unknown kind %q", *kind)
+	}
+	if *maxWeight < 0 || int64(*maxWeight) > math.MaxUint32 {
+		return fmt.Errorf("-max-weight %d: need 0..%d", *maxWeight, uint32(math.MaxUint32))
 	}
 
 	var st graph.EdgeStream
@@ -70,9 +127,6 @@ func main() {
 			st = graph.NewUniformStream("uniform", *vertices, *degree, uint32(*maxWeight), *seed)
 		case "grid":
 			st = graph.NewGridStream("grid", *rows, *cols, *drop, uint32(*maxWeight), *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown kind %q\n", *kind)
-			os.Exit(1)
 		}
 	}
 
@@ -81,48 +135,48 @@ func main() {
 	// the graph, so it is what the large tier uses.
 	if *out != "" && *stream {
 		fi, err := graph.BuildCSRFile(*out, st, graph.BuildOptions{ChunkEdges: *chunkEdges, PartitionEdges: *partitionEdges})
-		check(err)
+		if err != nil {
+			return err
+		}
 		layout := ""
 		if fi.Partitioned {
 			layout = fmt.Sprintf(", %d partitions", fi.NumPartitions)
 		}
-		fmt.Fprintf(os.Stderr, "%s: V=%d E=%d written to %s (constant-memory build%s)\n",
+		fmt.Fprintf(stderr, "%s: V=%d E=%d written to %s (constant-memory build%s)\n",
 			st.Name(), fi.NumVertices, fi.NumEdges, *out, layout)
-		return
+		return nil
 	}
 
 	var g *graph.CSR
 	switch {
 	case st != nil:
 		g = graph.FromStream(st)
+	case *kind == "rmat":
+		g = graph.GenRMATN("rmat", *vertices, *degree, graph.DefaultRMAT, uint32(*maxWeight), *seed)
+	case *kind == "uniform":
+		g = graph.GenUniform("uniform", *vertices, *degree, uint32(*maxWeight), *seed)
 	default:
-		switch *kind {
-		case "rmat":
-			g = graph.GenRMATN("rmat", *vertices, *degree, graph.DefaultRMAT, uint32(*maxWeight), *seed)
-		case "uniform":
-			g = graph.GenUniform("uniform", *vertices, *degree, uint32(*maxWeight), *seed)
-		case "grid":
-			g = graph.GenGrid("grid", *rows, *cols, *drop, uint32(*maxWeight), *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown kind %q\n", *kind)
-			os.Exit(1)
-		}
+		g = graph.GenGrid("grid", *rows, *cols, *drop, uint32(*maxWeight), *seed)
 	}
 
 	if *out != "" {
 		if *partitionEdges > 0 {
 			fi, err := graph.WritePartitionedCSRFile(*out, g, *partitionEdges)
-			check(err)
-			fmt.Fprintf(os.Stderr, "partitioned container written to %s (%d partitions)\n", *out, fi.NumPartitions)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "partitioned container written to %s (%d partitions)\n", *out, fi.NumPartitions)
 		} else {
-			check(graph.WriteCSRFile(*out, g))
-			fmt.Fprintf(os.Stderr, "container written to %s\n", *out)
+			if err := graph.WriteCSRFile(*out, g); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "container written to %s\n", *out)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "%s: V=%d E=%d avg-deg=%.2f max-deg=%d footprint=%d bytes\n",
+	fmt.Fprintf(stderr, "%s: V=%d E=%d avg-deg=%.2f max-deg=%d footprint=%d bytes\n",
 		g.Name, g.NumVertices(), g.NumEdges(), g.AvgDegree(), g.MaxDegree(), g.FootprintBytes())
-	fmt.Fprintf(os.Stderr, "hub vertex: %d (out-degree %d)\n",
+	fmt.Fprintf(stderr, "hub vertex: %d (out-degree %d)\n",
 		g.LargestOutDegreeVertex(), g.OutDegree(g.LargestOutDegreeVertex()))
 
 	if *parts > 0 {
@@ -132,23 +186,17 @@ func main() {
 			graph.PartitionLoadBalanced(g, *parts),
 			graph.PartitionLocality(g, *parts),
 		} {
-			fmt.Fprintf(os.Stderr, "partition %-14s cut=%.3f imbalance=%.3f\n",
+			fmt.Fprintf(stderr, "partition %-14s cut=%.3f imbalance=%.3f\n",
 				p.Method, p.CutFraction(g), p.Imbalance(g))
 		}
 	}
 
 	if *dump {
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
+		w := bufio.NewWriter(stdout)
 		for _, e := range g.Edges() {
 			fmt.Fprintf(w, "%d\t%d\t%d\n", e.Src, e.Dst, e.Weight)
 		}
+		return w.Flush()
 	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphgen:", err)
-		os.Exit(1)
-	}
+	return nil
 }

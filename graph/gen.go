@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -12,6 +13,7 @@ import (
 // given average out-degree — the stand-in for the paper's Urand input.
 // Weights are uniform in [1, maxWeight].
 func GenUniform(name string, numVertices int, avgDegree float64, maxWeight uint32, seed int64) *CSR {
+	checkDegree("GenUniform", avgDegree)
 	rng := rand.New(rand.NewSource(seed))
 	m := int(float64(numVertices) * avgDegree)
 	edges := make([]Edge, 0, m)
@@ -43,27 +45,15 @@ func GenRMAT(name string, scale int, avgDegree float64, p RMATParams, maxWeight 
 	if scale < 1 || scale > 30 {
 		panic(fmt.Sprintf("graph: GenRMAT scale %d out of range", scale))
 	}
+	checkRMAT("GenRMAT", p, avgDegree)
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := int(float64(n) * avgDegree)
 	perm := rng.Perm(n)
+	s := newRMATSampler(p, scale)
 	edges := make([]Edge, 0, m)
 	for i := 0; i < m; i++ {
-		src, dst := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < p.A:
-				// top-left quadrant: no bits set
-			case r < p.A+p.B:
-				dst |= 1 << bit
-			case r < p.A+p.B+p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := s.next(rng)
 		edges = append(edges, Edge{
 			Src:    VertexID(perm[src]),
 			Dst:    VertexID(perm[dst]),
@@ -71,6 +61,66 @@ func GenRMAT(name string, scale int, avgDegree float64, p RMATParams, maxWeight 
 		})
 	}
 	return FromEdges(name, n, edges)
+}
+
+// rmatSampler is the Kronecker recursion every R-MAT generator shares: one
+// rng.Float64 per bit of the vertex-ID space, each picking a quadrant of
+// the adjacency matrix with probabilities a, b, c and 1−a−b−c. The
+// quadrant is the number of thresholds a, a+b and a+b+c at or below the
+// draw, counted without a branch, since no predictor can guess a branch on
+// a uniform draw. While the thresholds are in order, which checkRMAT
+// guarantees, the count is the index of the interval [0,a), [a,a+b),
+// [a+b,a+b+c) or [a+b+c,1) that holds the draw.
+type rmatSampler struct {
+	scale      int
+	a, ab, abc float64
+}
+
+func newRMATSampler(p RMATParams, scale int) rmatSampler {
+	return rmatSampler{scale: scale, a: p.A, ab: p.A + p.B, abc: p.A + p.B + p.C}
+}
+
+// next draws one cell of the 2^scale × 2^scale adjacency matrix. Quadrant
+// q sets dst's bit from its low bit and src's from its high bit: 0 is
+// top-left, 1 top-right, 2 bottom-left and 3 bottom-right.
+func (s rmatSampler) next(rng *rand.Rand) (src, dst int) {
+	for bit := 0; bit < s.scale; bit++ {
+		r := rng.Float64()
+		q := b2i(r >= s.a) + b2i(r >= s.ab) + b2i(r >= s.abc)
+		dst |= (q & 1) << bit
+		src |= (q >> 1) << bit
+	}
+	return src, dst
+}
+
+// b2i compiles to a flag-setting instruction, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkRMAT panics on parameters that describe no R-MAT distribution —
+// probabilities that are NaN, infinite or negative, or that sum past 1
+// (the fourth quadrant takes what they leave) — and on a bad average
+// degree. Non-negative b and c also keep rmatSampler's thresholds in order.
+func checkRMAT(fn string, p RMATParams, avgDegree float64) {
+	// Written so that a NaN fails every comparison.
+	if !(p.A >= 0 && p.B >= 0 && p.C >= 0 && p.A+p.B+p.C <= 1) {
+		panic(fmt.Sprintf("graph: %s R-MAT parameters %+v out of range", fn, p))
+	}
+	checkDegree(fn, avgDegree)
+}
+
+// checkDegree panics on an average degree that is NaN, infinite or
+// negative, from which no edge count follows. A finite degree whose edge
+// count overflows an int is not caught here; cmd/graphgen bounds the edge
+// count of user input.
+func checkDegree(fn string, avgDegree float64) {
+	if !(avgDegree >= 0) || math.IsInf(avgDegree, 1) {
+		panic(fmt.Sprintf("graph: %s average degree %v out of range", fn, avgDegree))
+	}
 }
 
 // GenGrid generates a rows×cols 2D lattice with bidirectional edges between
@@ -112,6 +162,7 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 	if numVertices < 2 {
 		panic(fmt.Sprintf("graph: GenRMATN needs ≥2 vertices, got %d", numVertices))
 	}
+	checkRMAT("GenRMATN", p, avgDegree)
 	scale := 1
 	for 1<<scale < numVertices {
 		scale++
@@ -119,22 +170,10 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 	rng := rand.New(rand.NewSource(seed))
 	m := int(float64(numVertices) * avgDegree)
 	perm := rng.Perm(numVertices)
+	s := newRMATSampler(p, scale)
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
-		src, dst := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < p.A:
-			case r < p.A+p.B:
-				dst |= 1 << bit
-			case r < p.A+p.B+p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := s.next(rng)
 		if src >= numVertices || dst >= numVertices {
 			continue
 		}

@@ -121,10 +121,9 @@ type RMATStream struct {
 	name        string
 	numVertices int
 	numEdges    int64
-	p           RMATParams
+	sampler     rmatSampler
 	maxWeight   uint32
 	seed        int64
-	scale       int
 	mix         vertexMix
 
 	rng     *rand.Rand
@@ -132,12 +131,13 @@ type RMATStream struct {
 }
 
 // NewRMATStream returns a streaming R-MAT generator emitting
-// numVertices·avgDegree edges. It panics on a degenerate vertex count,
-// matching GenRMATN.
+// numVertices·avgDegree edges. It panics on a degenerate vertex count or
+// out-of-range parameters, matching GenRMATN.
 func NewRMATStream(name string, numVertices int, avgDegree float64, p RMATParams, maxWeight uint32, seed int64) *RMATStream {
 	if numVertices < 2 {
 		panic(fmt.Sprintf("graph: NewRMATStream needs ≥2 vertices, got %d", numVertices))
 	}
+	checkRMAT("NewRMATStream", p, avgDegree)
 	scale := 1
 	for 1<<scale < numVertices {
 		scale++
@@ -146,10 +146,9 @@ func NewRMATStream(name string, numVertices int, avgDegree float64, p RMATParams
 		name:        name,
 		numVertices: numVertices,
 		numEdges:    int64(float64(numVertices) * avgDegree),
-		p:           p,
+		sampler:     newRMATSampler(p, scale),
 		maxWeight:   maxWeight,
 		seed:        seed,
-		scale:       scale,
 		mix:         newVertexMix(scale, seed),
 	}
 	s.Reset()
@@ -177,21 +176,7 @@ func (s *RMATStream) Next() (Edge, bool) {
 		return Edge{}, false
 	}
 	for {
-		src, dst := 0, 0
-		for bit := 0; bit < s.scale; bit++ {
-			r := s.rng.Float64()
-			switch {
-			case r < s.p.A:
-				// top-left quadrant: no bits set
-			case r < s.p.A+s.p.B:
-				dst |= 1 << bit
-			case r < s.p.A+s.p.B+s.p.C:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
+		src, dst := s.sampler.next(s.rng)
 		ss := s.mix.apply(uint64(src))
 		dd := s.mix.apply(uint64(dst))
 		if ss >= uint64(s.numVertices) || dd >= uint64(s.numVertices) {
@@ -225,6 +210,7 @@ func NewUniformStream(name string, numVertices int, avgDegree float64, maxWeight
 	if numVertices < 1 {
 		panic(fmt.Sprintf("graph: NewUniformStream needs ≥1 vertex, got %d", numVertices))
 	}
+	checkDegree("NewUniformStream", avgDegree)
 	s := &UniformStream{
 		name:        name,
 		numVertices: numVertices,

@@ -53,13 +53,12 @@ type PE struct {
 	mguInflight int
 	sendBuckets [][]program.Message
 	fifoTick    uint64
-	// edgesOut counts propagations this PE generated (load accounting).
-	edgesOut int64
 	// Shard-local slices of the machine-wide work counters: written only
 	// by this PE's shard, summed into the System totals at collect time.
-	edgesTraversed int64
-	messagesSent   int64
-	coalesced      int64
+	// messagesSent counts propagations that produced a message, so it is
+	// also the edges traversed and this PE's load-balance signal.
+	messagesSent int64
+	coalesced    int64
 	// inboxDepth samples the MPU backlog at each delivery; batchVerts and
 	// batchEdges profile propagation batches. Plain array/field updates.
 	inboxDepth stats.Histogram
@@ -635,19 +634,18 @@ func (pe *PE) generateMessages(t *propTask) {
 			if !ok {
 				continue
 			}
-			pe.edgesTraversed++
-			pe.messagesSent++
-			pe.edgesOut++
 			dst := pe.edgeDst[i]
 			owner := sys.part.Owner[dst]
 			pe.sendBuckets[owner] = append(pe.sendBuckets[owner], program.Message{Dst: dst, Delta: delta})
 		}
 	}
+	var sent int
 	for owner := range pe.sendBuckets {
 		batch := pe.sendBuckets[owner]
 		if len(batch) == 0 {
 			continue
 		}
+		sent += len(batch)
 		dt := pe.newDeliverTask(sys.pes[owner], batch)
 		pe.sendBuckets[owner] = batch[:0]
 		if owner == pe.id {
@@ -656,6 +654,7 @@ func (pe *PE) generateMessages(t *propTask) {
 			sys.fabric.Send(pe.id, owner, len(batch)*cfg.MessageBytes, dt)
 		}
 	}
+	pe.messagesSent += int64(sent)
 	sys.tracer.Span("mgu", "propagate", pe.id, t.launchTick, pe.eng.Now())
 	pe.mguInflight--
 	pe.releasePropTask(t)

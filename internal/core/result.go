@@ -102,9 +102,8 @@ func (s *System) collectResult() *Result {
 	secs := cfg.clock().Seconds(ticks)
 	// Fold the per-PE shard-local counters into the System totals the
 	// stats tree registered (this runs before the dump).
-	s.edgesTraversed, s.messagesSent, s.coalesced = 0, 0, 0
+	s.messagesSent, s.coalesced = 0, 0
 	for _, pe := range s.pes {
-		s.edgesTraversed += pe.edgesTraversed
 		s.messagesSent += pe.messagesSent
 		s.coalesced += pe.coalesced
 	}
@@ -113,7 +112,7 @@ func (s *System) collectResult() *Result {
 		Ticks: ticks,
 		Stats: program.RunStats{
 			SimSeconds:        secs,
-			EdgesTraversed:    s.edgesTraversed,
+			EdgesTraversed:    s.messagesSent,
 			MessagesSent:      s.messagesSent,
 			MessagesCoalesced: s.coalesced,
 			Epochs:            s.epochs,
@@ -128,7 +127,7 @@ func (s *System) collectResult() *Result {
 	maxVertsPerPE := 0
 	r.PEEdges = make([]int64, len(s.pes))
 	for _, pe := range s.pes {
-		r.PEEdges[pe.id] = pe.edgesOut
+		r.PEEdges[pe.id] = pe.messagesSent
 		st := pe.vchan.Stats()
 		r.VertexUsefulBytes += st.UsefulBytes
 		r.VertexWastefulBytes += st.WastefulBytes

@@ -121,7 +121,7 @@ func (s *System) buildStatsTree() {
 	root.Formula(res(func(r *Result) float64 { return float64(r.IOStallTicks) }),
 		MetricIOStallTicks, stats.Cycles, "SSD page-in latency exposed to the VMUs (sum over page-in events)")
 
-	root.Int64(&s.edgesTraversed, "edges_traversed", stats.Count, "edges whose propagate produced or suppressed a message")
+	root.Int64(&s.messagesSent, "edges_traversed", stats.Count, "propagations that produced a message")
 	root.Int64(&s.messagesSent, "messages_sent", stats.Count, "messages generated by the MGUs")
 	root.Int64(&s.coalesced, "messages_coalesced", stats.Count, "updates absorbed by an already-active vertex (coalescing window)")
 	root.Int64(&s.drains, "drains", stats.Count, "quiescence-boundary cache drains")
@@ -161,7 +161,7 @@ func (s *System) buildStatsTree() {
 		}
 		vg.Histogram(&u.occupancy, "buffer_occupancy", stats.Entries, "active-buffer fill level at each push (linear buckets of 4)")
 		mg := pg.Group("mgu")
-		mg.Int64(&pe.edgesOut, "edges_out", stats.Count, "propagations generated by this PE (load-balance signal)")
+		mg.Int64(&pe.messagesSent, "edges_out", stats.Count, "propagations generated by this PE (load-balance signal)")
 		mg.Distribution(&pe.batchVerts, "batch_vertices", stats.Count, "active vertices per propagation batch")
 		mg.Distribution(&pe.batchEdges, "batch_edges", stats.Count, "edges streamed per propagation batch")
 	}

@@ -69,12 +69,11 @@ type System struct {
 	// Work totals, summed from the per-PE counters in collectResult (the
 	// stats tree registers these fields, so they must be filled before
 	// the dump).
-	edgesTraversed int64
-	messagesSent   int64
-	coalesced      int64
-	drains         int64
-	epochs         int
-	ran            bool
+	messagesSent int64
+	coalesced    int64
+	drains       int64
+	epochs       int
+	ran          bool
 
 	// stats is the machine's statistics tree, built at assembly time;
 	// result backs the root-level dump-time formulas once Run completes.

@@ -121,7 +121,7 @@ type RunStats struct {
 	// SimSeconds is the modeled execution time (wall-clock seconds for
 	// the software engine).
 	SimSeconds float64
-	// EdgesTraversed counts propagate invocations (messages generated).
+	// EdgesTraversed counts propagations that produced a message.
 	EdgesTraversed int64
 	// MessagesSent counts messages injected into the network/queues.
 	MessagesSent int64
