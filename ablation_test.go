@@ -5,6 +5,7 @@
 package nova_test
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -32,7 +33,7 @@ func runAblation(b *testing.B, cfg nova.Config, p func(root graph.VertexID) prog
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err = acc.Run(p(root), g)
+		rep, err = acc.RunContext(context.Background(), p(root), g)
 		if err != nil {
 			b.Fatal(err)
 		}

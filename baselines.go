@@ -8,16 +8,16 @@ import (
 	"nova/internal/harness"
 	"nova/internal/ligra"
 	"nova/internal/polygraph"
-	"nova/internal/ref"
 	"nova/internal/sim"
 	"nova/internal/stats"
 	"nova/program"
 )
 
 // PolyGraphBaseline runs programs on the temporal-partitioning baseline
-// accelerator model. It implements program.Runner. Its json tags are the
-// novad "polygraph" block's wire names (API.md); zero values mean the
-// defaults and negative ones are rejected.
+// accelerator model: named workloads through Engine, custom programs
+// through RunContext. Its json tags are the novad "polygraph" block's
+// wire names (API.md); zero values mean the defaults and negative ones
+// are rejected.
 type PolyGraphBaseline struct {
 	// OnChipBytes is the scratchpad capacity (default 32 MiB; scaled
 	// experiments shrink it to keep Table III slice counts).
@@ -50,14 +50,6 @@ type PolyGraphReport struct {
 	StopReason string
 }
 
-// GTEPS returns effective throughput against the graph's edge count.
-func (r *PolyGraphReport) GTEPS(g *graph.CSR) float64 {
-	if r.Stats.SimSeconds <= 0 {
-		return 0
-	}
-	return float64(g.NumEdges()) / r.Stats.SimSeconds / 1e9
-}
-
 func (b *PolyGraphBaseline) config() polygraph.Config {
 	cfg := polygraph.DefaultConfig()
 	if b.OnChipBytes > 0 {
@@ -72,7 +64,7 @@ func (b *PolyGraphBaseline) config() polygraph.Config {
 
 // Validate reports the first configuration error, a negative size, rate
 // or slice count, so callers can reject a configuration before any run;
-// Run fails on the same error.
+// RunContext and the Engine fail on the same error.
 func (b *PolyGraphBaseline) Validate() error {
 	switch {
 	case b.OnChipBytes < 0:
@@ -85,15 +77,11 @@ func (b *PolyGraphBaseline) Validate() error {
 	return nil
 }
 
-// Run executes p on g under the PolyGraph model.
-func (b *PolyGraphBaseline) Run(p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
-	return b.RunContext(context.Background(), p, g)
-}
-
-// RunContext executes p on g, polling ctx cooperatively between rounds
-// and slice activations. On a cooperative stop (cancellation, deadline,
-// round-budget exhaustion) it returns BOTH a partial report (Partial set,
-// with its StopReason) and the error.
+// RunContext executes the custom program p on g under the PolyGraph
+// model, polling ctx cooperatively between rounds and slice activations.
+// On a cooperative stop (cancellation, deadline, round-budget exhaustion)
+// it returns BOTH a partial report (Partial set, with its StopReason) and
+// the error.
 func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -118,31 +106,9 @@ func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g
 	}, err
 }
 
-// RunProgram implements program.Runner.
-func (b *PolyGraphBaseline) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := b.Run(p, g)
-	if err != nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, nil
-}
-
-// RunProgramContext is RunProgram with cooperative cancellation; on a
-// cooperative stop the partial props and stats come back alongside the
-// error so multi-phase drivers can salvage what completed.
-func (b *PolyGraphBaseline) RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := b.RunContext(ctx, p, g)
-	if rep == nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, err
-}
-
-var _ program.Runner = (*PolyGraphBaseline)(nil)
-
-// Engine returns the harness view of the PolyGraph baseline. Each
-// RunWorkload call owns a private simulation, so the engine is safe for
-// concurrent use by harness.Pool workers.
+// Engine returns the harness view of the PolyGraph baseline, the way to
+// run a named workload. Each RunWorkload call owns a private simulation,
+// so the engine is safe for concurrent use by harness.Pool workers.
 //
 // The report carries the run's stats dump (the PolyGraphReport.Dump
 // tree), which harness.Report.Metric reads by record path: root-level
@@ -170,47 +136,14 @@ func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness
 		// minutes. The workload exists to stress NOVA's VMU; keep it there.
 		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
 	}
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	if w.Name == "bc" {
-		gT := w.GT
-		if gT == nil {
-			gT = w.G.Transpose()
+	return runWorkload(ctx, e, w, func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
+		rep, err := e.b.RunContext(ctx, p, g)
+		if rep == nil {
+			return nil, err
 		}
-		scores, stats, err := program.RunBC(ctxRunner{ctx, e.b}, w.G, gT, w.Root)
-		if err != nil {
-			reason := sim.ReasonFor(err)
-			if reason == "" {
-				return nil, err
-			}
-			out.Scores, out.Stats = scores, stats
-			out.Partial, out.StopReason = true, string(reason)
-			return out, err
-		}
-		out.Scores, out.Stats = scores, stats
-		return out, nil
-	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.b.RunContext(ctx, p, w.G)
-	if rep == nil {
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+		return &harness.Report{Props: rep.Props, Stats: rep.Stats, Dump: rep.Dump,
+			Partial: rep.Partial, StopReason: rep.StopReason}, err
+	})
 }
 
 var _ harness.Engine = pgEngine{}
@@ -224,36 +157,8 @@ type Software struct {
 	Threads int `json:"threads"`
 }
 
-// SoftwareReport is the outcome of one software run.
-type SoftwareReport struct {
-	// Seconds is wall-clock time; EdgesTraversed counts update attempts.
-	Seconds        float64
-	EdgesTraversed int64
-	Iterations     int
-	// Dists/Labels/Scores hold workload-specific outputs (one non-nil).
-	Dists  []int64
-	Ranks  []float64
-	Scores []float64
-	// Dump is the statistics dump (wall-clock and traversal counts are
-	// marked volatile, so dump diffs skip them by default).
-	Dump *stats.Dump
-	// Partial marks a salvaged report: the kernel stopped between edgeMap
-	// iterations because its context was cancelled. StopReason classifies
-	// why ("cancelled", "deadline").
-	Partial    bool
-	StopReason string
-}
-
-// GTEPS returns traversed giga-edges per second.
-func (r *SoftwareReport) GTEPS() float64 {
-	if r.Seconds <= 0 {
-		return 0
-	}
-	return float64(r.EdgesTraversed) / r.Seconds / 1e9
-}
-
 // Validate reports a negative thread count, so callers can reject it
-// before any run; RunWorkload fails on the same error.
+// before any run; the Engine fails on the same error.
 func (s *Software) Validate() error {
 	if s.Threads < 0 {
 		return fmt.Errorf("nova: ligra Threads = %d", s.Threads)
@@ -267,68 +172,6 @@ func (s *Software) engine() *ligra.Engine {
 		e.Threads = s.Threads
 	}
 	return e
-}
-
-// RunWorkload executes one of the five paper workloads by name ("bfs",
-// "sssp", "cc", "pr", "bc"). gT (the transpose) is required for bfs, pr
-// and bc; prIters configures PageRank.
-func (s *Software) RunWorkload(name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*SoftwareReport, error) {
-	return s.RunWorkloadContext(context.Background(), name, g, gT, root, prIters)
-}
-
-// RunWorkloadContext is RunWorkload with cooperative cancellation: the
-// kernel checks ctx between edgeMap iterations and, when cancelled,
-// returns the partial report (Partial set) alongside the context error.
-func (s *Software) RunWorkloadContext(ctx context.Context, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*SoftwareReport, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	e := s.engine()
-	intr := sim.NewInterrupt()
-	e.Interrupt = intr
-	stop := sim.WatchContext(ctx, intr)
-	defer stop()
-	var rep *SoftwareReport
-	var res ligra.Result
-	switch name {
-	case "bfs":
-		d, r := e.BFS(g, gT, root)
-		rep, res = &SoftwareReport{Dists: d}, r
-	case "sssp":
-		d, r := e.SSSP(g, nil, root)
-		rep, res = &SoftwareReport{Dists: d}, r
-	case "cc":
-		d, r := e.CC(g)
-		rep, res = &SoftwareReport{Dists: d}, r
-	case "pr":
-		if prIters <= 0 {
-			prIters = 10
-		}
-		ranks, r := e.PR(g, gT, 0.85, prIters)
-		rep, res = &SoftwareReport{Ranks: ranks}, r
-	case "bc":
-		sc, r := e.BC(g, gT, root)
-		rep, res = &SoftwareReport{Scores: sc}, r
-	case SpillStressWorkload:
-		// The software baseline implements the five paper workloads as
-		// dedicated kernels; there is no generic asynchronous executor to
-		// run delta PageRank on.
-		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", name)
-	default:
-		return nil, fmt.Errorf("nova: unknown workload %q", name)
-	}
-	rep.Seconds, rep.EdgesTraversed, rep.Iterations = res.Seconds, res.EdgesTraversed, res.Iterations
-	rep.Dump = e.StatsDump(res, map[string]string{
-		"engine":   "ligra",
-		"workload": name,
-		"graph":    g.Name,
-	})
-	if err := intr.Err(); err != nil {
-		rep.Partial = true
-		rep.StopReason = string(sim.ReasonFor(err))
-		return rep, err
-	}
-	return rep, nil
 }
 
 // Engine returns the harness view of the software framework. Stats report
@@ -351,34 +194,50 @@ func (e ligraEngine) Fingerprint() string {
 	return fmt.Sprintf("ligra{threads=%d}", e.s.Threads)
 }
 
+// RunWorkload runs the cell on the framework's dedicated kernel for its
+// workload. The kernel checks ctx between edgeMap iterations and, when
+// cancelled, returns the partial report (Partial set) alongside the
+// context error.
 func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
-	gT := w.GT
-	if gT == nil {
-		gT = w.G.Transpose()
-	}
-	rep, err := e.s.RunWorkloadContext(ctx, w.Name, w.G, gT, w.Root, prIters)
-	if rep == nil {
+	if err := e.s.Validate(); err != nil {
 		return nil, err
 	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-		Stats: program.RunStats{
-			SimSeconds:     rep.Seconds,
-			EdgesTraversed: rep.EdgesTraversed,
-		},
-		Dump: rep.Dump,
+	transpose := func() *graph.CSR {
+		if w.GT != nil {
+			return w.GT
+		}
+		return w.G.Transpose()
 	}
-	if rep.Dists != nil {
-		out.Props = make([]program.Prop, len(rep.Dists))
-		for i, d := range rep.Dists {
+	le := e.s.engine()
+	intr := sim.NewInterrupt()
+	le.Interrupt = intr
+	stop := sim.WatchContext(ctx, intr)
+	defer stop()
+	out := &harness.Report{}
+	var dists []int64
+	var res ligra.Result
+	switch w.Name {
+	case "bfs":
+		dists, res = le.BFS(w.G, transpose(), w.Root)
+	case "sssp":
+		dists, res = le.SSSP(w.G, nil, w.Root)
+	case "cc":
+		dists, res = le.CC(w.G)
+	case "pr":
+		out.Scores, res = le.PR(w.G, transpose(), 0.85, prIters(w))
+	case "bc":
+		out.Scores, res = le.BC(w.G, transpose(), w.Root)
+	case SpillStressWorkload:
+		// The software baseline implements the five paper workloads as
+		// dedicated kernels; there is no generic asynchronous executor to
+		// run delta PageRank on.
+		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
+	default:
+		return nil, fmt.Errorf("nova: unknown workload %q", w.Name)
+	}
+	if dists != nil {
+		out.Props = make([]program.Prop, len(dists))
+		for i, d := range dists {
 			if d < 0 {
 				out.Props[i] = program.Inf
 			} else {
@@ -386,14 +245,18 @@ func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harn
 			}
 		}
 	}
-	switch {
-	case rep.Ranks != nil:
-		out.Scores = rep.Ranks
-	case rep.Scores != nil:
-		out.Scores = rep.Scores
+	out.Stats = program.RunStats{SimSeconds: res.Seconds, EdgesTraversed: res.EdgesTraversed}
+	out.Dump = le.StatsDump(res, map[string]string{
+		"engine":   "ligra",
+		"workload": w.Name,
+		"graph":    w.G.Name,
+	})
+	label(out, e, w)
+	if err := intr.Err(); err != nil {
+		out.Partial, out.StopReason = true, string(sim.ReasonFor(err))
+		return out, err
 	}
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+	return out, nil
 }
 
 var _ harness.Engine = ligraEngine{}

@@ -84,7 +84,7 @@ func TestEngineDeadlineStopsWithinPollInterval(t *testing.T) {
 
 // TestWorkloadContextBudgetPartial pins the third stop reason end to end:
 // an event budget too small for the workload must surface as a partial
-// outcome classified "budget".
+// report classified "budget".
 func TestWorkloadContextBudgetPartial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxEvents = 64
@@ -92,31 +92,56 @@ func TestWorkloadContextBudgetPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunWorkloadContext(context.Background(), acc, "bfs", cancelTestGraph(), nil, 0, 0)
+	out, err := acc.Engine().RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: cancelTestGraph()})
 	if !errors.Is(err, sim.ErrMaxEvents) {
 		t.Fatalf("err = %v, want sim.ErrMaxEvents", err)
 	}
 	if out == nil || !out.Partial || out.StopReason != string(sim.StopBudget) {
-		t.Fatalf("outcome %+v, want partial with %q", out, sim.StopBudget)
+		t.Fatalf("report %+v, want partial with %q", out, sim.StopBudget)
 	}
 }
 
-// TestSoftwareRunWorkloadContextCancel covers the ligra backend's
+// TestBCCancelledReturnsPartial covers the two-phase salvage: bc under an
+// already-cancelled context stops in its forward phase and still returns
+// a report, Partial with the "cancelled" stop reason, on both simulated
+// engines that run it.
+func TestBCCancelledReturnsPartial(t *testing.T) {
+	acc, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, eng := range []harness.Engine{acc.Engine(), (&PolyGraphBaseline{}).Engine()} {
+		rep, err := eng.RunWorkload(ctx, harness.Workload{Name: "bc", G: cancelTestGraph()})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", eng.Name(), err)
+		}
+		if rep == nil || !rep.Partial || rep.StopReason != string(sim.StopCancelled) {
+			t.Fatalf("%s: report %+v, want partial with %q", eng.Name(), rep, sim.StopCancelled)
+		}
+		if rep.Engine != eng.Name() || rep.Workload != "bc" {
+			t.Fatalf("%s: partial report mislabeled %q/%q", eng.Name(), rep.Engine, rep.Workload)
+		}
+	}
+}
+
+// TestSoftwareRunWorkloadContextCancel covers the ligra engine's
 // cooperative stop: cancellation between edgeMap iterations returns the
 // partial report with the iterations completed so far.
 func TestSoftwareRunWorkloadContextCancel(t *testing.T) {
 	g := cancelTestGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := (&Software{Threads: 1}).RunWorkloadContext(ctx, "pr", g, g.Transpose(), 0, 50)
+	rep, err := (&Software{Threads: 1}).Engine().RunWorkload(ctx, harness.Workload{Name: "pr", G: g, PRIters: 50})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if rep == nil || !rep.Partial || rep.StopReason != string(sim.StopCancelled) {
 		t.Fatalf("report %+v, want partial with %q", rep, sim.StopCancelled)
 	}
-	if rep.Iterations >= 50 {
-		t.Fatalf("cancelled run completed all %d iterations", rep.Iterations)
+	if it := rep.Metric(MetricIterations); it >= 50 {
+		t.Fatalf("cancelled run completed all %v iterations", it)
 	}
 }
 

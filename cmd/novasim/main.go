@@ -7,8 +7,10 @@
 //	novasim -engine polygraph -workload bfs -graph urand
 //	novasim -engine ligra -workload pr -graph road
 //
-// Comma-separated lists (or "all") sweep the engine×workload grid through
-// the harness pool, fanning cells out over -jobs workers:
+// Every run is an engine×workload sweep through the harness pool, one
+// cell or many: comma-separated lists (or "all") fan the grid's cells out
+// over -jobs workers, and -timeout, -verify and -stats-out apply to every
+// cell alike:
 //
 //	novasim -engine all -workload bfs,pr -graph twitter -jobs 4
 //
@@ -36,13 +38,13 @@ import (
 	"nova/internal/exp"
 	"nova/internal/harness"
 	"nova/internal/prof"
+	"nova/internal/service"
 	"nova/internal/stats"
-	"nova/program"
 )
 
 func main() {
 	// The engine flags bind straight into the engines' config structs;
-	// checkEngines validates them before any dataset is built.
+	// checkFlags validates them before any dataset is built.
 	cfg := nova.DefaultConfig()
 	var em nova.ExternalMemory
 	engine := flag.String("engine", "nova", "nova|polygraph|ligra|extmem, comma-separated list, or all")
@@ -63,12 +65,12 @@ func main() {
 	flag.IntVar(&cfg.SSDResidentPages, "ssd-resident-pages", 0, "per-PE SSD resident window in pages (nova engine, requires -out-of-core; 0 = default)")
 	flag.Int64Var(&em.RAMBytes, "extmem-ram", 0, "DRAM partition-cache budget in bytes for the extmem engine (0 = default 256 MiB)")
 	flag.Int64Var(&em.PartitionEdges, "extmem-part-edges", 0, "target edges per vertex interval for the extmem engine (0 = default 1Mi)")
-	verify := flag.Bool("verify", true, "check results against the sequential oracle")
+	verify := flag.Bool("verify", true, "check every bfs, sssp and cc cell against the sequential oracle")
 	graphFile := flag.String("graph-file", "", "load graph from a file instead of the registry (.csr = binary CSR container, else edge list)")
 	partitionCache := flag.Int("partition-cache", 0, "page a partitioned .csr -graph-file through a bounded partition cache of this many resident partitions (0 = load normally)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (nova engine only)")
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (one nova cell of a single-phase workload)")
 	statsOut := flag.String("stats-out", "", "write the merged statistics dump to FILE (.json, .csv, or .txt by extension)")
-	jobsN := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells in sweep mode")
+	jobsN := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells")
 	timeout := flag.Duration("timeout", 0, "per-cell wall-clock timeout (0 = unbounded); a timed-out cell reports a partial result")
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
@@ -87,7 +89,20 @@ func main() {
 	scale, err := exp.ParseScale(*scaleFlag)
 	check(err)
 	cfg = exp.NOVAConfig(scale, cfg, cfg.GPNs)
-	check(checkEngines(engines, &cfg, &em))
+	check(checkFlags(engines, workloads, *tracePath, &cfg, &em))
+	// service.BuildEngine builds every engine by name; building them here
+	// also rejects an unknown -engine before any dataset is.
+	var engs []harness.Engine
+	for _, en := range engines {
+		eng, err := service.BuildEngine(&service.JobRequest{Engine: en, Nova: &cfg, PolyGraph: exp.PGBaseline(scale), Extmem: &em}, nil)
+		check(err)
+		engs = append(engs, eng)
+	}
+	if *tracePath != "" {
+		acc, err := nova.New(cfg)
+		check(err)
+		engs[0] = tracedEngine{engs[0], acc, *tracePath}
+	}
 
 	var d *exp.Dataset
 	if *graphFile != "" {
@@ -116,163 +131,31 @@ func main() {
 		check(err)
 	}
 
-	// -stats-out routes through the sweep path even for a single cell, so
-	// every cell's dump lands in one merged, engine.workload-prefixed file.
-	if len(engines)*len(workloads) > 1 || *statsOut != "" {
-		runSweep(ctx, scale, d, engines, workloads, cfg, em, *prIters, *jobsN, *timeout, *statsOut)
-		return
-	}
-
-	g := d.Graph
-	var gT *graph.CSR
-	switch {
-	case *workload == "cc":
-		g = d.Sym()
-		gT = g
-	case *workload == "bc" || *engine == "ligra":
-		// Only bc and the pull-direction software engine consume the
-		// transpose; building it unconditionally would double the memory
-		// footprint of large-tier runs.
-		gT = d.Transpose()
-	}
-	fmt.Printf("graph %s: %d vertices, %d edges (avg deg %.1f)\n",
-		g.Name, g.NumVertices(), g.NumEdges(), g.AvgDegree())
-
-	switch *engine {
-	case "nova":
-		acc, err := nova.New(cfg)
-		check(err)
-		if *tracePath != "" {
-			if p := singleProgram(*workload, d, *prIters); p != nil {
-				f, err := os.Create(*tracePath)
-				check(err)
-				rep, err := acc.RunTraced(p, g, f)
-				check(f.Close())
-				check(err)
-				fmt.Printf("trace written to %s\n", *tracePath)
-				fmt.Printf("workload %s: %.3f ms simulated, %d edges traversed\n",
-					*workload, rep.Stats.SimSeconds*1e3, rep.Stats.EdgesTraversed)
-				return
-			}
-			check(fmt.Errorf("-trace supports single-phase workloads (bfs/sssp/cc/pr)"))
-		}
-		out, err := nova.RunWorkloadContext(ctx, acc, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		printOutcome(out)
-		if *verify && !out.Partial && out.Props != nil && (*workload == "bfs" || *workload == "sssp" || *workload == "cc") {
-			check(nova.Verify(*workload, g, d.Root, out.Props))
-			fmt.Println("verified against sequential oracle: OK")
-		}
-		exitPartial(out)
-	case "polygraph":
-		if *workload == nova.SpillStressWorkload {
-			check(fmt.Errorf("%q is the NOVA spill-stress workload; run it with -engine nova", *workload))
-		}
-		pg := exp.PGBaseline(scale)
-		out, err := nova.RunWorkloadContext(ctx, pg, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
-			rep, err := pg.Run(p, g)
-			if err == nil {
-				fmt.Printf("slices=%d passes=%d breakdown: proc=%.1f%% switch=%.1f%% ineff=%.1f%%\n",
-					rep.SliceCount, rep.SlicePasses,
-					100*rep.ProcessingSeconds/rep.Stats.SimSeconds,
-					100*rep.SwitchingSeconds/rep.Stats.SimSeconds,
-					100*rep.InefficiencySeconds/rep.Stats.SimSeconds)
-			}
-		}
-		printOutcome(out)
-		exitPartial(out)
-	case "extmem":
-		out, err := nova.RunWorkloadContext(ctx, &em, *workload, g, gT, d.Root, *prIters)
-		checkPartial(out, err)
-		if p := singleProgram(*workload, d, *prIters); p != nil && !out.Partial {
-			rep, rerr := em.Run(p, g)
-			if rerr == nil {
-				fmt.Printf("partitions=%d rounds=%d loads=%d paged=%d B io-stall=%.1f%% hit-rate=%.1f%%\n",
-					rep.Partitions, rep.Rounds, rep.PartitionLoads, rep.BytesPaged,
-					100*float64(rep.IOStallCycles)/float64(max64(int64(rep.Cycles), 1)),
-					100*rep.CacheHitRate)
-			}
-		}
-		printOutcome(out)
-		if *verify && !out.Partial && out.Props != nil && (*workload == "bfs" || *workload == "sssp" || *workload == "cc") {
-			check(nova.Verify(*workload, g, d.Root, out.Props))
-			fmt.Println("verified against sequential oracle: OK")
-		}
-		exitPartial(out)
-	case "ligra":
-		sw := &nova.Software{}
-		rep, err := sw.RunWorkloadContext(ctx, *workload, g, gT, d.Root, *prIters)
-		if err != nil && (rep == nil || !rep.Partial) {
-			check(err)
-		}
-		fmt.Printf("wall time: %.3f ms, traversed %d edges, %.3f GTEPS, %d iterations\n",
-			rep.Seconds*1e3, rep.EdgesTraversed, rep.GTEPS(), rep.Iterations)
-		if rep.Partial {
-			fmt.Printf("PARTIAL run (%s): counts cover only the iterations before the stop\n", rep.StopReason)
-			os.Exit(1)
-		}
-	default:
-		check(fmt.Errorf("unknown engine %q", *engine))
-	}
+	// Every run, one cell or a grid, is a sweep through the harness pool.
+	runSweep(ctx, scale, d, engs, workloads, cfg, *prIters, *jobsN, *timeout, *statsOut, *verify)
 }
 
-// singleProgram rebuilds the one-phase program used for the PolyGraph
-// breakdown line (bc is two-phase and reported only via the outcome).
-func singleProgram(workload string, d *exp.Dataset, prIters int) program.Program {
-	switch workload {
-	case "bfs":
-		return program.NewBFS(d.Root)
-	case "sssp":
-		return program.NewSSSP(d.Root)
-	case "cc":
-		return program.NewCC()
-	case "pr":
-		return program.NewPageRank(0.85, prIters)
-	case "prdelta":
-		return program.NewPRDelta(0.85, 1e-7) // see nova.SpillStressWorkload on the tolerance
-	default:
-		return nil
-	}
+// tracedEngine is the nova engine running its cell through
+// Accelerator.RunTraced, with the Chrome trace written to path.
+type tracedEngine struct {
+	harness.Engine
+	acc  *nova.Accelerator
+	path string
 }
 
-// checkPartial exits on hard errors but lets salvaged partial outcomes
-// through so they can be rendered before the process reports failure.
-func checkPartial(out *nova.Outcome, err error) {
-	if err != nil && (out == nil || !out.Partial) {
-		check(err)
+func (e tracedEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
+	f, err := os.Create(e.path)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// exitPartial fails the process after a partial outcome has been printed:
-// an interrupted or budget-capped run must not read as a green one.
-func exitPartial(out *nova.Outcome) {
-	if out.Partial {
-		os.Exit(1)
+	rep, err := e.acc.RunTraced(ctx, w, f)
+	if cerr := f.Close(); cerr != nil && err == nil {
+		return nil, cerr
 	}
-}
-
-func printOutcome(out *nova.Outcome) {
-	fmt.Printf("workload %s: %.3f ms simulated, %d edges traversed, %d messages (%.1f%% coalesced)\n",
-		out.Workload, out.Stats.SimSeconds*1e3, out.Stats.EdgesTraversed,
-		out.Stats.MessagesSent,
-		100*float64(out.Stats.MessagesCoalesced)/float64(max64(out.Stats.MessagesSent, 1)))
-	fmt.Printf("work efficiency %.3f, effective throughput %.3f GTEPS\n",
-		out.WorkEfficiency(), out.EffectiveGTEPS())
-	if out.Stats.Epochs > 0 {
-		fmt.Printf("BSP epochs: %d\n", out.Stats.Epochs)
+	if rep != nil {
+		fmt.Fprintf(os.Stderr, "trace written to %s\n", e.path)
 	}
-	if out.Partial {
-		fmt.Printf("PARTIAL run (%s): stats cover only the work before the stop\n", out.StopReason)
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return rep, err
 }
 
 func check(err error) {
@@ -294,14 +177,15 @@ func splitList(v string, all []string) []string {
 	return parts
 }
 
-// checkEngines validates the engine configuration the flags built, before
+// checkFlags validates the engine configuration the flags built, before
 // any dataset is: graph construction at the larger scales is the
 // expensive part of a run, so a bad flag must fail in milliseconds, not
 // minutes. nova.New and ExternalMemory.Validate check the values (for
 // every run, like any other flag); the rest rejects knobs that none of
-// the selected engines would read. -ssd feeds both paging engines, so it
-// reaches the nova tier only when -out-of-core is on.
-func checkEngines(engines []string, cfg *nova.Config, em *nova.ExternalMemory) error {
+// the selected engines would read, and a -trace that is not one traceable
+// cell. -ssd feeds both paging engines, so it reaches the nova tier only
+// when -out-of-core is on.
+func checkFlags(engines, workloads []string, trace string, cfg *nova.Config, em *nova.ExternalMemory) error {
 	if cfg.OutOfCore {
 		cfg.SSDPreset = em.SSDPreset
 	}
@@ -321,6 +205,10 @@ func checkEngines(engines []string, cfg *nova.Config, em *nova.ExternalMemory) e
 		return fmt.Errorf("-extmem-ram/-extmem-part-edges apply to the extmem engine only; engines %v would silently ignore them (add extmem to -engine)", engines)
 	case em.SSDPreset != "" && !cfg.OutOfCore && !uses("extmem"):
 		return fmt.Errorf("-ssd picks the paging device for -out-of-core nova or the extmem engine; neither is selected")
+	case trace != "" && (len(engines) != 1 || !uses("nova") || len(workloads) != 1 || workloads[0] == "bc"):
+		return fmt.Errorf("-trace records one nova cell of a single-phase workload; engines %v × workloads %v is not one", engines, workloads)
+	case trace != "" && cfg.Shards > 1 && cfg.GPNs > 1:
+		return fmt.Errorf("-trace needs -shards 1: the trace buffer is not sharded")
 	}
 	return nil
 }
@@ -361,51 +249,37 @@ func loadCSRFile(path string, partitionCache int) (*graph.CSR, error) {
 	return g, nil
 }
 
-// buildEngine assembles one harness engine from the command-line knobs.
-func buildEngine(name string, scale exp.Scale, cfg nova.Config, em nova.ExternalMemory) (harness.Engine, error) {
-	switch name {
-	case "nova":
-		return exp.NovaEngine(cfg)
-	case "polygraph":
-		return exp.PGEngine(scale), nil
-	case "ligra":
-		return exp.LigraEngine(), nil
-	case "extmem":
-		return em.Engine(), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
-	}
-}
-
 // runSweep fans the engine×workload grid out over the harness pool and
 // prints one summary line per cell, in grid order, plus the wall-clock
-// cost of the sweep vs its sequential equivalent. Cancelling ctx (Ctrl-C)
-// stops running cells cooperatively; their salvaged partial reports are
-// rendered, flushed to -stats-out marked partial, and fail the process.
-func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, workloads []string, cfg nova.Config, em nova.ExternalMemory, prIters, jobsN int, timeout time.Duration, statsOut string) {
+// cost of the sweep vs its sequential equivalent. Under a cell's row go
+// its engine's detail line and, with verify, its oracle check. Cancelling
+// ctx (Ctrl-C) stops running cells cooperatively; their salvaged partial
+// reports are rendered, flushed to -stats-out marked partial, and fail
+// the process.
+func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines []harness.Engine, workloads []string, cfg nova.Config, prIters, jobsN int, timeout time.Duration, statsOut string, verify bool) {
 	fmt.Printf("graph %s: %d vertices, %d edges (avg deg %.1f)\n",
 		d.Graph.Name, d.Graph.NumVertices(), d.Graph.NumEdges(), d.Graph.AvgDegree())
 	var jobs []harness.Job[*harness.Report]
-	for _, en := range engines {
-		eng, err := buildEngine(en, scale, cfg, em)
-		check(err)
+	var cells []harness.Workload
+	for _, eng := range engines {
 		for _, w := range workloads {
-			eng, w := eng, w
-			g := d.Graph
-			var gT *graph.CSR
+			cell := harness.Workload{Name: w, G: d.Graph, Root: d.Root, PRIters: prIters, Tier: scale.String()}
 			switch {
 			case w == "cc":
-				g = d.Sym()
-				gT = g
-			case w == "bc" || en == "ligra":
-				gT = d.Transpose() // cached across cells by the dataset
+				cell.G = d.Sym()
+				cell.GT = cell.G
+			case w == "bc" || eng.Name() == "ligra":
+				// Only bc and the pull-direction software engine consume
+				// the transpose (cached across cells by the dataset);
+				// building it for every cell would double the memory
+				// footprint of large-tier runs.
+				cell.GT = d.Transpose()
 			}
 			jobs = append(jobs, harness.Job[*harness.Report]{
 				Name: fmt.Sprintf("%s/%s", eng.Name(), w),
-				Run: func(ctx context.Context) (*harness.Report, error) {
-					return eng.RunWorkload(ctx, harness.Workload{Name: w, G: g, GT: gT, Root: d.Root, PRIters: prIters, Tier: scale.String()})
-				},
+				Run:  func(ctx context.Context) (*harness.Report, error) { return eng.RunWorkload(ctx, cell) },
 			})
+			cells = append(cells, cell)
 		}
 	}
 	var busy time.Duration
@@ -419,7 +293,7 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 
 	fmt.Printf("%-10s %-8s %12s %14s %12s %10s\n", "engine", "workload", "time(ms)", "edges", "eff-gteps", "work-eff")
 	failed := 0
-	for _, r := range results {
+	for i, r := range results {
 		rep := r.Value
 		if r.Err != nil && (rep == nil || !rep.Partial) {
 			failed++
@@ -436,6 +310,17 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 		fmt.Printf("%-10s %-8s %12.3f %14d %12.3f %10.3f%s\n",
 			rep.Engine, rep.Workload, rep.Stats.SimSeconds*1e3, rep.Stats.EdgesTraversed,
 			rep.EffectiveGTEPS(), rep.WorkEfficiency(), marker)
+		if line := detail(rep); line != "" {
+			fmt.Printf("  %s\n", line)
+		}
+		if w := cells[i]; verify && !rep.Partial && slices.Contains([]string{"bfs", "sssp", "cc"}, w.Name) {
+			if err := nova.Verify(w.Name, w.G, w.Root, rep.Props); err != nil {
+				failed++
+				fmt.Printf("  oracle check FAILED: %v\n", err)
+			} else {
+				fmt.Println("  verified against sequential oracle: OK")
+			}
+		}
 	}
 	speedup := 0.0
 	if wall > 0 {
@@ -452,6 +337,30 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines, wor
 		fmt.Fprintf(os.Stderr, "novasim: %d of %d cells failed\n", failed, len(jobs))
 		os.Exit(1)
 	}
+}
+
+// detail is the line printed under a polygraph or extmem cell's row, read
+// from its stats dump: PolyGraph's slicing and Fig. 2 time split, and
+// extmem's schedule and paging. Other engines, and cells without a dump
+// (bc), have none.
+func detail(rep *harness.Report) string {
+	if rep.Dump == nil {
+		return ""
+	}
+	m := rep.Metric
+	pct := func(part, whole float64) float64 { return 100 * part / max(whole, 1e-30) }
+	switch rep.Engine {
+	case "polygraph":
+		t := rep.Stats.SimSeconds
+		return fmt.Sprintf("slices=%.0f passes=%.0f breakdown: proc=%.1f%% switch=%.1f%% ineff=%.1f%%",
+			m(nova.MetricSliceCount), m(nova.MetricSlicePasses), pct(m(nova.MetricProcessingSeconds), t),
+			pct(m(nova.MetricSwitchingSeconds), t), pct(m(nova.MetricInefficiencySeconds), t))
+	case "extmem":
+		return fmt.Sprintf("partitions=%.0f rounds=%.0f loads=%.0f paged=%.0f B io-stall=%.1f%% hit-rate=%.1f%%",
+			m(nova.MetricPartitions), m(nova.MetricRounds), m(nova.MetricPartitionLoads), m(nova.MetricBytesPaged),
+			pct(m(nova.MetricIOStallTicks), m(nova.MetricCycles)), 100*m(nova.MetricCacheHitRate))
+	}
+	return ""
 }
 
 // writeStatsDump merges every cell's dump (prefixed engine.workload) into

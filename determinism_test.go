@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"context"
 	"testing"
 
 	"nova/graph"
@@ -25,7 +26,7 @@ func TestKernelDeterminismGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := acc.Run(program.NewSSSP(root), g)
+		rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestKernelDeterminismGolden(t *testing.T) {
 
 	t.Run("polygraph", func(t *testing.T) {
 		b := &PolyGraphBaseline{OnChipBytes: 2048}
-		rep, err := b.Run(program.NewBFS(root), g)
+		rep, err := b.RunContext(context.Background(), program.NewBFS(root), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestShardedDeterminismGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := acc.Run(program.NewSSSP(root), g)
+		rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

@@ -1,10 +1,12 @@
 package nova_test
 
 import (
+	"context"
 	"fmt"
 
 	"nova"
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/program"
 )
 
@@ -22,7 +24,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	rep, err := acc.Run(program.NewBFS(0), g)
+	rep, err := acc.RunContext(context.Background(), program.NewBFS(0), g)
 	if err != nil {
 		panic(err)
 	}
@@ -33,17 +35,17 @@ func Example() {
 	// verified: true
 }
 
-// ExampleRunWorkload shows the uniform workload harness running SSSP on
-// both accelerator engines and comparing their work efficiency.
-func ExampleRunWorkload() {
+// ExampleAccelerator_Engine shows the uniform workload harness running
+// SSSP on both accelerator engines and comparing their work efficiency.
+func ExampleAccelerator_Engine() {
 	g := graph.GenRMAT("demo", 10, 8, graph.DefaultRMAT, 16, 7)
-	root := g.LargestOutDegreeVertex()
+	w := harness.Workload{Name: "sssp", G: g, Root: g.LargestOutDegreeVertex()}
 
 	acc, _ := nova.New(nova.DefaultConfig())
 	pg := &nova.PolyGraphBaseline{ForceSlices: 4}
 
-	a, _ := nova.RunWorkload(acc, "sssp", g, nil, root, 0)
-	b, _ := nova.RunWorkload(pg, "sssp", g, nil, root, 0)
+	a, _ := acc.Engine().RunWorkload(context.Background(), w)
+	b, _ := pg.Engine().RunWorkload(context.Background(), w)
 
 	fmt.Println("same answers:", equalProps(a.Props, b.Props))
 	fmt.Println("nova work efficiency higher:", a.WorkEfficiency() > b.WorkEfficiency())
@@ -71,11 +73,11 @@ func ExampleSoftware() {
 		{Src: 1, Dst: 2, Weight: 1},
 	})
 	sw := &nova.Software{Threads: 1}
-	rep, err := sw.RunWorkload("bfs", g, g.Transpose(), 0, 0)
+	rep, err := sw.Engine().RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: g, Root: 0})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("distances:", rep.Dists)
+	fmt.Println("distances:", rep.Props)
 	// Output:
 	// distances: [0 1 2]
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,7 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := acc.Run(prog, g)
+	rep, err := acc.RunContext(context.Background(), prog, g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func main() {
 
 	// ...and on the PolyGraph baseline.
 	pg := &nova.PolyGraphBaseline{ForceSlices: 4}
-	pgRep, err := pg.Run(prog, g)
+	pgRep, err := pg.RunContext(context.Background(), prog, g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rep, err := acc.Run(program.NewBFS(root), g)
+	rep, err := acc.RunContext(context.Background(), program.NewBFS(root), g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := acc.Run(program.NewSSSP(root), g)
+		rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,11 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"nova"
 	"nova/graph"
+	"nova/internal/harness"
 )
 
 func main() {
@@ -49,9 +51,9 @@ func runBFS(g *graph.CSR, root graph.VertexID, gpns int) float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := nova.RunWorkload(acc, "bfs", g, nil, root, 0)
+	rep, err := acc.Engine().RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: g, Root: root})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return out.Stats.SimSeconds
+	return rep.Stats.SimSeconds
 }

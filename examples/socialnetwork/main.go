@@ -9,11 +9,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"nova"
 	"nova/graph"
+	"nova/internal/harness"
 )
 
 func main() {
@@ -29,34 +31,29 @@ func main() {
 	// Iso-bandwidth baseline: 332.8 GB/s unified, scratchpad sized so
 	// this graph needs ~5 temporal slices, as in the paper's Table III.
 	pg := &nova.PolyGraphBaseline{OnChipBytes: 4 * 40_000 / 5}
-	sw := &nova.Software{}
+	engines := []harness.Engine{acc.Engine(), pg.Engine(), (&nova.Software{}).Engine()}
 
 	fmt.Printf("%-10s %-6s %14s %14s %12s\n", "engine", "wkld", "time(ms)", "work-eff", "eff-GTEPS")
 	for _, w := range []string{"bfs", "pr"} {
-		novaOut, err := nova.RunWorkload(acc, w, g, gT, root, 10)
-		if err != nil {
-			log.Fatal(err)
+		cell := harness.Workload{Name: w, G: g, GT: gT, Root: root, PRIters: 10}
+		secs := map[string]float64{} // simulated seconds by engine
+		for _, eng := range engines {
+			rep, err := eng.RunWorkload(context.Background(), cell)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if rep.Engine == "ligra" {
+				fmt.Printf("%-10s %-6s %14.3f %14s %12s\n", rep.Engine, w, rep.Stats.SimSeconds*1e3, "-",
+					fmt.Sprintf("%.3f*", rep.Stats.TEPS()/1e9))
+				continue
+			}
+			fmt.Printf("%-10s %-6s %14.3f %14.3f %12.3f\n",
+				rep.Engine, w, rep.Stats.SimSeconds*1e3, rep.WorkEfficiency(), rep.EffectiveGTEPS())
+			secs[rep.Engine] = rep.Stats.SimSeconds
 		}
-		pgOut, err := nova.RunWorkload(pg, w, g, gT, root, 10)
-		if err != nil {
-			log.Fatal(err)
-		}
-		swRep, err := sw.RunWorkload(w, g, gT, root, 10)
-		if err != nil {
-			log.Fatal(err)
-		}
-		row(novaOut, "nova", w)
-		row(pgOut, "polygraph", w)
-		fmt.Printf("%-10s %-6s %14.3f %14s %12s\n", "ligra", w, swRep.Seconds*1e3, "-", fmt.Sprintf("%.3f*", swRep.GTEPS()))
-		fmt.Printf("  -> NOVA vs PolyGraph speedup: %.2fx\n\n",
-			pgOut.Stats.SimSeconds/novaOut.Stats.SimSeconds)
+		fmt.Printf("  -> NOVA vs PolyGraph speedup: %.2fx\n\n", secs["polygraph"]/secs["nova"])
 	}
 	fmt.Println("* ligra reports wall-clock raw GTEPS on this host, not simulated time")
-}
-
-func row(out *nova.Outcome, engine, w string) {
-	fmt.Printf("%-10s %-6s %14.3f %14.3f %12.3f\n",
-		engine, w, out.Stats.SimSeconds*1e3, out.WorkEfficiency(), out.EffectiveGTEPS())
 }
 
 func novaCfg() nova.Config {

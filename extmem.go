@@ -8,7 +8,6 @@ import (
 	"nova/graph"
 	"nova/internal/extmem"
 	"nova/internal/harness"
-	"nova/internal/ref"
 	"nova/internal/stats"
 	"nova/program"
 )
@@ -16,10 +15,11 @@ import (
 // ExternalMemory runs programs on the external-memory baseline: a
 // PartitionedVC/GridGraph-style out-of-core framework that keeps vertex
 // state in DRAM and streams interval edge partitions from SSD through a
-// bounded partition cache. It implements program.Runner for asynchronous
-// programs (bfs, sssp, cc, prdelta); bulk-synchronous programs are
-// rejected — interval-at-a-time processing is the async trade-off the
-// NOVA spill/recovery comparison is about. Its json tags are the novad
+// bounded partition cache. It runs asynchronous programs: named workloads
+// (bfs, sssp, cc, prdelta) through Engine, custom ones through
+// RunContext. Bulk-synchronous programs are rejected — interval-at-a-time
+// processing is the async trade-off the NOVA spill/recovery comparison is
+// about. Its json tags are the novad
 // "extmem" block's wire names (API.md); zero sizes mean the defaults and
 // negative ones are rejected.
 type ExternalMemory struct {
@@ -63,14 +63,6 @@ type ExternalMemoryReport struct {
 	StopReason string
 }
 
-// GTEPS returns effective throughput against the graph's edge count.
-func (r *ExternalMemoryReport) GTEPS(g *graph.CSR) float64 {
-	if r.Stats.SimSeconds <= 0 {
-		return 0
-	}
-	return float64(g.NumEdges()) / r.Stats.SimSeconds / 1e9
-}
-
 func (b *ExternalMemory) config() (extmem.Config, error) {
 	cfg := extmem.DefaultConfig()
 	cfg.RAMBytes = cmp.Or(b.RAMBytes, cfg.RAMBytes)
@@ -86,20 +78,16 @@ func (b *ExternalMemory) config() (extmem.Config, error) {
 
 // Validate reports the first configuration error — an unknown SSD preset
 // or a negative size — so callers can reject a configuration before any
-// run; Run and Engine's RunWorkload fail on the same error.
+// run; RunContext and the Engine fail on the same error.
 func (b *ExternalMemory) Validate() error {
 	_, err := b.config()
 	return err
 }
 
-// Run executes p on g under the external-memory model.
-func (b *ExternalMemory) Run(p program.Program, g *graph.CSR) (*ExternalMemoryReport, error) {
-	return b.RunContext(context.Background(), p, g)
-}
-
-// RunContext executes p on g, polling ctx cooperatively per round and per
-// partition. On a cooperative stop it returns BOTH a partial report
-// (Partial set, with its StopReason) and the error.
+// RunContext executes the custom program p on g under the external-memory
+// model, polling ctx cooperatively per round and per partition. On a
+// cooperative stop it returns BOTH a partial report (Partial set, with
+// its StopReason) and the error.
 func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*ExternalMemoryReport, error) {
 	cfg, err := b.config()
 	if err != nil {
@@ -127,31 +115,10 @@ func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *g
 	}, err
 }
 
-// RunProgram implements program.Runner.
-func (b *ExternalMemory) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := b.Run(p, g)
-	if err != nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, nil
-}
-
-// RunProgramContext is RunProgram with cooperative cancellation; on a
-// cooperative stop the partial props and stats come back alongside the
-// error.
-func (b *ExternalMemory) RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := b.RunContext(ctx, p, g)
-	if rep == nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, err
-}
-
-var _ program.Runner = (*ExternalMemory)(nil)
-
-// Engine returns the harness view of the external-memory baseline. Each
-// RunWorkload call owns a private model, so the engine is safe for
-// concurrent use by harness.Pool workers.
+// Engine returns the harness view of the external-memory baseline, the
+// way to run a named workload. Each RunWorkload call owns a private
+// model, so the engine is safe for concurrent use by harness.Pool
+// workers.
 //
 // The report carries the run's stats dump, which harness.Report.Metric
 // reads by record path: root-level keys cycles, compute_cycles,
@@ -174,33 +141,18 @@ func (e extmemEngine) Fingerprint() string {
 }
 
 func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
 	switch w.Name {
 	case "pr", "bc":
 		return nil, fmt.Errorf("nova: workload %q is bulk-synchronous; the extmem engine runs asynchronous workloads only (bfs, sssp, cc, prdelta)", w.Name)
 	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	rep, err := e.b.RunContext(ctx, p, w.G)
-	if rep == nil {
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Partial, out.StopReason = rep.Partial, rep.StopReason
-	return out, err
+	return runWorkload(ctx, e, w, func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
+		rep, err := e.b.RunContext(ctx, p, g)
+		if rep == nil {
+			return nil, err
+		}
+		return &harness.Report{Props: rep.Props, Stats: rep.Stats, Dump: rep.Dump,
+			Partial: rep.Partial, StopReason: rep.StopReason}, err
+	})
 }
 
 var _ harness.Engine = extmemEngine{}

@@ -93,7 +93,7 @@ func TestEngineAdapterMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := acc.Run(program.NewBFS(root), g)
+	direct, err := acc.RunContext(context.Background(), program.NewBFS(root), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@
 package golden
 
 import (
+	"context"
+
 	"nova"
 	"nova/graph"
 	"nova/internal/ligra"
@@ -30,13 +32,13 @@ func BuildDump() (*stats.Dump, error) {
 	if err != nil {
 		return nil, err
 	}
-	novaRep, err := acc.Run(program.NewSSSP(root), g)
+	novaRep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 	if err != nil {
 		return nil, err
 	}
 
 	pg := &nova.PolyGraphBaseline{OnChipBytes: 2048}
-	pgRep, err := pg.Run(program.NewBFS(root), g)
+	pgRep, err := pg.RunContext(context.Background(), program.NewBFS(root), g)
 	if err != nil {
 		return nil, err
 	}

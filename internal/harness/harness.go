@@ -1,8 +1,9 @@
-// Package harness unifies the three execution engines (NOVA, PolyGraph,
-// Ligra) behind one Engine interface and fans independent simulation jobs
-// out over a worker pool. Every figure and table of the evaluation is a
-// grid of independent cells; the harness is the substrate that runs those
-// cells concurrently while keeping result order deterministic.
+// Package harness unifies the four execution engines (NOVA, PolyGraph,
+// Ligra, extmem) behind one Engine interface and fans independent
+// simulation jobs out over a worker pool. Every figure and table of the
+// evaluation is a grid of independent cells; the harness is the
+// substrate that runs those cells concurrently while keeping result
+// order deterministic.
 //
 // The package deliberately depends only on graph, program and stats so
 // the nova root package can implement adapters without an import cycle.
@@ -47,7 +48,8 @@ type Workload struct {
 // must be safe for concurrent RunWorkload calls: each call owns a private
 // simulation instance.
 type Engine interface {
-	// Name identifies the backend ("nova", "polygraph", "ligra").
+	// Name identifies the backend ("nova", "polygraph", "ligra",
+	// "extmem").
 	Name() string
 	// Fingerprint is a stable, human-readable rendering of the engine's
 	// configuration, so two reports are comparable iff fingerprints match.

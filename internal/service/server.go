@@ -277,7 +277,6 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 		// The job ran to completion before we got here (tiny graphs do).
 		s.count(&s.jobsSubmitted)
 		s.finishJob(j, r, entry, key, !req.NoCache)
-		entry.Release()
 		return j, nil
 	default:
 	}
@@ -285,18 +284,20 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 	go func() {
 		r := <-resCh
 		s.finishJob(j, r, entry, key, !req.NoCache)
-		entry.Release()
 	}()
 	return j, nil
 }
 
 // finishJob folds a queue result into the job record, renders the result
-// bytes, inserts complete runs into the cache, and closes the done
-// channel streaming clients wait on.
+// bytes, inserts complete runs into the cache, releases the job's graph,
+// and closes the done channel streaming clients wait on. The release
+// comes before the terminal state is visible, so a client that sees the
+// job finished never sees it still holding its graph.
 func (s *Server) finishJob(j *job, r harness.Result[*harness.Report], entry *GraphEntry, key string, cacheable bool) {
 	rep := r.Value
 	j.mu.Lock()
 	defer func() {
+		entry.Release()
 		j.finished = time.Now()
 		if j.cancel != nil {
 			j.cancel()

@@ -560,3 +560,90 @@ func TestStatsEndpointFormats(t *testing.T) {
 		t.Fatal("statsz should reject unknown formats")
 	}
 }
+
+// TestDoneJobHasReleasedItsGraph pins the order of a job's last steps: a
+// client that sees its job done, by polling or on the stream, must find
+// the job's graph reference already released. Each client runs its jobs
+// one after another on a graph of its own, so any in_flight it reads
+// right after done, with no sleep, is a reference the finished job kept.
+func TestDoneJobHasReleasedItsGraph(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Workers: 4, Backlog: 64})
+	const clients, jobs = 4, 5
+	for c := 0; c < clients; c++ {
+		register(t, ts.URL, fmt.Sprintf("g%d", c), buildCSR(t, 2000))
+	}
+	// The clients run on their own goroutines, so they report failures
+	// with t.Error through these error-returning helpers.
+	decode := func(resp *http.Response, err error, v any) error {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			return fmt.Errorf("%s: HTTP %d", resp.Request.URL, resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(v)
+	}
+	inFlight := func(name string) (int, error) {
+		var list struct{ Graphs []service.GraphInfo }
+		resp, err := http.Get(ts.URL + "/graphs")
+		if err := decode(resp, err, &list); err != nil {
+			return 0, err
+		}
+		for _, g := range list.Graphs {
+			if g.Name == name {
+				return g.InFlight, nil
+			}
+		}
+		return 0, fmt.Errorf("graph %s not listed", name)
+	}
+	terminal := func(s service.JobState) bool { return s != service.JobQueued && s != service.JobRunning }
+	client := func(name string, i int) error {
+		body, _ := json.Marshal(map[string]any{"engine": "nova", "workload": "bfs", "graph": name, "no_cache": true})
+		var st service.JobStatus
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err := decode(resp, err, &st); err != nil {
+			return err
+		}
+		if i%2 == 0 {
+			// Poll the status with no sleep between reads.
+			for !terminal(st.State) {
+				resp, err := http.Get(ts.URL + "/jobs/" + st.ID)
+				if err := decode(resp, err, &st); err != nil {
+					return err
+				}
+			}
+		} else if !terminal(st.State) {
+			// Read the stream up to its terminal line.
+			resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream?interval_ms=1")
+			if err != nil {
+				return err
+			}
+			dec := json.NewDecoder(resp.Body)
+			for !terminal(st.State) && dec.Decode(&st) == nil {
+			}
+			resp.Body.Close()
+		}
+		if st.State != service.JobDone {
+			return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
+		}
+		if n, err := inFlight(name); err != nil || n != 0 {
+			return fmt.Errorf("job %s reported %s with its graph still held: in_flight %d (%v)", st.ID, st.State, n, err)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				if err := client(fmt.Sprintf("g%d", c), i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

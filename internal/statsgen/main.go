@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -92,13 +93,13 @@ func buildDumps() ([]engineDump, error) {
 	if err != nil {
 		return nil, err
 	}
-	novaRep, err := acc.Run(program.NewSSSP(root), g)
+	novaRep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 	if err != nil {
 		return nil, err
 	}
 
 	pg := &nova.PolyGraphBaseline{ForceSlices: 2}
-	pgRep, err := pg.Run(program.NewBFS(root), g)
+	pgRep, err := pg.RunContext(context.Background(), program.NewBFS(root), g)
 	if err != nil {
 		return nil, err
 	}

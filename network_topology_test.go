@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestTopologyShardDeterminismGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := acc.Run(program.NewSSSP(root), g)
+				rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -126,7 +127,7 @@ func TestCoalescingBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := acc.Run(mk(), g)
+					rep, err := acc.RunContext(context.Background(), mk(), g)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -176,7 +177,7 @@ func TestCoalescingConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := acc.Run(program.NewSSSP(root), g)
+				rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
 				if err != nil {
 					t.Fatalf("%s/w%d/shards=%d: %v", topology, window, shards, err)
 				}

@@ -8,8 +8,12 @@
 //
 //	g := graph.GenRMAT("social", 16, 16, graph.DefaultRMAT, 1, 42)
 //	acc, _ := nova.New(nova.DefaultConfig())
-//	rep, _ := acc.Run(program.NewBFS(g.LargestOutDegreeVertex()), g)
+//	rep, _ := acc.RunContext(context.Background(), program.NewBFS(g.LargestOutDegreeVertex()), g)
 //	fmt.Printf("%.2f GTEPS\n", rep.GTEPS(g))
+//
+// Each engine offers one way to run a named workload — its Engine, whose
+// RunWorkload takes the cell and returns the engine-agnostic report —
+// and the simulated ones also run custom programs through RunContext.
 package nova
 
 import (
@@ -226,8 +230,8 @@ func (c Config) partition(g *graph.CSR, gpns, pesPerGPN int) (*graph.Partition, 
 	}
 }
 
-// Accelerator runs programs on the simulated NOVA machine. It implements
-// program.Runner.
+// Accelerator runs programs on the simulated NOVA machine: named
+// workloads through Engine, custom programs through RunContext.
 type Accelerator struct {
 	cfg Config
 }
@@ -322,12 +326,8 @@ func (r *Report) GTEPS(g *graph.CSR) float64 {
 	return float64(g.NumEdges()) / r.Stats.SimSeconds / 1e9
 }
 
-// Run executes p on g and returns a detailed report.
-func (a *Accelerator) Run(p program.Program, g *graph.CSR) (*Report, error) {
-	return a.RunContext(context.Background(), p, g)
-}
-
-// RunContext is Run under a context. Cancellation is observed
+// RunContext executes the custom program p on g and returns a detailed
+// report; named workloads run through Engine. Cancellation is observed
 // cooperatively (each engine shard polls every few thousand events, the
 // cluster at every window barrier), so the simulation stops within one
 // poll interval. On a cooperative stop — cancellation, deadline, event
@@ -335,6 +335,13 @@ func (a *Accelerator) Run(p program.Program, g *graph.CSR) (*Report, error) {
 // and returns BOTH a Report marked Partial (with its StopReason) and the
 // error.
 func (a *Accelerator) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*Report, error) {
+	return a.simulate(ctx, p, g, nil)
+}
+
+// simulate builds a private system for g and runs p on it. A non-nil
+// traceOut records simulator activity and receives it as Chrome
+// trace-event JSON, for a partial run as well as a complete one.
+func (a *Accelerator) simulate(ctx context.Context, p program.Program, g *graph.CSR, traceOut io.Writer) (*Report, error) {
 	cc, err := a.cfg.coreConfig()
 	if err != nil {
 		return nil, err
@@ -347,9 +354,19 @@ func (a *Accelerator) RunContext(ctx context.Context, p program.Program, g *grap
 	if err != nil {
 		return nil, err
 	}
+	var tr *trace.Tracer
+	if traceOut != nil {
+		tr = trace.New(cc.ClockHz)
+		sys.SetTracer(tr)
+	}
 	res, err := sys.Run(ctx, p)
 	if res == nil {
 		return nil, err
+	}
+	if tr != nil {
+		if werr := tr.WriteJSON(traceOut); werr != nil {
+			return nil, fmt.Errorf("nova: writing trace: %w", werr)
+		}
 	}
 	return reportFromCore(res), err
 }
@@ -399,73 +416,21 @@ func reportFromCore(res *core.Result) *Report {
 	}
 }
 
-// RunTraced executes p on g while recording simulator activity (MGU
-// propagation spans, VMU prefetch batches, drains, BSP barriers) and
-// writes a Chrome trace-event JSON file (chrome://tracing, Perfetto) to w.
-func (a *Accelerator) RunTraced(p program.Program, g *graph.CSR, w io.Writer) (*Report, error) {
-	cc, err := a.cfg.coreConfig()
-	if err != nil {
-		return nil, err
+// RunTraced runs one single-phase workload cell exactly as
+// Engine().RunWorkload does, while recording simulator activity (MGU
+// propagation spans, VMU prefetch batches, drains, BSP barriers), and
+// writes it to out as Chrome trace-event JSON (chrome://tracing,
+// Perfetto). It rejects "bc", whose two phases would share one timeline.
+func (a *Accelerator) RunTraced(ctx context.Context, w harness.Workload, out io.Writer) (*harness.Report, error) {
+	if w.Name == "bc" {
+		return nil, fmt.Errorf("nova: RunTraced records one single-phase run; %q has two phases", w.Name)
 	}
-	part, err := a.cfg.partition(g, cc.GPNs, cc.PEsPerGPN)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cc, g, part)
-	if err != nil {
-		return nil, err
-	}
-	tr := trace.New(cc.ClockHz)
-	sys.SetTracer(tr)
-	res, err := sys.Run(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.WriteJSON(w); err != nil {
-		return nil, fmt.Errorf("nova: writing trace: %w", err)
-	}
-	return reportFromCore(res), nil
+	return novaEngine{a, out}.RunWorkload(ctx, w)
 }
 
-// RunProgram implements program.Runner.
-func (a *Accelerator) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := a.Run(p, g)
-	if err != nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, nil
-}
-
-// RunProgramContext is RunProgram under a context; on a cooperative stop
-// the error carries the stop cause and the partial props/stats are
-// returned alongside it.
-func (a *Accelerator) RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	rep, err := a.RunContext(ctx, p, g)
-	if rep == nil {
-		return nil, program.RunStats{}, err
-	}
-	return rep.Props, rep.Stats, err
-}
-
-var _ program.Runner = (*Accelerator)(nil)
-
-// ctxRunner binds a context to a context-aware program runner so the
-// two-phase workloads (program.RunBC takes a plain program.Runner) stay
-// cancellable between and within phases.
-type ctxRunner struct {
-	ctx   context.Context
-	inner interface {
-		RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error)
-	}
-}
-
-func (r ctxRunner) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
-	return r.inner.RunProgramContext(r.ctx, p, g)
-}
-
-// Engine returns the harness view of the accelerator. Each RunWorkload
-// call builds a private core.System, so the engine is safe for concurrent
-// use by harness.Pool workers.
+// Engine returns the harness view of the accelerator, the way to run a
+// named workload. Each RunWorkload call builds a private core.System, so
+// the engine is safe for concurrent use by harness.Pool workers.
 //
 // The report carries the run's stats dump (Report.Dump), which
 // harness.Report.Metric reads by record path: the root-level keys
@@ -476,9 +441,14 @@ func (r ctxRunner) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, 
 // load_imbalance — see the Metric* constants) plus hierarchical detail
 // (gpn0.pe3.vmu.spills, network.gpn0.p2p_utilization, …). The two-phase
 // "bc" workload reports Stats only.
-func (a *Accelerator) Engine() harness.Engine { return novaEngine{a} }
+func (a *Accelerator) Engine() harness.Engine { return novaEngine{acc: a} }
 
-type novaEngine struct{ acc *Accelerator }
+// novaEngine adapts an Accelerator to harness.Engine; a non-nil trace
+// receives the run's Chrome trace (RunTraced).
+type novaEngine struct {
+	acc   *Accelerator
+	trace io.Writer
+}
 
 func (e novaEngine) Name() string { return "nova" }
 
@@ -493,57 +463,28 @@ func (e novaEngine) Fingerprint() string {
 }
 
 func (e novaEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	prIters := w.PRIters
-	if prIters <= 0 {
-		prIters = 10
-	}
 	acc := e.acc
 	if w.MaxEvents > 0 {
 		cfg := acc.cfg
 		cfg.MaxEvents = w.MaxEvents
 		acc = &Accelerator{cfg: cfg}
 	}
-	out := &harness.Report{
-		Engine:          e.Name(),
-		Fingerprint:     e.Fingerprint(),
-		Workload:        w.Name,
-		Tier:            w.Tier,
-		SequentialEdges: ref.SequentialEdges(w.G, w.Root, w.Name, prIters),
-	}
-	if w.Name == "bc" {
-		gT := w.GT
-		if gT == nil {
-			gT = w.G.Transpose()
+	return runWorkload(ctx, e, w, func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
+		rep, err := acc.simulate(ctx, p, g, e.trace)
+		if rep == nil {
+			return nil, err
 		}
-		scores, stats, err := program.RunBC(ctxRunner{ctx, acc}, w.G, gT, w.Root)
-		if err != nil {
-			reason := sim.ReasonFor(err)
-			if reason == "" {
-				return nil, err
-			}
-			out.Scores, out.Stats = scores, stats
-			out.Partial, out.StopReason = true, string(reason)
-			return out, err
-		}
-		out.Scores, out.Stats = scores, stats
-		return out, nil
-	}
-	p, err := workloadProgram(w.Name, w.Root, prIters)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := acc.RunContext(ctx, p, w.G)
-	if rep == nil {
-		return nil, err
-	}
-	out.Props, out.Stats = rep.Props, rep.Stats
-	out.Dump = rep.Dump
-	out.Shards = rep.Shards
-	out.WindowWallSeconds = rep.WindowWallSeconds
-	out.BarrierWallSeconds = rep.BarrierWallSeconds
-	out.Partial = rep.Partial
-	out.StopReason = rep.StopReason
-	return out, err
+		return &harness.Report{
+			Props:              rep.Props,
+			Stats:              rep.Stats,
+			Dump:               rep.Dump,
+			Shards:             rep.Shards,
+			WindowWallSeconds:  rep.WindowWallSeconds,
+			BarrierWallSeconds: rep.BarrierWallSeconds,
+			Partial:            rep.Partial,
+			StopReason:         rep.StopReason,
+		}, err
+	})
 }
 
 var _ harness.Engine = novaEngine{}

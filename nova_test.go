@@ -2,12 +2,14 @@ package nova_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
 
 	"nova"
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/ref"
 	"nova/program"
 )
@@ -33,7 +35,7 @@ func TestAcceleratorBFSReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := acc.Run(program.NewBFS(root), g)
+	rep, err := acc.RunContext(context.Background(), program.NewBFS(root), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestAllMappingsCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := acc.Run(program.NewBFS(root), g)
+		rep, err := acc.RunContext(context.Background(), program.NewBFS(root), g)
 		if err != nil {
 			t.Fatalf("%s: %v", mapping, err)
 		}
@@ -111,7 +113,7 @@ func TestRunWorkloadAllFiveOnAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg := &nova.PolyGraphBaseline{ForceSlices: 3}
-	engines := map[string]program.Runner{"nova": acc, "polygraph": pg}
+	engines := map[string]harness.Engine{"nova": acc.Engine(), "polygraph": pg.Engine()}
 
 	for engName, eng := range engines {
 		for _, w := range nova.WorkloadNames {
@@ -119,7 +121,7 @@ func TestRunWorkloadAllFiveOnAllEngines(t *testing.T) {
 			if w == "cc" {
 				gw, gwT = sym, sym
 			}
-			out, err := nova.RunWorkload(eng, w, gw, gwT, root, 5)
+			out, err := eng.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, GT: gwT, Root: root, PRIters: 5})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", engName, w, err)
 			}
@@ -150,11 +152,12 @@ func TestEnginesAgreeOnResults(t *testing.T) {
 	root := g.LargestOutDegreeVertex()
 	acc, _ := nova.New(smallConfig())
 	pg := &nova.PolyGraphBaseline{ForceSlices: 4}
-	a, err := nova.RunWorkload(acc, "sssp", g, nil, root, 0)
+	w := harness.Workload{Name: "sssp", G: g, Root: root}
+	a, err := acc.Engine().RunWorkload(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nova.RunWorkload(pg, "sssp", g, nil, root, 0)
+	b, err := pg.Engine().RunWorkload(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,32 +173,36 @@ func TestSoftwareBaseline(t *testing.T) {
 	gT := g.Transpose()
 	sym := g.Symmetrize()
 	root := g.LargestOutDegreeVertex()
-	sw := &nova.Software{Threads: 2}
+	sw := (&nova.Software{Threads: 2}).Engine()
 	for _, w := range nova.WorkloadNames {
 		gw, gwT := g, gT
 		if w == "cc" {
 			gw, gwT = sym, sym
 		}
-		rep, err := sw.RunWorkload(w, gw, gwT, root, 5)
+		rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, GT: gwT, Root: root, PRIters: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
-		if rep.Seconds <= 0 {
+		if rep.Stats.SimSeconds <= 0 {
 			t.Fatalf("%s: no wall time", w)
 		}
 	}
-	// Correctness spot-check.
-	rep, err := sw.RunWorkload("bfs", g, gT, root, 0)
+	// Correctness spot-check: the distances, with program.Inf for -1.
+	rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: g, GT: gT, Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ref.BFS(g, root)
 	for v := range want {
-		if rep.Dists[v] != want[v] {
+		got := int64(rep.Props[v])
+		if rep.Props[v] == program.Inf {
+			got = -1
+		}
+		if got != want[v] {
 			t.Fatalf("software BFS wrong at %d", v)
 		}
 	}
-	if _, err := sw.RunWorkload("nope", g, gT, root, 0); err == nil {
+	if _, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "nope", G: g, GT: gT, Root: root}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -204,7 +211,7 @@ func TestBCOutcomeMatchesOracle(t *testing.T) {
 	g := testGraph()
 	root := g.LargestOutDegreeVertex()
 	acc, _ := nova.New(smallConfig())
-	out, err := nova.RunWorkload(acc, "bc", g, nil, root, 0)
+	out, err := acc.Engine().RunWorkload(context.Background(), harness.Workload{Name: "bc", G: g, Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestRunTracedProducesValidTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	rep, err := acc.RunTraced(program.NewBFS(g.LargestOutDegreeVertex()), g, &buf)
+	rep, err := acc.RunTraced(context.Background(), harness.Workload{Name: "bfs", G: g, Root: g.LargestOutDegreeVertex()}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +281,9 @@ func TestRunTracedProducesValidTrace(t *testing.T) {
 			t.Fatalf("trace missing %q events (got %v)", want, cats)
 		}
 	}
+	if _, err := acc.RunTraced(context.Background(), harness.Workload{Name: "bc", G: g}, &buf); err == nil {
+		t.Fatal("two-phase bc traced onto one timeline")
+	}
 }
 
 func TestFacadeDeterminism(t *testing.T) {
@@ -283,7 +293,7 @@ func TestFacadeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := acc.Run(program.NewSSSP(g.LargestOutDegreeVertex()), g)
+		rep, err := acc.RunContext(context.Background(), program.NewSSSP(g.LargestOutDegreeVertex()), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +311,7 @@ func TestFacadeDeterminism(t *testing.T) {
 func TestReportLoadImbalancePopulated(t *testing.T) {
 	g := testGraph()
 	acc, _ := nova.New(smallConfig())
-	rep, err := acc.Run(program.NewBFS(g.LargestOutDegreeVertex()), g)
+	rep, err := acc.RunContext(context.Background(), program.NewBFS(g.LargestOutDegreeVertex()), g)
 	if err != nil {
 		t.Fatal(err)
 	}

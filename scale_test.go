@@ -53,7 +53,7 @@ func TestTierThreadsThroughEngines(t *testing.T) {
 }
 
 // TestSpillStressWorkload runs the prdelta spill-stress workload through
-// the public RunWorkload path on the NOVA engine.
+// the NOVA engine's harness adapter.
 func TestSpillStressWorkload(t *testing.T) {
 	g := graph.FromStream(graph.NewUniformStream("stress", 1024, 8, 8, 9))
 	cfg := DefaultConfig()
@@ -62,7 +62,7 @@ func TestSpillStressWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunWorkload(acc, SpillStressWorkload, g, nil, g.LargestOutDegreeVertex(), 0)
+	out, err := acc.Engine().RunWorkload(context.Background(), harness.Workload{Name: SpillStressWorkload, G: g, Root: g.LargestOutDegreeVertex()})
 	if err != nil {
 		t.Fatal(err)
 	}

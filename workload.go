@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/ref"
 	"nova/internal/sim"
 	"nova/program"
@@ -25,52 +26,27 @@ var WorkloadNames = []string{"bfs", "sssp", "cc", "pr", "bc"}
 // error).
 const SpillStressWorkload = "prdelta"
 
-// Outcome is the engine-agnostic result of running one workload through a
-// program.Runner, with the sequential-work denominator attached so both
-// throughput metrics of the paper are computable.
-type Outcome struct {
-	Workload string
-	Stats    program.RunStats
-	// SequentialEdges is the edges a sequential implementation traverses
-	// (Beamer's work-efficiency numerator).
-	SequentialEdges int64
-	// Props holds the final properties (nil for BC, which returns Scores).
-	Props []program.Prop
-	// Scores holds BC dependency values.
-	Scores []float64
-	// Partial marks a salvaged outcome from a run that stopped early;
-	// StopReason classifies why ("cancelled", "deadline", "budget",
-	// "stalled"). Only RunWorkloadContext produces partial outcomes.
-	Partial    bool
-	StopReason string
-}
-
-// WorkEfficiency returns sequential edges / traversed edges.
-func (o *Outcome) WorkEfficiency() float64 {
-	return o.Stats.WorkEfficiency(o.SequentialEdges)
-}
-
-// EffectiveGTEPS returns useful giga-edges per second — the metric the
-// paper's figures plot (TEPS × work efficiency).
-func (o *Outcome) EffectiveGTEPS() float64 {
-	return o.Stats.EffectiveGTEPS(o.SequentialEdges)
-}
-
-// workloadProgram builds the single-phase program for a workload name.
-// "bc" is two-phase and handled separately via program.RunBC.
-func workloadProgram(name string, root graph.VertexID, prIters int) (program.Program, error) {
-	if prIters <= 0 {
-		prIters = 10
+// prIters is the cell's PageRank iteration count: Workload.PRIters, or 10
+// when it is not positive.
+func prIters(w harness.Workload) int {
+	if w.PRIters <= 0 {
+		return 10
 	}
-	switch name {
+	return w.PRIters
+}
+
+// workloadProgram builds the single-phase program for a workload cell.
+// "bc" is two-phase and runs through program.RunBC instead.
+func workloadProgram(w harness.Workload) (program.Program, error) {
+	switch w.Name {
 	case "bfs":
-		return program.NewBFS(root), nil
+		return program.NewBFS(w.Root), nil
 	case "sssp":
-		return program.NewSSSP(root), nil
+		return program.NewSSSP(w.Root), nil
 	case "cc":
 		return program.NewCC(), nil
 	case "pr":
-		return program.NewPageRank(0.85, prIters), nil
+		return program.NewPageRank(0.85, prIters(w)), nil
 	case SpillStressWorkload:
 		// The residual tolerance is absolute mass, which bounds the run in
 		// both directions: it must sit well below the initial per-vertex
@@ -83,66 +59,67 @@ func workloadProgram(name string, root graph.VertexID, prIters int) (program.Pro
 		// inside the simulator's event budget.
 		return program.NewPRDelta(0.85, 1e-7), nil
 	default:
-		return nil, fmt.Errorf("nova: unknown workload %q", name)
+		return nil, fmt.Errorf("nova: unknown workload %q", w.Name)
 	}
 }
 
-// RunWorkload executes the named workload on any engine implementing
-// program.Runner. The transpose gT is needed only for "bc"; "cc" expects a
-// symmetric graph. prIters configures PageRank (≤0 means 10).
-func RunWorkload(r program.Runner, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*Outcome, error) {
-	return RunWorkloadContext(context.Background(), r, name, g, gT, root, prIters)
-}
+// runFunc is one simulated engine's RunContext reduced to the harness
+// report's fields (props, stats, dump, stop cause). On a cooperative stop
+// it returns the partial report alongside the error.
+type runFunc func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error)
 
-// RunWorkloadContext is RunWorkload with cooperative cancellation. When
-// the runner is context-aware (it implements RunProgramContext, as the
-// NOVA accelerator and PolyGraph baseline do), a cancelled ctx stops the
-// simulation within one poll interval and the partial outcome comes back
-// alongside the error, with Partial and StopReason set.
-func RunWorkloadContext(ctx context.Context, r program.Runner, name string, g, gT *graph.CSR, root graph.VertexID, prIters int) (*Outcome, error) {
-	if prIters <= 0 {
-		prIters = 10
-	}
-	if cr, ok := r.(interface {
-		RunProgramContext(ctx context.Context, p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error)
-	}); ok {
-		r = ctxRunner{ctx, cr}
-	}
-	o := &Outcome{
-		Workload:        name,
-		SequentialEdges: ref.SequentialEdges(g, root, name, prIters),
-	}
-	if name == "bc" {
+// runWorkload runs a named workload for the nova, polygraph and
+// extmem adapters. It builds the cell's program, runs "bc" as its two
+// phases, and labels the report with the engine, the cell and the
+// SequentialEdges denominator. A cooperative stop in either bc phase is
+// salvaged like a single-phase one: the report comes back Partial, with
+// its StopReason, alongside the error.
+func runWorkload(ctx context.Context, e harness.Engine, w harness.Workload, run runFunc) (*harness.Report, error) {
+	if w.Name == "bc" {
+		gT := w.GT
 		if gT == nil {
-			gT = g.Transpose()
+			gT = w.G.Transpose()
 		}
-		scores, stats, err := program.RunBC(r, g, gT, root)
-		o.Scores = scores
-		o.Stats = stats
-		return salvageOutcome(o, err)
+		scores, stats, err := program.RunBC(bcPhases{ctx, run}, w.G, gT, w.Root)
+		reason := sim.ReasonFor(err)
+		if err != nil && reason == "" {
+			return nil, err
+		}
+		rep := &harness.Report{Scores: scores, Stats: stats, Partial: reason != "", StopReason: string(reason)}
+		return label(rep, e, w), err
 	}
-	p, err := workloadProgram(name, root, prIters)
+	p, err := workloadProgram(w)
 	if err != nil {
 		return nil, err
 	}
-	props, stats, err := r.RunProgram(p, g)
-	o.Props = props
-	o.Stats = stats
-	return salvageOutcome(o, err)
-}
-
-// salvageOutcome classifies a run error: cooperative stops keep the
-// partial outcome (Partial set) alongside the error, anything else
-// discards it.
-func salvageOutcome(o *Outcome, err error) (*Outcome, error) {
-	if err == nil {
-		return o, nil
-	}
-	reason := sim.ReasonFor(err)
-	if reason == "" {
+	rep, err := run(ctx, p, w.G)
+	if rep == nil {
 		return nil, err
 	}
-	o.Partial = true
-	o.StopReason = string(reason)
-	return o, err
+	return label(rep, e, w), err
+}
+
+// label stamps what every adapter's report carries beyond the run itself:
+// the engine's name and fingerprint, the cell's workload and tier, and
+// the SequentialEdges denominator.
+func label(rep *harness.Report, e harness.Engine, w harness.Workload) *harness.Report {
+	rep.Engine, rep.Fingerprint = e.Name(), e.Fingerprint()
+	rep.Workload, rep.Tier = w.Name, w.Tier
+	rep.SequentialEdges = ref.SequentialEdges(w.G, w.Root, w.Name, prIters(w))
+	return rep
+}
+
+// bcPhases runs each betweenness-centrality phase through run under ctx,
+// so a stop in either phase hands program.RunBC the stats so far.
+type bcPhases struct {
+	ctx context.Context
+	run runFunc
+}
+
+func (b bcPhases) RunProgram(p program.Program, g *graph.CSR) ([]program.Prop, program.RunStats, error) {
+	rep, err := b.run(b.ctx, p, g)
+	if rep == nil {
+		return nil, program.RunStats{}, err
+	}
+	return rep.Props, rep.Stats, err
 }
