@@ -14,6 +14,10 @@
 //
 //	novasim -engine all -workload bfs,pr -graph twitter -jobs 4
 //
+// A grid skips, with a one-line note, each pair its engine does not run
+// (extmem runs neither pr nor bc); an unknown workload, or a grid with no
+// runnable pair, is rejected before any dataset is built.
+//
 // -stats-out writes the merged hierarchical statistics dump of every cell
 // (format by extension: .json, .csv, .txt); see STATS.md for the record
 // reference and cmd/statdiff for comparing dumps:
@@ -23,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -180,12 +185,33 @@ func splitList(v string, all []string) []string {
 // checkFlags validates the engine configuration the flags built, before
 // any dataset is: graph construction at the larger scales is the
 // expensive part of a run, so a bad flag must fail in milliseconds, not
-// minutes. nova.New and ExternalMemory.Validate check the values (for
-// every run, like any other flag); the rest rejects knobs that none of
-// the selected engines would read, and a -trace that is not one traceable
-// cell. -ssd feeds both paging engines, so it reaches the nova tier only
-// when -out-of-core is on.
+// minutes. nova.CheckCell rejects an unknown engine or workload, and a
+// grid in which no engine runs any of the workloads (runSweep skips the
+// unrunnable cells of any other grid); nova.New and
+// ExternalMemory.Validate check the values (for every run, like any other
+// flag); the rest rejects knobs that none of the selected engines would
+// read, and a -trace that is not one traceable cell. -ssd feeds both
+// paging engines, so it reaches the nova tier only when -out-of-core is
+// on.
 func checkFlags(engines, workloads []string, trace string, cfg *nova.Config, em *nova.ExternalMemory) error {
+	runnable := 0
+	var unsupported error
+	for _, e := range engines {
+		for _, w := range workloads {
+			err := nova.CheckCell(e, w)
+			switch {
+			case err == nil:
+				runnable++
+			case !errors.Is(err, nova.ErrUnsupportedCell):
+				return err
+			default:
+				unsupported = err
+			}
+		}
+	}
+	if runnable == 0 {
+		return fmt.Errorf("engines %v run none of workloads %v: %w", engines, workloads, unsupported)
+	}
 	if cfg.OutOfCore {
 		cfg.SSDPreset = em.SSDPreset
 	}
@@ -263,6 +289,11 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines []ha
 	var cells []harness.Workload
 	for _, eng := range engines {
 		for _, w := range workloads {
+			if err := nova.CheckCell(eng.Name(), w); err != nil {
+				// checkFlags left only the pairs an engine does not run.
+				fmt.Printf("skipped: %v\n", err)
+				continue
+			}
 			cell := harness.Workload{Name: w, G: d.Graph, Root: d.Root, PRIters: prIters, Tier: scale.String()}
 			switch {
 			case w == "cc":

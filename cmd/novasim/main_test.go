@@ -77,6 +77,9 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 		{"ssd without a paging engine", []string{"-engine", "ligra", "-ssd", "sata"}},
 		{"ssd on in-core nova", []string{"-engine", "nova", "-ssd", "sata"}},
 		{"unknown engine", []string{"-engine", "nova,bogus"}},
+		{"unknown workload", []string{"-workload", "bogus"}},
+		{"prdelta on ligra", []string{"-engine", "ligra", "-workload", "prdelta"}},
+		{"pr on extmem", []string{"-engine", "extmem", "-workload", "pr"}},
 		{"trace on polygraph", []string{"-engine", "polygraph", "-trace", trace}},
 		{"trace on two engines", []string{"-engine", "nova,polygraph", "-trace", trace}},
 		{"trace on two workloads", []string{"-workload", "bfs,sssp", "-trace", trace}},
@@ -148,6 +151,27 @@ func TestAcceptsPagingFlags(t *testing.T) {
 		if code != 0 {
 			t.Errorf("novasim %s: exit %d\nstdout:\n%s\nstderr:\n%s", strings.Join(args, " "), code, stdout, stderr)
 		}
+	}
+}
+
+// TestSweepSkipsUnrunnableCells is the control for the unrunnable-grid
+// rejections: the documented all-engine sweep contains extmem/pr, which
+// the extmem engine does not run, so it runs the other seven cells, notes
+// the skipped one, and exits 0.
+func TestSweepSkipsUnrunnableCells(t *testing.T) {
+	stdout, stderr, code := novasim(t, "-engine", "all", "-workload", "bfs,pr", "-graph-file", tinyGraph(t))
+	if code != 0 || !strings.Contains(stderr, "sweep: 7 cells") {
+		t.Fatalf("exit %d; want 0 after 7 cells\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	for _, e := range []string{"nova", "polygraph", "ligra", "extmem"} {
+		for _, w := range []string{"bfs", "pr"} {
+			if e != "extmem" || w != "pr" {
+				row(t, stdout, e, w)
+			}
+		}
+	}
+	if n := strings.Count(stdout, "skipped: "); n != 1 || !strings.Contains(stdout, "the extmem engine does not run pr") {
+		t.Errorf("want one note skipping extmem/pr, got %d notes:\n%s", n, stdout)
 	}
 }
 

@@ -165,6 +165,13 @@ func (j *job) status() JobStatus {
 	}
 }
 
+// terminal reports whether the job reached a terminal state.
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == JobDone || j.state == JobFailed
+}
+
 func (j *job) setState(s JobState) {
 	j.mu.Lock()
 	j.state = s
@@ -198,29 +205,30 @@ func (t *jobTable) add(j *job) string {
 	t.order = append(t.order, j.id)
 	// Prune oldest finished records beyond the cap; never drop live jobs.
 	for len(t.jobs) > t.cap {
-		pruned := false
-		for i, id := range t.order {
-			old := t.jobs[id]
-			if old == nil {
-				t.order = append(t.order[:i], t.order[i+1:]...)
-				pruned = true
-				break
-			}
-			old.mu.Lock()
-			finished := old.state == JobDone || old.state == JobFailed
-			old.mu.Unlock()
-			if finished {
-				delete(t.jobs, id)
-				t.order = append(t.order[:i], t.order[i+1:]...)
-				pruned = true
-				break
-			}
-		}
-		if !pruned {
+		if !t.pruneOldestFinished() {
 			break // every record is live; let the table exceed cap
 		}
 	}
 	return j.id
+}
+
+// pruneOldestFinished drops the oldest finished record and reports
+// whether there was one. A finished head, the usual case once the table
+// is full, goes in O(1); only a live head makes it scan.
+func (t *jobTable) pruneOldestFinished() bool {
+	for i, id := range t.order {
+		if !t.jobs[id].terminal() {
+			continue
+		}
+		delete(t.jobs, id)
+		if i == 0 {
+			t.order = t.order[1:]
+		} else {
+			t.order = append(t.order[:i], t.order[i+1:]...)
+		}
+		return true
+	}
+	return false
 }
 
 func (t *jobTable) get(id string) (*job, bool) {

@@ -18,8 +18,11 @@
 // hash (CRC32C from the CSR container header) + the workload cell, and
 // stores the rendered result bytes of complete runs: a warm identical
 // sweep cell is served without simulating, bit-identical to its cold run.
-// Hit/miss/eviction counters — and a request-latency histogram — are
-// registered in an internal/stats tree surfaced at /statsz.
+// Over its entry budget the cache evicts by the cost of recomputing a
+// result and its hits, so a costly NOVA result outlives a stream of cheap
+// baseline results. Hit/miss/eviction counters, the simulation
+// time hits saved, and a request-latency histogram are registered in an
+// internal/stats tree surfaced at /statsz.
 //
 // See API.md at the repository root for the complete endpoint reference
 // and DESIGN.md §17 for the architecture discussion.
@@ -32,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"nova"
 	"nova/internal/harness"
 	"nova/internal/sim"
 	"nova/internal/stats"
@@ -87,6 +91,7 @@ type Server struct {
 	cacheMisses    stats.Counter
 	cacheEvictions stats.Counter
 	cacheInserts   stats.Counter
+	cacheSaved     stats.Scalar
 }
 
 // NewServer assembles a server and starts its worker pool.
@@ -148,8 +153,10 @@ func (s *Server) registerStats() {
 	c := root.Group("cache")
 	c.Counter(&s.cacheHits, "hits", stats.Count, "result-cache hits (request served without simulating)")
 	c.Counter(&s.cacheMisses, "misses", stats.Count, "result-cache misses")
-	c.Counter(&s.cacheEvictions, "evictions", stats.Count, "entries evicted by the LRU budget")
+	c.Counter(&s.cacheEvictions, "evictions", stats.Count, "entries evicted by the cost-aware budget, new entries dropped at once included")
 	c.Counter(&s.cacheInserts, "insertions", stats.Count, "complete results inserted into the cache")
+	c.Scalar(&s.cacheSaved, "saved_seconds", stats.Seconds,
+		"summed recorded run time of every hit: the simulation time the cache avoided").Volatile()
 	c.Formula(func() float64 { return float64(s.cache.Len()) },
 		"entries", stats.Entries, "resident cache entries")
 	c.Formula(func() float64 {
@@ -207,8 +214,8 @@ func (s *Server) countN(c *stats.Counter, n uint64) {
 // simulation on the queue. It returns the job record (already done for a
 // cache hit) or an httpError.
 func (s *Server) submit(req *JobRequest) (*job, *httpError) {
-	if !validWorkload(req.Workload) {
-		return nil, badRequest(fmt.Errorf("service: unknown workload %q", req.Workload))
+	if err := nova.CheckCell(req.Engine, req.Workload); err != nil {
+		return nil, badRequest(err)
 	}
 	entry, err := s.reg.Acquire(req.Graph)
 	if err != nil {
@@ -225,8 +232,11 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 
 	j := &job{req: *req, created: time.Now(), done: make(chan struct{})}
 	if !req.NoCache {
-		if cached, ok := s.cache.Get(key); ok {
-			s.count(&s.cacheHits)
+		if cached, cost, ok := s.cache.Get(key); ok {
+			s.statsMu.Lock()
+			s.cacheHits.Inc()
+			s.cacheSaved.Add(cost.Seconds())
+			s.statsMu.Unlock()
 			entry.Release()
 			j.state = JobDone
 			j.cached = true
@@ -289,7 +299,8 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 }
 
 // finishJob folds a queue result into the job record, renders the result
-// bytes, inserts complete runs into the cache, releases the job's graph,
+// bytes, inserts complete runs into the cache at the cost of their wall
+// time (r.Elapsed, which excludes queue wait), releases the job's graph,
 // and closes the done channel streaming clients wait on. The release
 // comes before the terminal state is visible, so a client that sees the
 // job finished never sees it still holding its graph.
@@ -333,23 +344,10 @@ func (s *Server) finishJob(j *job, r harness.Result[*harness.Report], entry *Gra
 	if rep.Partial {
 		s.count(&s.jobsPartial)
 	} else if cacheable && r.Err == nil {
-		evicted := s.cache.Put(key, body)
+		evicted := s.cache.Put(key, body, r.Elapsed)
 		s.count(&s.cacheInserts)
 		if evicted > 0 {
 			s.countN(&s.cacheEvictions, uint64(evicted))
 		}
 	}
-}
-
-// workloadNames is the serving surface: the same six cells the sweep
-// grids run.
-var workloadNames = []string{"bfs", "sssp", "cc", "pr", "bc", "prdelta"}
-
-func validWorkload(name string) bool {
-	for _, w := range workloadNames {
-		if w == name {
-			return true
-		}
-	}
-	return false
 }

@@ -466,6 +466,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown engine", map[string]any{"engine": "gpu", "workload": "bfs", "graph": "g"}, http.StatusBadRequest},
 		{"unknown workload", map[string]any{"engine": "nova", "workload": "dijkstra", "graph": "g"}, http.StatusBadRequest},
 		{"unregistered graph", map[string]any{"engine": "nova", "workload": "bfs", "graph": "missing"}, http.StatusNotFound},
+		// Known engines and workloads that the engine does not run.
+		{"prdelta on ligra", map[string]any{"engine": "ligra", "workload": "prdelta", "graph": "g"}, http.StatusBadRequest},
+		{"prdelta on polygraph", map[string]any{"engine": "polygraph", "workload": "prdelta", "graph": "g"}, http.StatusBadRequest},
+		{"pr on extmem", map[string]any{"engine": "extmem", "workload": "pr", "graph": "g"}, http.StatusBadRequest},
+		{"bc on extmem", map[string]any{"engine": "extmem", "workload": "bc", "graph": "g"}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "bogus": 1}, http.StatusBadRequest},
 		// Unknown keys inside a block, including the Go-only json:"-" fields.
 		{"unknown nova field", job("nova", map[string]any{"bogus": 1}), http.StatusBadRequest},

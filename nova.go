@@ -212,22 +212,36 @@ func ssdPreset(name string) (mem.SSDConfig, error) {
 	return mem.SSDConfig{}, fmt.Errorf("nova: unknown SSD preset %q", name)
 }
 
-func (c Config) partition(g *graph.CSR, gpns, pesPerGPN int) (*graph.Partition, error) {
-	parts := gpns * pesPerGPN
-	switch c.Mapping {
-	case "", "random":
-		return graph.PartitionRandom(g.NumVertices(), parts, c.Seed), nil
-	case "interleave":
-		return graph.PartitionInterleave(g.NumVertices(), parts), nil
-	case "load-balanced":
-		return graph.PartitionLoadBalanced(g, parts), nil
-	case "locality":
-		// Keep communities on one GPN (saving crossbar traffic) while
-		// spreading them over its PEs for parallelism.
-		return graph.PartitionLocalityHierarchical(g, gpns, pesPerGPN), nil
-	default:
+// placeFunc assigns g's vertices to the gpns × pesPerGPN PEs.
+type placeFunc func(c Config, g *graph.CSR, gpns, pesPerGPN int) *graph.Partition
+
+// mappings are the spatial vertex placements Config.Mapping names, keyed
+// by name: New checks a name against this table and simulate dispatches
+// on it, so a placement is declared once.
+var mappings = map[string]placeFunc{
+	"random": func(c Config, g *graph.CSR, gpns, pesPerGPN int) *graph.Partition {
+		return graph.PartitionRandom(g.NumVertices(), gpns*pesPerGPN, c.Seed)
+	},
+	"interleave": func(c Config, g *graph.CSR, gpns, pesPerGPN int) *graph.Partition {
+		return graph.PartitionInterleave(g.NumVertices(), gpns*pesPerGPN)
+	},
+	"load-balanced": func(c Config, g *graph.CSR, gpns, pesPerGPN int) *graph.Partition {
+		return graph.PartitionLoadBalanced(g, gpns*pesPerGPN)
+	},
+	// Keep communities on one GPN (saving crossbar traffic) while
+	// spreading them over its PEs for parallelism.
+	"locality": func(c Config, g *graph.CSR, gpns, pesPerGPN int) *graph.Partition {
+		return graph.PartitionLocalityHierarchical(g, gpns, pesPerGPN)
+	},
+}
+
+// placement returns the mappings entry Mapping names ("" means random).
+func (c Config) placement() (placeFunc, error) {
+	place, ok := mappings[cmp.Or(c.Mapping, "random")]
+	if !ok {
 		return nil, fmt.Errorf("nova: unknown mapping %q", c.Mapping)
 	}
+	return place, nil
 }
 
 // Accelerator runs programs on the simulated NOVA machine: named
@@ -245,7 +259,7 @@ func New(cfg Config) (*Accelerator, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := cfg.partition(graph.FromEdges("probe", 1, nil), cc.GPNs, cc.PEsPerGPN); err != nil {
+	if _, err := cfg.placement(); err != nil {
 		return nil, err
 	}
 	return &Accelerator{cfg: cfg}, nil
@@ -346,11 +360,11 @@ func (a *Accelerator) simulate(ctx context.Context, p program.Program, g *graph.
 	if err != nil {
 		return nil, err
 	}
-	part, err := a.cfg.partition(g, cc.GPNs, cc.PEsPerGPN)
+	place, err := a.cfg.placement()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(cc, g, part)
+	sys, err := core.NewSystem(cc, g, place(a.cfg, g, cc.GPNs, cc.PEsPerGPN))
 	if err != nil {
 		return nil, err
 	}

@@ -152,10 +152,16 @@ func (s RunStats) EffectiveGTEPS(sequentialEdges int64) float64 {
 
 // WorkEfficiency is Beamer's metric: edges a sequential implementation
 // traverses over edges this execution traversed (≤ 1 for asynchronous
-// execution with redundant traversals).
+// execution with redundant traversals). A run that traversed no edge
+// scores 1 only when the sequential run needs none either; otherwise the
+// ratio cannot be formed, and it scores 0, as EffectiveGTEPS does — a run
+// stopped before its first edge did none of the work.
 func (s RunStats) WorkEfficiency(sequentialEdges int64) float64 {
 	if s.EdgesTraversed == 0 {
-		return 1
+		if sequentialEdges == 0 {
+			return 1
+		}
+		return 0
 	}
 	return float64(sequentialEdges) / float64(s.EdgesTraversed)
 }

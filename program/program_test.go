@@ -166,8 +166,10 @@ func TestStatsMetrics(t *testing.T) {
 	if got := s.WorkEfficiency(2e9); got != 0.5 {
 		t.Fatalf("WorkEfficiency = %v", got)
 	}
+	// A run that traversed no edge is efficient only when none was
+	// needed; a stop before the first of ten needed edges scores 0.
 	var zero program.RunStats
-	if zero.TEPS() != 0 || zero.WorkEfficiency(10) != 1 {
+	if zero.TEPS() != 0 || zero.WorkEfficiency(10) != 0 || zero.WorkEfficiency(0) != 1 {
 		t.Fatal("zero-stats metrics wrong")
 	}
 }

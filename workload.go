@@ -2,7 +2,10 @@ package nova
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"nova/graph"
 	"nova/internal/harness"
@@ -25,6 +28,39 @@ var WorkloadNames = []string{"bfs", "sssp", "cc", "pr", "bc"}
 // when every vertex stays active (both reject it with an explanatory
 // error).
 const SpillStressWorkload = "prdelta"
+
+// engineWorkloads declares the named workloads each engine runs, keyed by
+// the engine's name. novasim skips the pairs it leaves out and novad
+// answers them with 400, before either builds a graph or queues a run;
+// the adapters still reject the same pairs at run time, with their
+// reasons.
+var engineWorkloads = map[string][]string{
+	"nova":      {"bfs", "sssp", "cc", "pr", "bc", SpillStressWorkload},
+	"polygraph": {"bfs", "sssp", "cc", "pr", "bc"},
+	"ligra":     {"bfs", "sssp", "cc", "pr", "bc"},
+	"extmem":    {"bfs", "sssp", "cc", SpillStressWorkload},
+}
+
+// ErrUnsupportedCell is wrapped by CheckCell's error for a known engine
+// and a known workload that the engine does not run.
+var ErrUnsupportedCell = errors.New("nova: unsupported cell")
+
+// CheckCell reports whether the named engine runs the named workload,
+// returning nil when it does. Otherwise the error names an unknown
+// engine, an unknown workload, or, wrapping ErrUnsupportedCell, a pair
+// the engine does not run.
+func CheckCell(engine, workload string) error {
+	runs, ok := engineWorkloads[engine]
+	switch {
+	case !ok:
+		return fmt.Errorf("nova: unknown engine %q", engine)
+	case !slices.Contains(WorkloadNames, workload) && workload != SpillStressWorkload:
+		return fmt.Errorf("nova: unknown workload %q", workload)
+	case !slices.Contains(runs, workload):
+		return fmt.Errorf("%w: the %s engine does not run %s (it runs %s)", ErrUnsupportedCell, engine, workload, strings.Join(runs, ", "))
+	}
+	return nil
+}
 
 // prIters is the cell's PageRank iteration count: Workload.PRIters, or 10
 // when it is not positive.
