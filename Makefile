@@ -14,14 +14,13 @@ SPILL_SHARDS ?= 4
 # flushed stats dump instead of eating the job's 120-minute budget.
 SPILL_TIMEOUT ?= 90m
 
-# Out-of-core stress knobs: a streamed partitioned container whose
-# partition count is ~8x the pager's resident cap (OOC_CACHE), processed
-# with the nova SSD tier on and the extmem baseline under a DRAM budget
-# ~1/4 of the edge data, so both paging paths run under real pressure.
+# Out-of-core stress knobs: a streamed container processed with the nova
+# SSD tier on and the extmem baseline under a DRAM budget ~1/4 of the
+# edge data (in OOC_PART_EDGES-edge vertex intervals), so both simulated
+# paging paths run under real pressure.
 OOC_VERTICES   ?= 500000
 OOC_DEGREE     ?= 16
 OOC_PART_EDGES ?= 1000000
-OOC_CACHE      ?= 1
 OOC_CSR        ?= /tmp/ooc_stress.csr
 OOC_STATS_OUT  ?= ooc_stress_stats.json
 OOC_TIMEOUT    ?= 90m
@@ -56,19 +55,16 @@ spill-stress: build
 		-timeout $(SPILL_TIMEOUT) \
 		-stats-out spill_stress_stats.json
 
-# Out-of-core stress (DESIGN.md §18): stream-build a partitioned
-# container, page it through a partition cache far smaller than the
-# partition count, and run the spill-heavy prdelta cell on both paging
-# engines — nova with the SSD tier on, extmem under a tight DRAM budget.
-# The stats dump carries partition_loads / bytes_paged / io_stall_ticks
-# for both engines (the nightly job gates paged-vs-flat determinism on
-# it and uploads it as an artifact).
+# Out-of-core stress (DESIGN.md §18): stream-build a container and run
+# the spill-heavy prdelta cell on both paging engines — nova with the SSD
+# tier on, extmem under a tight DRAM budget. The stats dump carries
+# partition_loads / bytes_paged / io_stall_ticks for both engines (the
+# nightly job uploads it as an artifact).
 outofcore-stress: build
 	$(GO) run ./cmd/graphgen -kind uniform -vertices $(OOC_VERTICES) \
-		-degree $(OOC_DEGREE) -seed 7 -stream \
-		-partition-edges $(OOC_PART_EDGES) -o $(OOC_CSR)
+		-degree $(OOC_DEGREE) -seed 7 -stream -o $(OOC_CSR)
 	$(GO) run ./cmd/novasim -engine nova,extmem -workload prdelta \
-		-graph-file $(OOC_CSR) -partition-cache $(OOC_CACHE) -scale large \
+		-graph-file $(OOC_CSR) -scale large \
 		-out-of-core -ssd-resident-pages 64 \
 		-extmem-ram 16777216 -extmem-part-edges $(OOC_PART_EDGES) \
 		-timeout $(OOC_TIMEOUT) -stats-out $(OOC_STATS_OUT)

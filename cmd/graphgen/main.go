@@ -10,8 +10,11 @@
 //	graphgen -kind uniform -vertices 100000 -degree 31 -dump
 //
 // With -stream and -o the graph is generated edge-by-edge and scattered
-// into the container in bounded chunks, so multi-million-edge graphs
-// build in constant memory (never holding the edge list or the CSR):
+// into the container in bounded chunks of at most -chunk-edges edges, so
+// multi-million-edge graphs build in constant memory (never holding the
+// edge list or the CSR). It prints only the graph's size: -dump and
+// -parts need the graph in memory, so graphgen refuses them with
+// -stream -o:
 //
 //	graphgen -kind rmat -vertices 4194304 -degree 16 -stream -o big.csr
 //	graphgen -info big.csr
@@ -57,8 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	parts := fs.Int("parts", 0, "if >0, report partitioner statistics for this many parts")
 	stream := fs.Bool("stream", false, "generate via the constant-memory streaming generators")
 	out := fs.String("o", "", "write the binary CSR container to FILE")
-	chunkEdges := fs.Int64("chunk-edges", 0, "scatter-buffer budget for streaming container builds (0 = default)")
-	partitionEdges := fs.Int64("partition-edges", 0, "if >0, write the partitioned container layout with at most this many edges per vertex interval (pageable via novasim -partition-cache)")
+	chunkEdges := fs.Int64("chunk-edges", 0, "scatter-buffer budget in edges for the streamed container build, -stream -o (0 = default)")
 	info := fs.String("info", "", "print the header of a binary CSR container and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,16 +71,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		layout := "flat"
-		if fi.Partitioned {
-			layout = fmt.Sprintf("partitioned x%d", fi.NumPartitions)
-		}
-		fmt.Fprintf(stdout, "%s: format v%d (%s), V=%d E=%d, rowptr %d bytes, edges %d bytes\n",
-			*info, fi.Version, layout, fi.NumVertices, fi.NumEdges, fi.RowPtrBytes, fi.EdgeBytes)
+		fmt.Fprintf(stdout, "%s: format v%d, V=%d E=%d, rowptr %d bytes, edges %d bytes\n",
+			*info, fi.Version, fi.NumVertices, fi.NumEdges, fi.RowPtrBytes, fi.EdgeBytes)
 		return nil
 	}
-	if *partitionEdges > 0 && *out == "" {
-		return fmt.Errorf("-partition-edges shapes the container layout; add -o FILE")
+	// The streamed build never holds the graph, so nothing can dump or
+	// partition it, and -chunk-edges tunes that build alone.
+	streamed := *stream && *out != ""
+	switch {
+	case *chunkEdges < 0:
+		return fmt.Errorf("-chunk-edges %d: need a positive edge count, or 0 for the default", *chunkEdges)
+	case *chunkEdges != 0 && !streamed:
+		return fmt.Errorf("-chunk-edges tunes the streamed container build only; add -stream -o FILE")
+	case streamed && *dump:
+		return fmt.Errorf("-dump needs the graph in memory, which the streamed build (-stream -o) never holds; drop -stream")
+	case streamed && *parts > 0:
+		return fmt.Errorf("-parts needs the graph in memory, which the streamed build (-stream -o) never holds; drop -stream")
 	}
 	// Reject, before anything is generated, the flag values at which a
 	// generator would panic or build a graph other than the one asked
@@ -133,17 +141,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Streaming container build: the edge stream scatters straight into
 	// the file in bounded chunks — the only path that never materializes
 	// the graph, so it is what the large tier uses.
-	if *out != "" && *stream {
-		fi, err := graph.BuildCSRFile(*out, st, graph.BuildOptions{ChunkEdges: *chunkEdges, PartitionEdges: *partitionEdges})
+	if streamed {
+		fi, err := graph.BuildCSRFile(*out, st, graph.BuildOptions{ChunkEdges: *chunkEdges})
 		if err != nil {
 			return err
 		}
-		layout := ""
-		if fi.Partitioned {
-			layout = fmt.Sprintf(", %d partitions", fi.NumPartitions)
-		}
-		fmt.Fprintf(stderr, "%s: V=%d E=%d written to %s (constant-memory build%s)\n",
-			st.Name(), fi.NumVertices, fi.NumEdges, *out, layout)
+		fmt.Fprintf(stderr, "%s: V=%d E=%d written to %s (constant-memory build)\n",
+			st.Name(), fi.NumVertices, fi.NumEdges, *out)
 		return nil
 	}
 
@@ -160,18 +164,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *out != "" {
-		if *partitionEdges > 0 {
-			fi, err := graph.WritePartitionedCSRFile(*out, g, *partitionEdges)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "partitioned container written to %s (%d partitions)\n", *out, fi.NumPartitions)
-		} else {
-			if err := graph.WriteCSRFile(*out, g); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "container written to %s\n", *out)
+		if err := graph.WriteCSRFile(*out, g); err != nil {
+			return err
 		}
+		fmt.Fprintf(stderr, "container written to %s\n", *out)
 	}
 
 	fmt.Fprintf(stderr, "%s: V=%d E=%d avg-deg=%.2f max-deg=%d footprint=%d bytes\n",

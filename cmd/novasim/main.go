@@ -18,6 +18,10 @@
 // (extmem runs neither pr nor bc); an unknown workload, or a grid with no
 // runnable pair, is rejected before any dataset is built.
 //
+// -graph-file runs on a graph from disk instead of a generated dataset: a
+// .csr file is a binary CSR container (graphgen -o), read whole with
+// graph.ReadCSRFile; any other file is a text edge list.
+//
 // -stats-out writes the merged hierarchical statistics dump of every cell
 // (format by extension: .json, .csv, .txt); see STATS.md for the record
 // reference and cmd/statdiff for comparing dumps:
@@ -72,7 +76,6 @@ func main() {
 	flag.Int64Var(&em.PartitionEdges, "extmem-part-edges", 0, "target edges per vertex interval for the extmem engine (0 = default 1Mi)")
 	verify := flag.Bool("verify", true, "check every bfs, sssp and cc cell against the sequential oracle")
 	graphFile := flag.String("graph-file", "", "load graph from a file instead of the registry (.csr = binary CSR container, else edge list)")
-	partitionCache := flag.Int("partition-cache", 0, "page a partitioned .csr -graph-file through a bounded partition cache of this many resident partitions (0 = load normally)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (one nova cell of a single-phase workload)")
 	statsOut := flag.String("stats-out", "", "write the merged statistics dump to FILE (.json, .csv, or .txt by extension)")
 	jobsN := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent cells")
@@ -115,11 +118,8 @@ func main() {
 		if strings.HasSuffix(*graphFile, ".csr") {
 			// The versioned binary CSR container: checksummed, loaded in
 			// constant memory (graphgen -o writes it).
-			loaded, err = loadCSRFile(*graphFile, *partitionCache)
+			loaded, err = graph.ReadCSRFile(*graphFile)
 		} else {
-			if *partitionCache > 0 {
-				check(fmt.Errorf("-partition-cache pages the partitioned .csr container; %q is an edge list", *graphFile))
-			}
 			var f *os.File
 			f, err = os.Open(*graphFile)
 			check(err)
@@ -129,9 +129,6 @@ func main() {
 		check(err)
 		d = &exp.Dataset{Name: loaded.Name, Graph: loaded, Root: loaded.LargestOutDegreeVertex()}
 	} else {
-		if *partitionCache > 0 {
-			check(fmt.Errorf("-partition-cache applies to a partitioned -graph-file, not registry graphs"))
-		}
 		d, err = exp.DatasetByName(scale, *graphName)
 		check(err)
 	}
@@ -237,42 +234,6 @@ func checkFlags(engines, workloads []string, trace string, cfg *nova.Config, em 
 		return fmt.Errorf("-trace needs -shards 1: the trace buffer is not sharded")
 	}
 	return nil
-}
-
-// loadCSRFile loads a binary CSR container. A partitioned container with
-// -partition-cache set is paged through a bounded PartitionedCSR — the
-// process never holds more than the cache's worth of partitions while
-// assembling the graph — and the pager traffic is reported; the result is
-// bit-identical to a flat load at every cache size.
-func loadCSRFile(path string, partitionCache int) (*graph.CSR, error) {
-	info, err := graph.StatCSRFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if !info.Partitioned {
-		if partitionCache > 0 {
-			return nil, fmt.Errorf("-partition-cache needs a partitioned container; %s is flat (rebuild with graphgen -partition-edges)", path)
-		}
-		return graph.ReadCSRFile(path)
-	}
-	if partitionCache <= 0 {
-		// Partitioned containers load fine through the flat reader; paging
-		// is opt-in via -partition-cache.
-		return graph.ReadCSRFile(path)
-	}
-	pc, err := graph.OpenPartitionedCSR(path, partitionCache)
-	if err != nil {
-		return nil, err
-	}
-	defer pc.Close()
-	g, err := pc.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	st := pc.Stats()
-	fmt.Fprintf(os.Stderr, "paged %s: %d partitions through a %d-slot cache (loads=%d evictions=%d, %d B paged, mmap=%v)\n",
-		path, pc.NumPartitions(), partitionCache, st.Loads, st.Evictions, st.BytesPaged, pc.Mapped())
-	return g, nil
 }
 
 // runSweep fans the engine×workload grid out over the harness pool and

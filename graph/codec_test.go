@@ -13,40 +13,21 @@ import (
 	"unsafe"
 )
 
-// TestContainerGolden pins the exact bytes the writers emit for the shape
-// validContainer and validPartitionedContainer use. The byte-identity
-// tests compare writers with each other; only a pinned digest catches a
-// change of the format itself.
+// TestContainerGolden pins the exact bytes the writer emits for the shape
+// validContainer uses. TestBuildCSRFileMatchesFromStream compares the
+// streamed build's bytes with WriteCSRFile's; only a pinned digest
+// catches a change of the format itself.
 func TestContainerGolden(t *testing.T) {
-	g := GenUniform("t", 60, 4, 8, 1)
-	for _, tc := range []struct {
-		name  string
-		write func(path string) error
-		size  int
-		sum   string
-	}{
-		{"flat", func(p string) error { return WriteCSRFile(p, g) },
-			2484, "f18b4b991051bc7e250ff47503c84e4ea35c27a917deb183906db8536022bc8e"},
-		{"partitioned", func(p string) error { _, err := WritePartitionedCSRFile(p, g, 40); return err },
-			2876, "ec1d704cf4a8678f0cded4c4762d625f5ab57c743663df2f86a373923a993170"},
-	} {
-		path := filepath.Join(t.TempDir(), tc.name+".csr")
-		if err := tc.write(path); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		if len(data) != tc.size || hex.EncodeToString(sum[:]) != tc.sum {
-			t.Errorf("%s: %d bytes sha256 %x, want %d bytes %s", tc.name, len(data), sum, tc.size, tc.sum)
-		}
+	data := validContainer(t)
+	sum := sha256.Sum256(data)
+	const size, want = 2484, "f18b4b991051bc7e250ff47503c84e4ea35c27a917deb183906db8536022bc8e"
+	if len(data) != size || hex.EncodeToString(sum[:]) != want {
+		t.Errorf("%d bytes sha256 %x, want %d bytes %s", len(data), sum, size, want)
 	}
 }
 
-// TestFlatMappedRowPtrAliasesFile: on little-endian hosts a flat file's
-// row pointers are the mapped row section itself, not a decoded copy.
+// TestFlatMappedRowPtrAliasesFile: on little-endian hosts a file's row
+// pointers are the mapped row section itself, not a decoded copy.
 func TestFlatMappedRowPtrAliasesFile(t *testing.T) {
 	if !hostIsLittleEndian() {
 		t.Skip("row pointers alias the file only on little-endian hosts")
@@ -66,10 +47,9 @@ func TestFlatMappedRowPtrAliasesFile(t *testing.T) {
 	}
 }
 
-// TestFlatRowPtrMustStartAtZero: a flat file is the one-slab case, so its
-// row pointers must start at edge 0 like any slab's start at its first
-// edge. A resealed file whose first row pointer skips edges would leave
-// them owned by no vertex while |E| still counts them.
+// TestFlatRowPtrMustStartAtZero: row pointers must start at edge 0. A
+// resealed file whose first row pointer skips edges would leave them
+// owned by no vertex while |E| still counts them.
 func TestFlatRowPtrMustStartAtZero(t *testing.T) {
 	bad := append([]byte(nil), validContainer(t)...)
 	row := bad[csrFileHeaderSize:]
@@ -77,9 +57,7 @@ func TestFlatRowPtrMustStartAtZero(t *testing.T) {
 	if binary.LittleEndian.Uint64(row) == 0 {
 		t.Fatal("vertex 0 has no edges; pick a shape where it does")
 	}
-	rowLen := binary.LittleEndian.Uint64(bad[24+8:])
-	binary.LittleEndian.PutUint32(bad[24+16:], crc32Checksum(row[:rowLen]))
-	resealHeader(bad)
+	resealSections(bad)
 	path := filepath.Join(t.TempDir(), "bad.csr")
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -95,89 +73,53 @@ func TestFlatRowPtrMustStartAtZero(t *testing.T) {
 	}
 }
 
-// resealedPayloadCRC returns a valid partitioned container whose payload
-// section CRC is flipped and whose header CRC is resealed: every slab and
-// the table still verify, only the whole-payload checksum is wrong.
-func resealedPayloadCRC(t testing.TB) []byte {
-	bad := append([]byte(nil), validPartitionedContainer(t)...)
-	crcOff := 24 + 24 + 16 // section 1's crc field
-	binary.LittleEndian.PutUint32(bad[crcOff:], binary.LittleEndian.Uint32(bad[crcOff:])^1)
-	resealHeader(bad)
-	return bad
-}
-
-// wrappedEdgeCounts returns a partitioned container whose resealed table
-// inflates three partitions' edge counts by amounts summing to 2^64, with
-// the slab offsets shifted to match: the sums wrap back to the header's
-// |E| and payload size, so only a per-entry bound on the counts stops the
-// readers from slicing or allocating by them.
-func wrappedEdgeCounts(t testing.TB) []byte {
-	b := append([]byte(nil), validPartitionedContainer(t)...)
-	var shift uint64
-	for i, x := range []uint64{6148914691236517205, 6148914691236517205, 6148914691236517206} {
-		e := csrFileHeaderSize + 8 + i*csrPartEntryBytes
-		for _, f := range []struct {
-			off   int
-			delta uint64
-		}{{16, x}, {24, shift}, {32, shift}} { // edges, rowOff, edgeOff
-			binary.LittleEndian.PutUint64(b[e+f.off:], binary.LittleEndian.Uint64(b[e+f.off:])+f.delta)
-		}
-		shift += x * csrEdgeRecBytes
-	}
-	tl := int(binary.LittleEndian.Uint64(b[24+8:]))
-	binary.LittleEndian.PutUint32(b[24+16:], crc32Checksum(b[csrFileHeaderSize:csrFileHeaderSize+tl]))
+// retiredLayoutContainer returns validContainer with the header flag bit
+// of the retired partitioned layout set and the header resealed, so only
+// the flag check stands between the file and a reader.
+func retiredLayoutContainer(t testing.TB) []byte {
+	b := validContainer(t)
+	binary.LittleEndian.PutUint16(b[6:8], csrFlagPartitioned)
 	resealHeader(b)
 	return b
 }
 
-// TestMaterializeChecksPayloadCRC: the pager's Materialize rejects a
-// payload-CRC mismatch exactly like the full readers, on both its mapped
-// and its ReadAt path, while Open and Acquire keep deferring validation to
-// the slabs they touch.
-func TestMaterializeChecksPayloadCRC(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.csr")
-	if err := os.WriteFile(path, resealedPayloadCRC(t), 0o644); err != nil {
+// TestRetiredLayoutRejected: a file that carries the retired partitioned
+// layout's flag bit is refused by every reader as corrupt, with an error
+// that says how to get a readable file.
+func TestRetiredLayoutRejected(t *testing.T) {
+	data := retiredLayoutContainer(t)
+	path := filepath.Join(t.TempDir(), "retired.csr")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCSRFile(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadCSRFile: %v, want ErrCorrupt", err)
-	}
-	for _, mapped := range []bool{true, false} {
-		pc, err := OpenPartitionedCSR(path, 1)
-		if err != nil {
-			t.Fatalf("open must defer payload validation: %v", err)
-		}
-		if !mapped && pc.data != nil {
-			// The ReadAt path, the one platforms without mmap take.
-			if err := pc.unmap(pc.data); err != nil {
-				t.Fatal(err)
+	for _, r := range []struct {
+		name string
+		read func() error
+	}{
+		{"ReadCSR", func() error { _, err := ReadCSR("t", bytes.NewReader(data)); return err }},
+		{"ReadCSRFile", func() error { _, err := ReadCSRFile(path); return err }},
+		{"OpenCSRFileMapped", func() error {
+			m, err := OpenCSRFileMapped(path)
+			if err == nil {
+				m.Close()
 			}
-			pc.data = nil
+			return err
+		}},
+		{"StatCSRFile", func() error { _, err := StatCSRFile(path); return err }},
+	} {
+		if err := r.read(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "graphgen") {
+			t.Errorf("%s: %v, want ErrCorrupt naming graphgen", r.name, err)
 		}
-		p, err := pc.Acquire(0)
-		if err != nil {
-			t.Fatalf("mapped=%v: intact slab rejected: %v", mapped, err)
-		}
-		pc.Release(p)
-		_, err = pc.Materialize()
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "payload section checksum mismatch") {
-			t.Fatalf("mapped=%v: Materialize = %v, want the payload checksum mismatch", mapped, err)
-		}
-		pc.Close()
 	}
 }
 
-// FuzzContainerReaders holds the three container readers to one verdict:
+// FuzzContainerReaders holds the two container readers to one verdict:
 // OpenCSRFileMapped accepts exactly what ReadCSR accepts and yields the
-// identical graph; so does the pager's Materialize on partitioned inputs
-// (flat files skip the pager, which refuses them by design); and every
-// rejection wraps ErrCorrupt.
+// identical graph, and every rejection wraps ErrCorrupt.
 func FuzzContainerReaders(f *testing.F) {
 	for _, seed := range readerSeeds(f) {
 		f.Add(seed)
 	}
-	f.Add(resealedPayloadCRC(f))
-	f.Add(wrappedEdgeCounts(f))
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(dir, "fuzz.csr")
@@ -185,35 +127,18 @@ func FuzzContainerReaders(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, rerr := ReadCSR(path, bytes.NewReader(data))
-		check := func(reader string, g *CSR, err error) {
-			t.Helper()
-			switch {
-			case err != nil && !errors.Is(err, ErrCorrupt):
-				t.Fatalf("%s: rejection not typed ErrCorrupt: %v", reader, err)
-			case (err == nil) != (rerr == nil):
-				t.Fatalf("%s: err %v, ReadCSR err %v", reader, err, rerr)
-			case err == nil:
-				sameCSR(t, g, want)
-			}
+		if rerr != nil && !errors.Is(rerr, ErrCorrupt) {
+			t.Fatalf("ReadCSR: rejection not typed ErrCorrupt: %v", rerr)
 		}
-		var g *CSR
 		m, err := OpenCSRFileMapped(path)
-		if err == nil {
+		switch {
+		case err != nil && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("OpenCSRFileMapped: rejection not typed ErrCorrupt: %v", err)
+		case (err == nil) != (rerr == nil):
+			t.Fatalf("OpenCSRFileMapped: err %v, ReadCSR err %v", err, rerr)
+		case err == nil:
 			defer m.Close()
-			g = m.G
+			sameCSR(t, m.G, want)
 		}
-		check("OpenCSRFileMapped", g, err)
-		info, err := StatCSRFile(path)
-		if err != nil || !info.Partitioned {
-			return
-		}
-		pc, err := OpenPartitionedCSR(path, 1)
-		if err != nil {
-			check("OpenPartitionedCSR", nil, err)
-			return
-		}
-		defer pc.Close()
-		g, err = pc.Materialize()
-		check("Materialize", g, err)
 	})
 }

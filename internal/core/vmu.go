@@ -448,9 +448,3 @@ func (u *VMU) fifoRefill() {
 		}
 	}
 }
-
-// pendingWork reports whether the VMU still holds or tracks activations.
-func (u *VMU) pendingWork() bool {
-	return u.bufferLen() > 0 || u.trackedTotal > 0 ||
-		u.inflightPrefetch > 0 || u.fifoHead < len(u.fifo)
-}

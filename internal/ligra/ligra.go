@@ -256,19 +256,6 @@ func (e *Engine) edgeMapDense(g, gT *graph.CSR, f *Frontier, fns EdgeFuncs) *Fro
 	return NewDenseFrontier(out)
 }
 
-// VertexMap applies fn to every frontier vertex, keeping those for which
-// it returns true.
-func (e *Engine) VertexMap(f *Frontier, fn func(v graph.VertexID) bool) *Frontier {
-	verts := f.Vertices()
-	keep := make([]graph.VertexID, 0, len(verts))
-	for _, v := range verts {
-		if fn(v) {
-			keep = append(keep, v)
-		}
-	}
-	return NewSparseFrontier(f.n, keep)
-}
-
 // Result reports wall-clock performance of a software run.
 type Result struct {
 	Seconds        float64

@@ -82,15 +82,11 @@ type GraphInfo struct {
 	Edges       int64  `json:"edges"`
 	ContentHash string `json:"content_hash"`
 	// Mapped reports whether the container is served from a live kernel
-	// mapping. False means the graph was decoded onto the heap — the
-	// non-unix fallback and every partitioned container land here — so the
-	// entry's full footprint counts against process memory, not the page
-	// cache. Capacity planning against /graphs must not assume a false
-	// entry is cheap.
+	// mapping. False means the file was read onto the heap — the fallback
+	// on platforms without mmap — so the entry's full footprint counts
+	// against process memory, not the page cache. Capacity planning
+	// against /graphs must not assume a false entry is cheap.
 	Mapped bool `json:"mapped"`
-	// Partitioned reports the partitioned container layout (pageable via
-	// graph.OpenPartitionedCSR; see DESIGN.md §18).
-	Partitioned bool `json:"partitioned"`
 	// InFlight is the number of jobs currently holding the entry.
 	InFlight int `json:"in_flight"`
 }
@@ -214,9 +210,9 @@ func (r *Registry) ResidentBytes() int64 {
 }
 
 // MappedCounts splits the registered graphs into kernel-mapped entries
-// and heap-resident ones (the non-unix whole-file fallback and decoded
-// partitioned containers). The split is surfaced at /statsz so an
-// operator can see when "registered" stops meaning "cheap".
+// and heap-resident ones (the whole-file fallback on platforms without
+// mmap). The split is surfaced at /statsz so an operator can see when
+// "registered" stops meaning "cheap".
 func (r *Registry) MappedCounts() (mapped, unmapped int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,7 +249,6 @@ func (e *GraphEntry) wireInfo() GraphInfo {
 		Edges:       e.info.NumEdges,
 		ContentHash: fmt.Sprintf("%08x", e.info.ContentHash),
 		Mapped:      e.m.Mapped(),
-		Partitioned: e.info.Partitioned,
 		InFlight:    e.refs,
 	}
 }

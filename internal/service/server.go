@@ -175,7 +175,7 @@ func (s *Server) registerStats() {
 	r.Formula(func() float64 { m, _ := s.reg.MappedCounts(); return float64(m) },
 		"mapped", stats.Count, "graphs served from a live kernel mapping (page-cache backed)")
 	r.Formula(func() float64 { _, u := s.reg.MappedCounts(); return float64(u) },
-		"unmapped", stats.Count, "graphs decoded onto the heap (non-unix fallback, partitioned containers)")
+		"unmapped", stats.Count, "graphs read onto the heap (the fallback on platforms without mmap)")
 	s.statsRoot = root
 }
 

@@ -3,8 +3,10 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -195,26 +197,48 @@ func TestRegisterListEvict(t *testing.T) {
 	}
 }
 
+// TestCorruptContainerRejected: POST /graphs answers a file no reader
+// accepts with 422 and names the corruption (and, for the retired layout,
+// the tool that rebuilds it); a missing file is a 404.
 func TestCorruptContainerRejected(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
-	path := buildCSR(t, 300)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, ts.URL+"/graphs", map[string]string{"name": "bad", "path": path})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt register: HTTP %d (%s), want 422", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "corrupt") {
-		t.Fatalf("corrupt register error should name the corruption: %s", body)
+	for _, tc := range []struct {
+		name string
+		want string
+		mut  func(raw []byte)
+	}{
+		{"flipped payload byte", "corrupt", func(raw []byte) { raw[len(raw)/2] ^= 0x40 }},
+		{"retired partitioned layout", "graphgen", func(raw []byte) {
+			// Set the retired layout's header flag bit (bit 0 of the u16
+			// at offset 6) and reseal the header CRC, which ends the
+			// header; the row section's offset is the header's length.
+			hdrLen := binary.LittleEndian.Uint64(raw[24:32])
+			binary.LittleEndian.PutUint16(raw[6:8], 1)
+			crc := crc32.Checksum(raw[:hdrLen-4], crc32.MakeTable(crc32.Castagnoli))
+			binary.LittleEndian.PutUint32(raw[hdrLen-4:], crc)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := buildCSR(t, 300)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mut(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resp, body := postJSON(t, ts.URL+"/graphs", map[string]string{"name": "bad", "path": path})
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("corrupt register: HTTP %d (%s), want 422", resp.StatusCode, body)
+			}
+			if !strings.Contains(string(body), "corrupt") || !strings.Contains(string(body), tc.want) {
+				t.Fatalf("corrupt register error should name the corruption and %q: %s", tc.want, body)
+			}
+		})
 	}
 	// A missing file is a different failure: 404, not 422.
-	resp, _ = postJSON(t, ts.URL+"/graphs", map[string]string{"name": "gone", "path": path + ".nope"})
+	resp, _ := postJSON(t, ts.URL+"/graphs", map[string]string{"name": "gone", "path": filepath.Join(t.TempDir(), "gone.csr")})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing register: HTTP %d, want 404", resp.StatusCode)
 	}

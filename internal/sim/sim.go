@@ -105,9 +105,6 @@ func NewEvent(h Handler) *Event {
 	return &Event{h: h, index: unqueued}
 }
 
-// When returns the tick at which the event is scheduled to fire.
-func (e *Event) When() Ticks { return e.when }
-
 // Scheduled reports whether the event is currently in the queue.
 func (e *Event) Scheduled() bool { return e != nil && e.index != unqueued }
 
