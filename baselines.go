@@ -9,7 +9,6 @@ import (
 	"nova/internal/ligra"
 	"nova/internal/polygraph"
 	"nova/internal/sim"
-	"nova/internal/stats"
 	"nova/program"
 )
 
@@ -27,27 +26,6 @@ type PolyGraphBaseline struct {
 	MemBandwidth float64 `json:"-"`
 	// ForceSlices overrides the computed slice count when positive.
 	ForceSlices int `json:"force_slices"`
-}
-
-// PolyGraphReport extends the engine-agnostic stats with the temporal-
-// partitioning breakdown of Figs. 2 and 6.
-type PolyGraphReport struct {
-	Props               []program.Prop
-	Stats               program.RunStats
-	ProcessingSeconds   float64
-	SwitchingSeconds    float64
-	InefficiencySeconds float64
-	SliceCount          int
-	Rounds              int
-	SlicePasses         int
-	EdgeBandwidthShare  float64
-	// Dump is the full hierarchical statistics dump (per-slice schedule,
-	// traffic split); the flat fields above are its root-level records.
-	Dump *stats.Dump
-	// Partial marks a salvaged report from a run that stopped early;
-	// StopReason classifies why ("cancelled", "deadline", "budget").
-	Partial    bool
-	StopReason string
 }
 
 func (b *PolyGraphBaseline) config() polygraph.Config {
@@ -79,10 +57,12 @@ func (b *PolyGraphBaseline) Validate() error {
 
 // RunContext executes the custom program p on g under the PolyGraph
 // model, polling ctx cooperatively between rounds and slice activations.
-// On a cooperative stop (cancellation, deadline, round-budget exhaustion)
-// it returns BOTH a partial report (Partial set, with its StopReason) and
-// the error.
-func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*PolyGraphReport, error) {
+// The report carries the run's props, stats and dump; Metric reads the
+// temporal-partitioning breakdown from the dump (MetricSliceCount,
+// MetricSlicePasses, MetricSwitchingSeconds, …). On a cooperative stop
+// (cancellation, deadline, round-budget exhaustion) it returns BOTH a
+// partial report (Partial set, with its StopReason) and the error.
+func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,32 +70,19 @@ func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g
 	if res == nil {
 		return nil, err
 	}
-	return &PolyGraphReport{
-		Props:               res.Props,
-		Stats:               res.Stats,
-		ProcessingSeconds:   res.ProcessingSeconds,
-		SwitchingSeconds:    res.SwitchingSeconds,
-		InefficiencySeconds: res.InefficiencySeconds,
-		SliceCount:          res.SliceCount,
-		Rounds:              res.Rounds,
-		SlicePasses:         res.SlicePasses,
-		EdgeBandwidthShare:  res.EdgeBandwidthShare,
-		Dump:                res.Dump,
-		Partial:             res.Partial,
-		StopReason:          string(res.StopReason),
-	}, err
+	return &harness.Report{Props: res.Props, Stats: res.Stats, Dump: res.Dump,
+		Partial: res.Partial, StopReason: string(res.StopReason)}, err
 }
 
 // Engine returns the harness view of the PolyGraph baseline, the way to
 // run a named workload. Each RunWorkload call owns a private simulation,
 // so the engine is safe for concurrent use by harness.Pool workers.
 //
-// The report carries the run's stats dump (the PolyGraphReport.Dump
-// tree), which harness.Report.Metric reads by record path: root-level
-// keys processing_seconds, switching_seconds, inefficiency_seconds,
-// slice_count, rounds, slice_passes, edge_bw_share plus traffic counters
-// and per-slice detail (slice0.passes, …). The two-phase "bc" workload
-// reports Stats only.
+// The report carries the run's stats dump, which harness.Report.Metric
+// reads by record path: root-level keys processing_seconds,
+// switching_seconds, inefficiency_seconds, slice_count, rounds,
+// slice_passes, edge_bw_share plus traffic counters and per-slice detail
+// (slice0.passes, …). The two-phase "bc" workload reports Stats only.
 func (b *PolyGraphBaseline) Engine() harness.Engine { return pgEngine{b} }
 
 type pgEngine struct{ b *PolyGraphBaseline }
@@ -136,14 +103,7 @@ func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness
 		// minutes. The workload exists to stress NOVA's VMU; keep it there.
 		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
 	}
-	return runWorkload(ctx, e, w, func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
-		rep, err := e.b.RunContext(ctx, p, g)
-		if rep == nil {
-			return nil, err
-		}
-		return &harness.Report{Props: rep.Props, Stats: rep.Stats, Dump: rep.Dump,
-			Partial: rep.Partial, StopReason: rep.StopReason}, err
-	})
+	return runWorkload(ctx, e, w, e.b.RunContext)
 }
 
 var _ harness.Engine = pgEngine{}
@@ -202,12 +162,6 @@ func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harn
 	if err := e.s.Validate(); err != nil {
 		return nil, err
 	}
-	transpose := func() *graph.CSR {
-		if w.GT != nil {
-			return w.GT
-		}
-		return w.G.Transpose()
-	}
 	le := e.s.engine()
 	intr := sim.NewInterrupt()
 	le.Interrupt = intr
@@ -218,15 +172,15 @@ func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harn
 	var res ligra.Result
 	switch w.Name {
 	case "bfs":
-		dists, res = le.BFS(w.G, transpose(), w.Root)
+		dists, res = le.BFS(w.G, w.G.Transpose(), w.Root)
 	case "sssp":
 		dists, res = le.SSSP(w.G, nil, w.Root)
 	case "cc":
 		dists, res = le.CC(w.G)
 	case "pr":
-		out.Scores, res = le.PR(w.G, transpose(), 0.85, prIters(w))
+		out.Scores, res = le.PR(w.G, w.G.Transpose(), 0.85, prIters(w))
 	case "bc":
-		out.Scores, res = le.BC(w.G, transpose(), w.Root)
+		out.Scores, res = le.BC(w.G, w.G.Transpose(), w.Root)
 	case SpillStressWorkload:
 		// The software baseline implements the five paper workloads as
 		// dedicated kernels; there is no generic asynchronous executor to

@@ -79,6 +79,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// partition it, and -chunk-edges tunes that build alone.
 	streamed := *stream && *out != ""
 	switch {
+	case *parts < 0:
+		return fmt.Errorf("-parts %d: need a positive part count, or 0 for no partitioner statistics", *parts)
 	case *chunkEdges < 0:
 		return fmt.Errorf("-chunk-edges %d: need a positive edge count, or 0 for the default", *chunkEdges)
 	case *chunkEdges != 0 && !streamed:

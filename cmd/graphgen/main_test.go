@@ -13,9 +13,10 @@ import (
 // count or more edges than a container holds, a vertex or grid count that
 // leaves nothing to summarise, a drop that is no probability, and a
 // maximum weight that wraps around uint32. It also holds graphgen to
-// refusing the flags a streamed container build used to ignore without a
-// word: -dump and -parts, which need the graph in memory, and a
-// -chunk-edges that is negative or tunes no streamed build.
+// refusing the flags it used to ignore without a word: a negative -parts;
+// -dump and -parts with a streamed container build, which never holds the
+// graph in memory; and a -chunk-edges that is negative or tunes no
+// streamed build.
 func TestRejectsBadGeneratorFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "t.csr")
 	for _, tc := range []struct {
@@ -39,6 +40,7 @@ func TestRejectsBadGeneratorFlags(t *testing.T) {
 		{"negative max weight", []string{"-kind", "uniform", "-vertices", "100", "-degree", "2", "-max-weight", "-5"}, "-max-weight"},
 		{"max weight past uint32", []string{"-kind", "uniform", "-vertices", "100", "-degree", "2", "-max-weight", "4294967296"}, "-max-weight"},
 		{"dump with a streamed container", []string{"-kind", "uniform", "-vertices", "1000", "-degree", "4", "-stream", "-o", out, "-dump"}, "-dump"},
+		{"negative parts", []string{"-kind", "uniform", "-vertices", "100", "-degree", "2", "-parts", "-3"}, "-parts"},
 		{"parts with a streamed container", []string{"-kind", "uniform", "-vertices", "1000", "-degree", "4", "-stream", "-o", out, "-parts", "4"}, "-parts"},
 		{"negative chunk edges streamed", []string{"-kind", "uniform", "-vertices", "1000", "-degree", "4", "-stream", "-o", out, "-chunk-edges", "-5"}, "-chunk-edges"},
 		{"negative chunk edges unstreamed", []string{"-kind", "uniform", "-vertices", "1000", "-degree", "4", "-o", out, "-chunk-edges", "-5"}, "-chunk-edges"},

@@ -256,16 +256,8 @@ func runSweep(ctx context.Context, scale exp.Scale, d *exp.Dataset, engines []ha
 				continue
 			}
 			cell := harness.Workload{Name: w, G: d.Graph, Root: d.Root, PRIters: prIters, Tier: scale.String()}
-			switch {
-			case w == "cc":
-				cell.G = d.Sym()
-				cell.GT = cell.G
-			case w == "bc" || eng.Name() == "ligra":
-				// Only bc and the pull-direction software engine consume
-				// the transpose (cached across cells by the dataset);
-				// building it for every cell would double the memory
-				// footprint of large-tier runs.
-				cell.GT = d.Transpose()
+			if w == "cc" {
+				cell.G = d.Graph.Symmetrize()
 			}
 			jobs = append(jobs, harness.Job[*harness.Report]{
 				Name: fmt.Sprintf("%s/%s", eng.Name(), w),

@@ -49,13 +49,14 @@ func TestKernelDeterminismGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("polygraph: edges=%d passes=%d coalesced=%d",
-			rep.Stats.EdgesTraversed, rep.SlicePasses, rep.Stats.MessagesCoalesced)
+		passes := rep.Metric(MetricSlicePasses)
+		t.Logf("polygraph: edges=%d passes=%v coalesced=%d",
+			rep.Stats.EdgesTraversed, passes, rep.Stats.MessagesCoalesced)
 		if rep.Stats.EdgesTraversed != goldenPGEdges {
 			t.Errorf("edges = %d, golden %d", rep.Stats.EdgesTraversed, goldenPGEdges)
 		}
-		if rep.SlicePasses != goldenPGPasses {
-			t.Errorf("passes = %d, golden %d", rep.SlicePasses, goldenPGPasses)
+		if passes != goldenPGPasses {
+			t.Errorf("passes = %v, golden %d", passes, goldenPGPasses)
 		}
 	})
 

@@ -99,7 +99,7 @@ func main() {
 		}
 	}
 	fmt.Printf("PolyGraph: %.3f ms simulated, %d edges traversed, slices=%d\n",
-		pgRep.Stats.SimSeconds*1e3, pgRep.Stats.EdgesTraversed, pgRep.SliceCount)
+		pgRep.Stats.SimSeconds*1e3, pgRep.Stats.EdgesTraversed, int(pgRep.Metric(nova.MetricSliceCount)))
 
 	// Widest path from the hub to a few sample vertices.
 	fmt.Println("\nsample widest-path widths from the hub:")

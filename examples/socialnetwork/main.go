@@ -20,7 +20,6 @@ import (
 
 func main() {
 	g := graph.GenRMATN("twitter-like", 40_000, 35, graph.DefaultRMAT, 64, 12)
-	gT := g.Transpose()
 	root := g.LargestOutDegreeVertex()
 	fmt.Printf("graph: %v\n\n", g)
 
@@ -35,7 +34,7 @@ func main() {
 
 	fmt.Printf("%-10s %-6s %14s %14s %12s\n", "engine", "wkld", "time(ms)", "work-eff", "eff-GTEPS")
 	for _, w := range []string{"bfs", "pr"} {
-		cell := harness.Workload{Name: w, G: g, GT: gT, Root: root, PRIters: 10}
+		cell := harness.Workload{Name: w, G: g, Root: root, PRIters: 10}
 		secs := map[string]float64{} // simulated seconds by engine
 		for _, eng := range engines {
 			rep, err := eng.RunWorkload(context.Background(), cell)

@@ -8,7 +8,6 @@ import (
 	"nova/graph"
 	"nova/internal/extmem"
 	"nova/internal/harness"
-	"nova/internal/stats"
 	"nova/program"
 )
 
@@ -34,35 +33,6 @@ type ExternalMemory struct {
 	MaxRounds int `json:"-"`
 }
 
-// ExternalMemoryReport extends the engine-agnostic stats with the
-// out-of-core cost breakdown.
-type ExternalMemoryReport struct {
-	Props []program.Prop
-	Stats program.RunStats
-	// Cycles is total modeled time at 2 GHz; ComputeCycles the DRAM
-	// streaming share; IOStallCycles the SSD latency compute could not
-	// hide behind the prefetch pipeline.
-	Cycles        uint64
-	ComputeCycles uint64
-	IOStallCycles uint64
-	// PartitionLoads, BytesPaged, Evictions and CacheHitRate instrument
-	// the DRAM partition cache.
-	PartitionLoads uint64
-	BytesPaged     uint64
-	Evictions      uint64
-	CacheHitRate   float64
-	// Partitions and Rounds describe the interval schedule.
-	Partitions int
-	Rounds     int
-	// Dump is the full hierarchical statistics dump (per-partition loads
-	// and footprints); the flat fields above are its root-level records.
-	Dump *stats.Dump
-	// Partial marks a salvaged report from a run that stopped early;
-	// StopReason classifies why ("cancelled", "deadline", "budget").
-	Partial    bool
-	StopReason string
-}
-
 func (b *ExternalMemory) config() (extmem.Config, error) {
 	cfg := extmem.DefaultConfig()
 	cfg.RAMBytes = cmp.Or(b.RAMBytes, cfg.RAMBytes)
@@ -85,10 +55,13 @@ func (b *ExternalMemory) Validate() error {
 }
 
 // RunContext executes the custom program p on g under the external-memory
-// model, polling ctx cooperatively per round and per partition. On a
-// cooperative stop it returns BOTH a partial report (Partial set, with
-// its StopReason) and the error.
-func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*ExternalMemoryReport, error) {
+// model, polling ctx cooperatively per round and per partition. The
+// report carries the run's props, stats and dump; Metric reads the
+// out-of-core cost breakdown from the dump (MetricCycles,
+// MetricIOStallTicks, MetricPartitionLoads, …). On a cooperative stop it
+// returns BOTH a partial report (Partial set, with its StopReason) and
+// the error.
+func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
 	cfg, err := b.config()
 	if err != nil {
 		return nil, err
@@ -97,22 +70,8 @@ func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *g
 	if res == nil {
 		return nil, err
 	}
-	return &ExternalMemoryReport{
-		Props:          res.Props,
-		Stats:          res.Stats,
-		Cycles:         uint64(res.Ticks),
-		ComputeCycles:  uint64(res.ComputeTicks),
-		IOStallCycles:  uint64(res.IOStallTicks),
-		PartitionLoads: res.PartitionLoads,
-		BytesPaged:     res.BytesPaged,
-		Evictions:      res.Evictions,
-		CacheHitRate:   res.CacheHitRate,
-		Partitions:     res.Partitions,
-		Rounds:         res.Rounds,
-		Dump:           res.Dump,
-		Partial:        res.Partial,
-		StopReason:     string(res.StopReason),
-	}, err
+	return &harness.Report{Props: res.Props, Stats: res.Stats, Dump: res.Dump,
+		Partial: res.Partial, StopReason: string(res.StopReason)}, err
 }
 
 // Engine returns the harness view of the external-memory baseline, the
@@ -145,14 +104,7 @@ func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*har
 	case "pr", "bc":
 		return nil, fmt.Errorf("nova: workload %q is bulk-synchronous; the extmem engine runs asynchronous workloads only (bfs, sssp, cc, prdelta)", w.Name)
 	}
-	return runWorkload(ctx, e, w, func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error) {
-		rep, err := e.b.RunContext(ctx, p, g)
-		if rep == nil {
-			return nil, err
-		}
-		return &harness.Report{Props: rep.Props, Stats: rep.Stats, Dump: rep.Dump,
-			Partial: rep.Partial, StopReason: rep.StopReason}, err
-	})
+	return runWorkload(ctx, e, w, e.b.RunContext)
 }
 
 var _ harness.Engine = extmemEngine{}

@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // VertexID identifies a vertex. Graph sizes in this reproduction are scaled
@@ -23,7 +24,11 @@ type Edge struct {
 	Weight   uint32
 }
 
-// CSR is an immutable directed graph in compressed sparse row form.
+// CSR is an immutable directed graph in compressed sparse row form. It
+// owns its derived views: Transpose and Symmetrize build theirs on the
+// first call and share it with every later caller, concurrent ones
+// included, so a graph costs at most one copy of each however many runs
+// read it.
 type CSR struct {
 	// RowPtr has length NumVertices+1; vertex v's out-edges are
 	// Dst[RowPtr[v]:RowPtr[v+1]].
@@ -35,6 +40,9 @@ type CSR struct {
 	Weight []uint32
 	// Name labels the graph in reports.
 	Name string
+
+	trOnce, symOnce sync.Once
+	tr, sym         *CSR
 }
 
 // NumVertices returns |V|.
@@ -131,7 +139,13 @@ func (g *CSR) Edges() []Edge {
 
 // Transpose returns the graph with every edge reversed (used by the
 // backward pass of betweenness centrality and by pull-direction edgeMap).
+// The view is built once and shared; callers must not modify it.
 func (g *CSR) Transpose() *CSR {
+	g.trOnce.Do(func() { g.tr = g.transpose() })
+	return g.tr
+}
+
+func (g *CSR) transpose() *CSR {
 	n := g.NumVertices()
 	rowPtr := make([]int64, n+1)
 	for _, d := range g.Dst {
@@ -158,8 +172,14 @@ func (g *CSR) Transpose() *CSR {
 // Symmetrize returns the graph with each edge mirrored and (src, dst)
 // duplicates removed — the form connected-components runs on. When the
 // input holds parallel edges with different weights, the smallest weight
-// wins, deterministically.
+// wins, deterministically. The view is built once and shared; callers
+// must not modify it.
 func (g *CSR) Symmetrize() *CSR {
+	g.symOnce.Do(func() { g.sym = g.symmetrize() })
+	return g.sym
+}
+
+func (g *CSR) symmetrize() *CSR {
 	edges := make([]Edge, 0, 2*g.NumEdges())
 	for v := 0; v < g.NumVertices(); v++ {
 		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,42 @@ func TestTransposeDegreeConservation(t *testing.T) {
 		if got := tr.OutDegree(VertexID(v)); got != indeg[v] {
 			t.Fatalf("vertex %d: transpose outdeg %d, want indeg %d", v, got, indeg[v])
 		}
+	}
+}
+
+// TestViewsAreShared holds a graph to building each derived view once:
+// concurrent first callers of Transpose and Symmetrize, in either order,
+// all get the same pointer, and each view equals a fresh build.
+func TestViewsAreShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := FromEdges("t", 50, randEdges(rng, 50, 400))
+	const callers = 8
+	trs, syms := make([]*CSR, callers), make([]*CSR, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				trs[i], syms[i] = g.Transpose(), g.Symmetrize()
+			} else {
+				syms[i], trs[i] = g.Symmetrize(), g.Transpose()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range trs {
+		if trs[i] != trs[0] || syms[i] != syms[0] {
+			t.Fatalf("caller %d got a view of its own", i)
+		}
+	}
+	if trs[0] != g.Transpose() || syms[0] != g.Symmetrize() {
+		t.Fatal("a later caller got a view of its own")
+	}
+	sameCSR(t, trs[0], g.transpose())
+	sameCSR(t, syms[0], g.symmetrize())
+	if trs[0].Name != "t-T" || syms[0].Name != "t-sym" {
+		t.Fatalf("view names %q, %q", trs[0].Name, syms[0].Name)
 	}
 }
 

@@ -110,23 +110,6 @@ type Dataset struct {
 	// PaperSlices is the Table III slice count this dataset must
 	// reproduce under the scaled PolyGraph capacity.
 	PaperSlices int
-
-	symOnce sync.Once
-	sym     *graph.CSR
-	trOnce  sync.Once
-	tr      *graph.CSR
-}
-
-// Sym returns the symmetrized graph (built lazily, cached).
-func (d *Dataset) Sym() *graph.CSR {
-	d.symOnce.Do(func() { d.sym = d.Graph.Symmetrize() })
-	return d.sym
-}
-
-// Transpose returns the transposed graph (built lazily, cached).
-func (d *Dataset) Transpose() *graph.CSR {
-	d.trOnce.Do(func() { d.tr = d.Graph.Transpose() })
-	return d.tr
 }
 
 var (

@@ -50,11 +50,11 @@ func FigNet(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) 
 						cfg.Topology = topo
 						cfg.CoalesceWindow = w
 						cfg.CoalesceCapacity = 0
-						eng, err := NovaEngine(cfg)
+						acc, err := nova.New(cfg)
 						if err != nil {
 							return nil, err
 						}
-						return eng.RunWorkload(ctx, cell(s, d, "sssp", 0))
+						return acc.Engine().RunWorkload(ctx, cell(s, d, "sssp", 0))
 					},
 				})
 			}

@@ -43,11 +43,11 @@ func FigOOC(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) 
 					cfg := NOVAConfig(s, base, 1)
 					cfg.OutOfCore = true
 					cfg.SSDResidentPages = oocResidentPages
-					eng, err := NovaEngine(cfg)
+					acc, err := nova.New(cfg)
 					if err != nil {
 						return nil, err
 					}
-					return eng.RunWorkload(ctx, cell(s, ds, w, 0))
+					return acc.Engine().RunWorkload(ctx, cell(s, ds, w, 0))
 				},
 			})
 			jobs = append(jobs, harness.Job[*harness.Report]{

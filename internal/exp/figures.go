@@ -9,19 +9,6 @@ import (
 	"nova/internal/harness"
 )
 
-// workloadGraph picks the right graph orientation for a workload.
-func workloadGraph(d *Dataset, w string) (*graph.CSR, *graph.CSR) {
-	switch w {
-	case "cc":
-		sym := d.Sym()
-		return sym, sym
-	case "bc":
-		return d.Graph, d.Transpose()
-	default:
-		return d.Graph, nil
-	}
-}
-
 // Fig1 reproduces Figure 1: throughput (GTEPS) of NOVA vs PolyGraph on
 // BFS as graph size grows, with iso on-chip/bandwidth provisioning. The
 // paper's claim: PolyGraph wins small, loses big, because slice switching
@@ -123,10 +110,7 @@ func Fig4(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", d.Name, w, err)
 					}
-					if wl.GT == nil {
-						wl.GT = d.Transpose() // cached; spares ligra a rebuild
-					}
-					swRep, err := LigraEngine().RunWorkload(ctx, wl)
+					swRep, err := (&nova.Software{}).Engine().RunWorkload(ctx, wl)
 					if err != nil {
 						return nil, fmt.Errorf("ligra %s/%s: %w", d.Name, w, err)
 					}
@@ -257,11 +241,11 @@ func Fig7(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*
 				jobs = append(jobs, harness.Job[*harness.Report]{
 					Name: fmt.Sprintf("fig7/%s/%s/gpns=%d", d.Name, w, gpns),
 					Run: func(ctx context.Context) (*harness.Report, error) {
-						eng, err := NovaEngine(NOVAConfig(s, base, gpns))
+						acc, err := nova.New(NOVAConfig(s, base, gpns))
 						if err != nil {
 							return nil, err
 						}
-						return eng.RunWorkload(ctx, cell(s, d, w, 0))
+						return acc.Engine().RunWorkload(ctx, cell(s, d, w, 0))
 					},
 				})
 			}
@@ -305,11 +289,11 @@ func Fig8(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*
 		jobs = append(jobs, harness.Job[*harness.Report]{
 			Name: fmt.Sprintf("fig8/gpns=%d", gpns),
 			Run: func(ctx context.Context) (*harness.Report, error) {
-				eng, err := NovaEngine(NOVAConfig(s, base, gpns))
+				acc, err := nova.New(NOVAConfig(s, base, gpns))
 				if err != nil {
 					return nil, err
 				}
-				return eng.RunWorkload(ctx, harness.Workload{Name: "bfs", G: g, Root: g.LargestOutDegreeVertex()})
+				return acc.Engine().RunWorkload(ctx, harness.Workload{Name: "bfs", G: g, Root: g.LargestOutDegreeVertex()})
 			},
 		})
 	}
@@ -352,11 +336,11 @@ func Fig9a(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 					Run: func(ctx context.Context) (*harness.Report, error) {
 						cfg := NOVAConfig(s, base, 1)
 						cfg.CacheBytesPerPE = baseCache * mult
-						eng, err := NovaEngine(cfg)
+						acc, err := nova.New(cfg)
 						if err != nil {
 							return nil, err
 						}
-						return eng.RunWorkload(ctx, cell(s, d, w, 10))
+						return acc.Engine().RunWorkload(ctx, cell(s, d, w, 10))
 					},
 				})
 			}
@@ -408,11 +392,11 @@ func Fig9b(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 					Run: func(ctx context.Context) (*harness.Report, error) {
 						cfg := NOVAConfig(s, base, gpns)
 						cfg.Mapping = mapping
-						eng, err := NovaEngine(cfg)
+						acc, err := nova.New(cfg)
 						if err != nil {
 							return nil, err
 						}
-						return eng.RunWorkload(ctx, cell(s, d, w, 10))
+						return acc.Engine().RunWorkload(ctx, cell(s, d, w, 10))
 					},
 				})
 			}
@@ -469,11 +453,11 @@ func Fig9c(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 							cfg.CoalesceWindow = 0
 							cfg.CoalesceCapacity = 0
 						}
-						eng, err := NovaEngine(cfg)
+						acc, err := nova.New(cfg)
 						if err != nil {
 							return nil, err
 						}
-						rep, err := eng.RunWorkload(ctx, cell(s, d, w, 10))
+						rep, err := acc.Engine().RunWorkload(ctx, cell(s, d, w, 10))
 						if err != nil {
 							return nil, err
 						}
@@ -515,11 +499,11 @@ func Fig10(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 					Run: func(ctx context.Context) ([]string, error) {
 						cfg := NOVAConfig(s, base, 1)
 						cfg.SuperblockDim = dim
-						eng, err := NovaEngine(cfg)
+						acc, err := nova.New(cfg)
 						if err != nil {
 							return nil, err
 						}
-						rep, err := eng.RunWorkload(ctx, cell(s, d, w, 10))
+						rep, err := acc.Engine().RunWorkload(ctx, cell(s, d, w, 10))
 						if err != nil {
 							return nil, err
 						}

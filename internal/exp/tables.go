@@ -32,11 +32,11 @@ func Tab1(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (*
 				cfg := NOVAConfig(s, base, 1)
 				cfg.Spill = policy
 				cfg.ActiveBufferEntries = 8
-				eng, err := NovaEngine(cfg)
+				acc, err := nova.New(cfg)
 				if err != nil {
 					return nil, err
 				}
-				rep, err := eng.RunWorkload(ctx, cell(s, d, "sssp", 0))
+				rep, err := acc.Engine().RunWorkload(ctx, cell(s, d, "sssp", 0))
 				if err != nil {
 					return nil, err
 				}

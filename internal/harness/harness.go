@@ -18,17 +18,15 @@ import (
 )
 
 // Workload names one cell of the evaluation grid: a named workload on a
-// graph with its traversal root. GT (the transpose) is needed only for
-// "bc"; "cc" expects a symmetrized graph in G.
+// graph with its traversal root. "cc" expects a symmetrized graph in G
+// (G.Symmetrize()); engines that read in-edges take G.Transpose()
+// themselves, a view the graph builds once and shares.
 type Workload struct {
 	// Name is one of "bfs", "sssp", "cc", "pr", "bc", or the nova-only
 	// spill-stress workload "prdelta".
 	Name string
 	// G is the graph to process (symmetrized for "cc").
 	G *graph.CSR
-	// GT is the transpose (required by "bc"; engines fall back to
-	// computing it when nil).
-	GT *graph.CSR
 	// Root is the traversal source for bfs/sssp/bc.
 	Root graph.VertexID
 	// PRIters configures PageRank (≤0 means 10).

@@ -38,13 +38,14 @@ type JobRequest struct {
 	// Graph names a registered graph.
 	Graph string `json:"graph"`
 	// Root overrides the traversal source (default: the graph's highest
-	// out-degree vertex, the convention every CLI runner uses).
+	// out-degree vertex, the convention every CLI runner uses). It must
+	// name a vertex of the graph.
 	Root *uint32 `json:"root,omitempty"`
 	// PRIters configures PageRank (≤0 means 10).
 	PRIters int `json:"pr_iters,omitempty"`
-	// TimeoutMS bounds the job's wall clock (0 = the server default). A
-	// timed-out simulation stops cooperatively and reports a partial
-	// result with stop_reason "deadline".
+	// TimeoutMS bounds the job's wall clock (0 = the server default;
+	// negative is rejected). A timed-out simulation stops cooperatively
+	// and reports a partial result with stop_reason "deadline".
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxEvents caps the simulated event budget (0 = engine default).
 	MaxEvents uint64 `json:"max_events,omitempty"`
@@ -351,17 +352,12 @@ func renderResult(req *JobRequest, rep *harness.Report, graphName string, conten
 	return json.Marshal(res)
 }
 
-// workloadFor binds the request to its graph views: "cc" runs on the
-// symmetrized graph, "bc" and the software engine need the transpose.
+// workloadFor binds the request to its graph: "cc" runs on the
+// symmetrized view, which the graph builds once and shares.
 func workloadFor(req *JobRequest, e *GraphEntry) harness.Workload {
 	g := e.Graph()
-	var gT *graph.CSR
-	switch {
-	case req.Workload == "cc":
-		g = e.Sym()
-		gT = g
-	case req.Workload == "bc" || req.Engine == "ligra":
-		gT = e.Transpose()
+	if req.Workload == "cc" {
+		g = g.Symmetrize()
 	}
 	root := e.Root()
 	if req.Root != nil {
@@ -370,7 +366,6 @@ func workloadFor(req *JobRequest, e *GraphEntry) harness.Workload {
 	return harness.Workload{
 		Name:      req.Workload,
 		G:         g,
-		GT:        gT,
 		Root:      root,
 		PRIters:   req.PRIters,
 		MaxEvents: req.MaxEvents,

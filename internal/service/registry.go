@@ -15,10 +15,10 @@ var errAlreadyRegistered = errors.New("already registered")
 
 // GraphEntry is one registered graph: a CSR container opened once (via
 // mmap where the platform allows) and shared read-only by every job that
-// names it. Derived views the workloads need — the symmetrized graph for
-// "cc", the transpose for "bc" and the software engine — are built lazily
-// and cached per entry, so N concurrent jobs on the same graph cost one
-// copy of each view, not N.
+// names it. The derived views the workloads need — the symmetrized graph
+// for "cc", the transpose for "bc" and the software engine — belong to
+// the shared CSR, which builds each once, so N concurrent jobs on the
+// same graph cost one copy of each view, not N.
 //
 // Entries are reference-counted: a job acquires its entry for the
 // duration of the run and an eviction only unmaps the container once the
@@ -37,11 +37,6 @@ type GraphEntry struct {
 	reg     *Registry
 	refs    int
 	evicted bool
-
-	symOnce sync.Once
-	sym     *graph.CSR
-	trOnce  sync.Once
-	tr      *graph.CSR
 }
 
 // Name returns the registry name the entry was registered under.
@@ -57,18 +52,6 @@ func (e *GraphEntry) Root() graph.VertexID { return e.root }
 // Graph returns the shared read-only CSR. Valid only while the caller
 // holds a reference.
 func (e *GraphEntry) Graph() *graph.CSR { return e.m.G }
-
-// Sym returns the symmetrized view (built on first use, then shared).
-func (e *GraphEntry) Sym() *graph.CSR {
-	e.symOnce.Do(func() { e.sym = e.m.G.Symmetrize() })
-	return e.sym
-}
-
-// Transpose returns the transposed view (built on first use, then shared).
-func (e *GraphEntry) Transpose() *graph.CSR {
-	e.trOnce.Do(func() { e.tr = e.m.G.Transpose() })
-	return e.tr
-}
 
 // Release returns the caller's reference. The final release of an evicted
 // entry unmaps the container.

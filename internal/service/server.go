@@ -217,9 +217,16 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 	if err := nova.CheckCell(req.Engine, req.Workload); err != nil {
 		return nil, badRequest(err)
 	}
+	if req.TimeoutMS < 0 {
+		return nil, badRequest(fmt.Errorf("service: timeout_ms = %d: use 0 for the server default or a positive bound", req.TimeoutMS))
+	}
 	entry, err := s.reg.Acquire(req.Graph)
 	if err != nil {
 		return nil, notFound(err)
+	}
+	if n := entry.Graph().NumVertices(); req.Root != nil && int64(*req.Root) >= int64(n) {
+		entry.Release()
+		return nil, badRequest(fmt.Errorf("service: root %d is not a vertex of graph %q (%d vertices)", *req.Root, req.Graph, n))
 	}
 	intr := sim.NewInterrupt()
 	eng, err := s.buildEngine(req, intr)

@@ -496,6 +496,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"pr on extmem", map[string]any{"engine": "extmem", "workload": "pr", "graph": "g"}, http.StatusBadRequest},
 		{"bc on extmem", map[string]any{"engine": "extmem", "workload": "bc", "graph": "g"}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "bogus": 1}, http.StatusBadRequest},
+		// A root that names no vertex of the 200-vertex graph, and a
+		// negative timeout, which no rule maps to a bound.
+		{"root at the vertex count", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "root": 200}, http.StatusBadRequest},
+		{"root past the vertex count", map[string]any{"engine": "ligra", "workload": "sssp", "graph": "g", "root": 1000000}, http.StatusBadRequest},
+		{"negative timeout_ms", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "timeout_ms": -1}, http.StatusBadRequest},
 		// Unknown keys inside a block, including the Go-only json:"-" fields.
 		{"unknown nova field", job("nova", map[string]any{"bogus": 1}), http.StatusBadRequest},
 		{"nova observer", job("nova", map[string]any{"observer": nil}), http.StatusBadRequest},

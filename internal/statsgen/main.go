@@ -79,8 +79,9 @@ type engineDump struct {
 }
 
 // buildDumps runs one small workload per engine — enough to instantiate
-// every component (2 GPNs exercises the inter-GPN crossbar rows, 2
-// slices the per-slice schedule) without slowing go generate down.
+// every component (2 GPNs exercises the inter-GPN crossbar rows, the
+// out-of-core tier the SSD rows, 2 slices the per-slice schedule) without
+// slowing go generate down.
 func buildDumps() ([]engineDump, error) {
 	g := graph.GenRMATN("ref", 512, 8, graph.DefaultRMAT, 64, 7)
 	root := g.LargestOutDegreeVertex()
@@ -89,6 +90,7 @@ func buildDumps() ([]engineDump, error) {
 	cfg.GPNs = 2
 	cfg.PEsPerGPN = 2
 	cfg.CacheBytesPerPE = 8 << 10
+	cfg.OutOfCore = true
 	acc, err := nova.New(cfg)
 	if err != nil {
 		return nil, err
@@ -108,10 +110,16 @@ func buildDumps() ([]engineDump, error) {
 	_, res := lg.BFS(g, g.Transpose(), root)
 	ligraDump := lg.StatsDump(res, nil)
 
+	emRep, err := (&nova.ExternalMemory{}).RunContext(context.Background(), program.NewSSSP(root), g)
+	if err != nil {
+		return nil, err
+	}
+
 	return []engineDump{
 		{"NOVA accelerator (`-engine nova`)", novaRep.Dump},
 		{"PolyGraph baseline (`-engine polygraph`)", pgRep.Dump},
 		{"Ligra-style software baseline (`-engine ligra`)", ligraDump},
+		{"External-memory baseline (`-engine extmem`)", emRep.Dump},
 	}, nil
 }
 

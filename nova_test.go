@@ -105,8 +105,6 @@ func TestAllMappingsCorrect(t *testing.T) {
 
 func TestRunWorkloadAllFiveOnAllEngines(t *testing.T) {
 	g := testGraph()
-	gT := g.Transpose()
-	sym := g.Symmetrize()
 	root := g.LargestOutDegreeVertex()
 	acc, err := nova.New(smallConfig())
 	if err != nil {
@@ -117,11 +115,11 @@ func TestRunWorkloadAllFiveOnAllEngines(t *testing.T) {
 
 	for engName, eng := range engines {
 		for _, w := range nova.WorkloadNames {
-			gw, gwT := g, gT
+			gw := g
 			if w == "cc" {
-				gw, gwT = sym, sym
+				gw = g.Symmetrize()
 			}
-			out, err := eng.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, GT: gwT, Root: root, PRIters: 5})
+			out, err := eng.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, Root: root, PRIters: 5})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", engName, w, err)
 			}
@@ -170,16 +168,14 @@ func TestEnginesAgreeOnResults(t *testing.T) {
 
 func TestSoftwareBaseline(t *testing.T) {
 	g := testGraph()
-	gT := g.Transpose()
-	sym := g.Symmetrize()
 	root := g.LargestOutDegreeVertex()
 	sw := (&nova.Software{Threads: 2}).Engine()
 	for _, w := range nova.WorkloadNames {
-		gw, gwT := g, gT
+		gw := g
 		if w == "cc" {
-			gw, gwT = sym, sym
+			gw = g.Symmetrize()
 		}
-		rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, GT: gwT, Root: root, PRIters: 5})
+		rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: w, G: gw, Root: root, PRIters: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -188,7 +184,7 @@ func TestSoftwareBaseline(t *testing.T) {
 		}
 	}
 	// Correctness spot-check: the distances, with program.Inf for -1.
-	rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: g, GT: gT, Root: root})
+	rep, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "bfs", G: g, Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestSoftwareBaseline(t *testing.T) {
 			t.Fatalf("software BFS wrong at %d", v)
 		}
 	}
-	if _, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "nope", G: g, GT: gT, Root: root}); err == nil {
+	if _, err := sw.RunWorkload(context.Background(), harness.Workload{Name: "nope", G: g, Root: root}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -99,9 +99,9 @@ func workloadProgram(w harness.Workload) (program.Program, error) {
 	}
 }
 
-// runFunc is one simulated engine's RunContext reduced to the harness
-// report's fields (props, stats, dump, stop cause). On a cooperative stop
-// it returns the partial report alongside the error.
+// runFunc is one simulated engine's run of a custom program, the
+// signature of the baselines' RunContext. On a cooperative stop it
+// returns the partial report alongside the error.
 type runFunc func(ctx context.Context, p program.Program, g *graph.CSR) (*harness.Report, error)
 
 // runWorkload runs a named workload for the nova, polygraph and
@@ -112,11 +112,7 @@ type runFunc func(ctx context.Context, p program.Program, g *graph.CSR) (*harnes
 // its StopReason, alongside the error.
 func runWorkload(ctx context.Context, e harness.Engine, w harness.Workload, run runFunc) (*harness.Report, error) {
 	if w.Name == "bc" {
-		gT := w.GT
-		if gT == nil {
-			gT = w.G.Transpose()
-		}
-		scores, stats, err := program.RunBC(bcPhases{ctx, run}, w.G, gT, w.Root)
+		scores, stats, err := program.RunBC(bcPhases{ctx, run}, w.G, w.G.Transpose(), w.Root)
 		reason := sim.ReasonFor(err)
 		if err != nil && reason == "" {
 			return nil, err
