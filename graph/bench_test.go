@@ -28,6 +28,22 @@ func BenchmarkRMATStream(b *testing.B) {
 	}
 }
 
+// BenchmarkGenUniform builds the serve-zipf benchmark workload's graph
+// shape (20,000 vertices × 8) through the materializing generator.
+func BenchmarkGenUniform(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchSink = GenUniform("serve", 20000, 8, 64, 7)
+	}
+}
+
+// BenchmarkGenGrid builds the pr-road benchmark workload's graph (a
+// 340 × 272 lattice at drop 0.39).
+func BenchmarkGenGrid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchSink = GenGrid("road", 340, 272, 0.39, 64, 7)
+	}
+}
+
 // BenchmarkTranspose measures CSR reversal (needed for BC and pull mode):
 // the build, not the shared view Transpose returns after its first call.
 func BenchmarkTranspose(b *testing.B) {

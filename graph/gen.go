@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Generators for the synthetic stand-ins of the paper's inputs (Table III).
@@ -14,14 +13,15 @@ import (
 // Weights are uniform in [1, maxWeight].
 func GenUniform(name string, numVertices int, avgDegree float64, maxWeight uint32, seed int64) *CSR {
 	checkDegree("GenUniform", avgDegree)
-	rng := rand.New(rand.NewSource(seed))
+	var rng draws
+	rng.seed(seed)
 	m := int(float64(numVertices) * avgDegree)
 	edges := make([]Edge, 0, m)
 	for i := 0; i < m; i++ {
 		edges = append(edges, Edge{
-			Src:    VertexID(rng.Intn(numVertices)),
-			Dst:    VertexID(rng.Intn(numVertices)),
-			Weight: weight(rng, maxWeight),
+			Src:    VertexID(rng.intn(numVertices)),
+			Dst:    VertexID(rng.intn(numVertices)),
+			Weight: weight(&rng, maxWeight),
 		})
 	}
 	return FromEdges(name, numVertices, edges)
@@ -41,55 +41,67 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19}
 // approximately avgDegree out-edges per vertex. Vertex IDs are randomly
 // permuted so that the natural ordering carries no community structure —
 // matching how the paper's inputs are distributed "randomly" across PEs.
+// It is GenRMATN at a power-of-two size, where no draw is rejected.
 func GenRMAT(name string, scale int, avgDegree float64, p RMATParams, maxWeight uint32, seed int64) *CSR {
 	if scale < 1 || scale > 30 {
 		panic(fmt.Sprintf("graph: GenRMAT scale %d out of range", scale))
 	}
 	checkRMAT("GenRMAT", p, avgDegree)
-	rng := rand.New(rand.NewSource(seed))
-	n := 1 << scale
-	m := int(float64(n) * avgDegree)
-	perm := rng.Perm(n)
-	s := newRMATSampler(p, scale)
-	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		src, dst := s.next(rng)
-		edges = append(edges, Edge{
-			Src:    VertexID(perm[src]),
-			Dst:    VertexID(perm[dst]),
-			Weight: weight(rng, maxWeight),
-		})
-	}
-	return FromEdges(name, n, edges)
+	return GenRMATN(name, 1<<scale, avgDegree, p, maxWeight, seed)
 }
 
 // rmatSampler is the Kronecker recursion every R-MAT generator shares: one
-// rng.Float64 per bit of the vertex-ID space, each picking a quadrant of
-// the adjacency matrix with probabilities a, b, c and 1−a−b−c. The
-// quadrant is the number of thresholds a, a+b and a+b+c at or below the
-// draw, counted without a branch, since no predictor can guess a branch on
-// a uniform draw. While the thresholds are in order, which checkRMAT
-// guarantees, the count is the index of the interval [0,a), [a,a+b),
-// [a+b,a+b+c) or [a+b+c,1) that holds the draw.
+// draw per bit of the vertex-ID space, each picking a quadrant of the
+// adjacency matrix with probabilities a, b, c and 1−a−b−c. The draw is the
+// 63-bit integer behind one rand.Float64, and the thresholds a, a+b and
+// a+b+c are in the same integer form (threshold), so the quadrant is the
+// number of thresholds at or below the draw, exactly as it would be for
+// the float. It is counted without a branch, since no predictor can guess
+// a branch on a uniform draw. While the thresholds are in order, which
+// checkRMAT guarantees, the count is the index of the interval [0,a),
+// [a,a+b), [a+b,a+b+c) or [a+b+c,1) that holds the draw.
 type rmatSampler struct {
 	scale      int
-	a, ab, abc float64
+	a, ab, abc uint64
 }
 
 func newRMATSampler(p RMATParams, scale int) rmatSampler {
-	return rmatSampler{scale: scale, a: p.A, ab: p.A + p.B, abc: p.A + p.B + p.C}
+	return rmatSampler{
+		scale: scale,
+		a:     threshold(p.A),
+		ab:    threshold(p.A + p.B),
+		abc:   threshold(p.A + p.B + p.C),
+	}
 }
 
 // next draws one cell of the 2^scale × 2^scale adjacency matrix. Quadrant
 // q sets dst's bit from its low bit and src's from its high bit: 0 is
 // top-left, 1 top-right, 2 bottom-left and 3 bottom-right.
-func (s rmatSampler) next(rng *rand.Rand) (src, dst int) {
+//
+// Each bit takes one rng.unit(), written out here with the stream
+// position in a local: a call per draw, or a store and reload of rng.pos
+// per draw, would cost more than the draw itself.
+func (s rmatSampler) next(rng *draws) (src, dst int) {
+	pos := rng.pos
+	m := 1 // the bit being drawn
 	for bit := 0; bit < s.scale; bit++ {
-		r := rng.Float64()
-		q := b2i(r >= s.a) + b2i(r >= s.ab) + b2i(r >= s.abc)
-		dst |= (q & 1) << bit
-		src |= (q >> 1) << bit
+		if pos == drawLag {
+			rng.refill()
+			pos = 0
+		}
+		y := rng.vec[pos] & mask63
+		pos++
+		if y >= unitEnd { // rand.Float64 would round it to 1, and resample
+			rng.pos = pos
+			y = rng.unit()
+			pos = rng.pos
+		}
+		q := b2i(y >= s.a) + b2i(y >= s.ab) + b2i(y >= s.abc)
+		dst |= m & -(q & 1)
+		src |= m & -(q >> 1)
+		m <<= 1
 	}
+	rng.pos = pos
 	return src, dst
 }
 
@@ -127,17 +139,21 @@ func checkDegree(fn string, avgDegree float64) {
 // orthogonal neighbours, dropping each edge pair with probability dropProb
 // to break the regularity — the stand-in for road networks (high diameter,
 // average degree ≈ 4·(1-dropProb), like the paper's RoadUSA at ~2.4 with
-// dropProb ≈ 0.39).
+// dropProb ≈ 0.39). It panics on a side that is not positive and on a
+// dropProb that is NaN or outside [0, 1].
 func GenGrid(name string, rows, cols int, dropProb float64, maxWeight uint32, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
+	checkGrid("GenGrid", rows, cols, dropProb)
+	var rng draws
+	rng.seed(seed)
+	drop := threshold(dropProb)
 	n := rows * cols
 	id := func(r, c int) VertexID { return VertexID(r*cols + c) }
 	edges := make([]Edge, 0, 4*n)
 	addBoth := func(a, b VertexID) {
-		if rng.Float64() < dropProb {
+		if rng.unit() < drop {
 			return
 		}
-		w := weight(rng, maxWeight)
+		w := weight(&rng, maxWeight)
 		edges = append(edges, Edge{Src: a, Dst: b, Weight: w}, Edge{Src: b, Dst: a, Weight: w})
 	}
 	for r := 0; r < rows; r++ {
@@ -151,6 +167,19 @@ func GenGrid(name string, rows, cols int, dropProb float64, maxWeight uint32, se
 		}
 	}
 	return FromEdges(name, n, edges)
+}
+
+// checkGrid panics on a lattice side that is not positive and on a drop
+// probability that is NaN or outside [0, 1]. The drop test compares the
+// draw with threshold(dropProb), which would drop every pair for a NaN.
+func checkGrid(fn string, rows, cols int, dropProb float64) {
+	if rows < 1 || cols < 1 {
+		panic(fmt.Sprintf("graph: %s grid %dx%d out of range", fn, rows, cols))
+	}
+	// Written so that a NaN fails the comparison.
+	if !(dropProb >= 0 && dropProb <= 1) {
+		panic(fmt.Sprintf("graph: %s drop probability %v out of range", fn, dropProb))
+	}
 }
 
 // GenRMATN is GenRMAT for an arbitrary vertex count: endpoints are drawn
@@ -167,28 +196,29 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 	for 1<<scale < numVertices {
 		scale++
 	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng draws
+	rng.seed(seed)
 	m := int(float64(numVertices) * avgDegree)
-	perm := rng.Perm(numVertices)
+	perm := rng.perm(numVertices)
 	s := newRMATSampler(p, scale)
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
-		src, dst := s.next(rng)
+		src, dst := s.next(&rng)
 		if src >= numVertices || dst >= numVertices {
 			continue
 		}
 		edges = append(edges, Edge{
 			Src:    VertexID(perm[src]),
 			Dst:    VertexID(perm[dst]),
-			Weight: weight(rng, maxWeight),
+			Weight: weight(&rng, maxWeight),
 		})
 	}
 	return FromEdges(name, numVertices, edges)
 }
 
-func weight(rng *rand.Rand, maxWeight uint32) uint32 {
+func weight(rng *draws, maxWeight uint32) uint32 {
 	if maxWeight <= 1 {
 		return 1
 	}
-	return 1 + uint32(rng.Intn(int(maxWeight)))
+	return 1 + uint32(rng.intn(int(maxWeight)))
 }

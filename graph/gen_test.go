@@ -59,17 +59,51 @@ func TestGeneratorGolden(t *testing.T) {
 		{"GenGrid/32x48/seed7", func() *CSR { return GenGrid("g", 32, 48, 0.2, 64, 7) }, 0x255f7fc8a962fa23},
 		{"GenGrid/340x272/seed1", func() *CSR { return GenGrid("road", 340, 272, 0.39, 64, 1) }, 0x615d07333d04fec3},
 		{"GenGrid/340x272/seed7", func() *CSR { return GenGrid("road", 340, 272, 0.39, 64, 7) }, 0x38419f5822fe0e0d},
+		{"GenUniform/2000x8/seed1/w2^32-1", func() *CSR { return GenUniform("g", 2000, 8, math.MaxUint32, 1) }, 0xb5994185bb08ce21},
+		{"UniformStream/2000x8/seed1", func() *CSR { return FromStream(NewUniformStream("g", 2000, 8, 64, 1)) }, 0xa0d033f0447718a2},
+		{"UniformStream/2000x8/seed7", func() *CSR { return FromStream(NewUniformStream("g", 2000, 8, 1, 7)) }, 0x62ae2dc54fcadd23},
+		{"UniformStream/20000x8/seed7", func() *CSR { return FromStream(NewUniformStream("serve", 20000, 8, 64, 7)) }, 0xb840ae1feebb58f0},
+		{"GridStream/32x48/seed1", func() *CSR { return FromStream(NewGridStream("g", 32, 48, 0.2, 64, 1)) }, 0xccdec8b23df9792c},
+		{"GridStream/32x48/seed7", func() *CSR { return FromStream(NewGridStream("g", 32, 48, 0.2, 1, 7)) }, 0x60f0de9c61e04711},
+		{"GridStream/340x272/seed7", func() *CSR { return FromStream(NewGridStream("road", 340, 272, 0.39, 64, 7)) }, 0x38419f5822fe0e0d},
 	} {
 		if got := csrHash(tc.gen()); got != tc.want {
 			t.Errorf("%s: hash %#016x, want %#016x", tc.name, got, tc.want)
 		}
 	}
+	// PartitionRandom draws every owner from the generators' draw path; the
+	// 32 parts are the benchmark's 4 GPNs × 8 PEs.
+	for _, tc := range []struct {
+		n, parts int
+		seed     int64
+		want     uint64
+	}{
+		{40000, 32, 1, 0xb32f3f157e11a760},
+		{40000, 32, 7, 0x2866e255939dc4a7},
+	} {
+		if got := ownerHash(PartitionRandom(tc.n, tc.parts, tc.seed).Owner); got != tc.want {
+			t.Errorf("PartitionRandom/%dx%d/seed%d: hash %#016x, want %#016x", tc.n, tc.parts, tc.seed, got, tc.want)
+		}
+	}
 }
 
-// TestGeneratorsRejectBadParameters holds the R-MAT and uniform
+// ownerHash is FNV-64a over the little-endian uint32 bytes of a partition's
+// owners.
+func ownerHash(owner []int) uint64 {
+	buf := make([]byte, 0, 4*len(owner))
+	for _, o := range owner {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o))
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	return h.Sum64()
+}
+
+// TestGeneratorsRejectBadParameters holds the R-MAT, uniform and grid
 // constructors to panicking, by name, on parameters that describe no
 // distribution — before any edge is sized or drawn. Negative b or c would
-// also leave the R-MAT sampler's thresholds out of order.
+// also leave the R-MAT sampler's thresholds out of order, and a NaN drop
+// probability would drop every pair of the grid.
 func TestGeneratorsRejectBadParameters(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	rmat := []struct {
@@ -106,6 +140,24 @@ func TestGeneratorsRejectBadParameters(t *testing.T) {
 			badCall{name, "GenUniform", func() { GenUniform("g", 50, deg, 64, 1) }},
 			badCall{name, "NewUniformStream", func() { NewUniformStream("g", 50, deg, 64, 1) }})
 	}
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		drop       float64
+	}{
+		{"NaN drop", 4, 5, nan},
+		{"negative drop", 4, 5, -0.1},
+		{"drop above 1", 4, 5, 1.5},
+		{"infinite drop", 4, 5, inf},
+		{"no rows", 0, 5, 0.2},
+		{"negative rows", -1, 5, 0.2},
+		{"no cols", 4, 0, 0.2},
+	} {
+		rows, cols, drop := tc.rows, tc.cols, tc.drop
+		cases = append(cases,
+			badCall{tc.name, "GenGrid", func() { GenGrid("g", rows, cols, drop, 64, 1) }},
+			badCall{tc.name, "NewGridStream", func() { NewGridStream("g", rows, cols, drop, 64, 1) }})
+	}
 	for _, tc := range cases {
 		msg := panicMessage(tc.build)
 		if !strings.Contains(msg, "graph: "+tc.fn+" ") || !strings.Contains(msg, "out of range") {
@@ -116,6 +168,15 @@ func TestGeneratorsRejectBadParameters(t *testing.T) {
 	GenRMATN("g", 50, 0, RMATParams{0.25, 0.25, 0.5}, 64, 1)
 	GenRMAT("g", 6, 2, RMATParams{0, 0, 0}, 64, 1)
 	NewUniformStream("g", 50, 0, 64, 1)
+	if g := GenGrid("g", 1, 1, 1, 64, 1); g.NumVertices() != 1 {
+		t.Errorf("GenGrid 1x1: %d vertices", g.NumVertices())
+	}
+	if g := GenGrid("g", 3, 3, 1, 64, 1); g.NumEdges() != 0 {
+		t.Errorf("GenGrid at drop 1: %d edges, want 0", g.NumEdges())
+	}
+	if st := NewGridStream("g", 3, 3, 0, 64, 1); st.NumEdges() != 24 {
+		t.Errorf("NewGridStream at drop 0: %d edges, want 24", st.NumEdges())
+	}
 }
 
 // panicMessage runs f and returns what it panicked with, or "" if it

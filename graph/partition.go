@@ -2,7 +2,6 @@ package graph
 
 import (
 	"container/heap"
-	"math/rand"
 	"sort"
 )
 
@@ -103,10 +102,11 @@ func PartitionRange(numVertices, parts int) *Partition {
 // mapping used for the headline results ("We used random partitioning to
 // assign vertices to different PEs").
 func PartitionRandom(numVertices, parts int, seed int64) *Partition {
-	rng := rand.New(rand.NewSource(seed))
+	var rng draws
+	rng.seed(seed)
 	owner := make([]int, numVertices)
 	for v := range owner {
-		owner[v] = rng.Intn(parts)
+		owner[v] = rng.intn(parts)
 	}
 	return &Partition{Owner: owner, Parts: parts, Method: "random"}
 }

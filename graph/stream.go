@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Streaming generators for the large-graph scale tier. The batch
 // generators in gen.go materialize the whole edge list before bucketing it
@@ -78,7 +75,7 @@ func FromStream(st EdgeStream) *CSR {
 
 // vertexMix is a seeded bijection over [0, 2^bits): alternating rounds of
 // odd-multiplication mod 2^bits and xorshift, both invertible, scramble
-// vertex IDs the way gen.go's rng.Perm does — but in O(1) state instead of
+// vertex IDs the way gen.go's rng.perm does — but in O(1) state instead of
 // an O(|V|) permutation table. Composed with rejection sampling it stays a
 // bijection on any [0, n) ⊆ [0, 2^bits) domain.
 type vertexMix struct {
@@ -90,7 +87,8 @@ type vertexMix struct {
 }
 
 func newVertexMix(bits int, seed int64) vertexMix {
-	rng := rand.New(rand.NewSource(seed ^ 0x6d6978)) // "mix"
+	var rng draws
+	rng.seed(seed ^ 0x6d6978) // "mix"
 	shift := uint(bits) / 2
 	if shift == 0 {
 		shift = 1
@@ -98,8 +96,8 @@ func newVertexMix(bits int, seed int64) vertexMix {
 	return vertexMix{
 		bits:  bits,
 		mask:  1<<bits - 1,
-		mult:  [2]uint64{rng.Uint64() | 1, rng.Uint64() | 1}, // odd ⇒ invertible mod 2^bits
-		xor:   [2]uint64{rng.Uint64(), rng.Uint64()},
+		mult:  [2]uint64{rng.uint64() | 1, rng.uint64() | 1}, // odd ⇒ invertible mod 2^bits
+		xor:   [2]uint64{rng.uint64(), rng.uint64()},
 		shift: shift,
 	}
 }
@@ -126,7 +124,7 @@ type RMATStream struct {
 	seed        int64
 	mix         vertexMix
 
-	rng     *rand.Rand
+	rng     draws
 	emitted int64
 }
 
@@ -166,7 +164,7 @@ func (s *RMATStream) NumEdges() int64 { return s.numEdges }
 
 // Reset implements EdgeStream.
 func (s *RMATStream) Reset() {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng.seed(s.seed)
 	s.emitted = 0
 }
 
@@ -176,7 +174,7 @@ func (s *RMATStream) Next() (Edge, bool) {
 		return Edge{}, false
 	}
 	for {
-		src, dst := s.sampler.next(s.rng)
+		src, dst := s.sampler.next(&s.rng)
 		ss := s.mix.apply(uint64(src))
 		dd := s.mix.apply(uint64(dst))
 		if ss >= uint64(s.numVertices) || dd >= uint64(s.numVertices) {
@@ -186,7 +184,7 @@ func (s *RMATStream) Next() (Edge, bool) {
 		return Edge{
 			Src:    VertexID(ss),
 			Dst:    VertexID(dd),
-			Weight: weight(s.rng, s.maxWeight),
+			Weight: weight(&s.rng, s.maxWeight),
 		}, true
 	}
 }
@@ -200,7 +198,7 @@ type UniformStream struct {
 	maxWeight   uint32
 	seed        int64
 
-	rng     *rand.Rand
+	rng     draws
 	emitted int64
 }
 
@@ -233,7 +231,7 @@ func (s *UniformStream) NumEdges() int64 { return s.numEdges }
 
 // Reset implements EdgeStream.
 func (s *UniformStream) Reset() {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng.seed(s.seed)
 	s.emitted = 0
 }
 
@@ -244,9 +242,9 @@ func (s *UniformStream) Next() (Edge, bool) {
 	}
 	s.emitted++
 	return Edge{
-		Src:    VertexID(s.rng.Intn(s.numVertices)),
-		Dst:    VertexID(s.rng.Intn(s.numVertices)),
-		Weight: weight(s.rng, s.maxWeight),
+		Src:    VertexID(s.rng.intn(s.numVertices)),
+		Dst:    VertexID(s.rng.intn(s.numVertices)),
+		Weight: weight(&s.rng, s.maxWeight),
 	}, true
 }
 
@@ -256,12 +254,12 @@ func (s *UniformStream) Next() (Edge, bool) {
 type GridStream struct {
 	name       string
 	rows, cols int
-	dropProb   float64
+	drop       uint64 // threshold(dropProb)
 	maxWeight  uint32
 	seed       int64
 	numEdges   int64
 
-	rng *rand.Rand
+	rng draws
 	// Walk state: current cell, which neighbour (0 = right, 1 = down),
 	// and the mirrored edge still owed from the last kept pair.
 	r, c, phase int
@@ -272,13 +270,12 @@ type GridStream struct {
 // NewGridStream returns a streaming 2D-lattice generator. Unlike the
 // unconditional-count streams it must pre-walk the rng once to learn the
 // exact surviving edge count, which is O(rows·cols) time but O(1) space.
+// It panics on the parameters GenGrid rejects.
 func NewGridStream(name string, rows, cols int, dropProb float64, maxWeight uint32, seed int64) *GridStream {
-	if rows < 1 || cols < 1 {
-		panic(fmt.Sprintf("graph: NewGridStream needs a positive grid, got %dx%d", rows, cols))
-	}
+	checkGrid("NewGridStream", rows, cols, dropProb)
 	s := &GridStream{
 		name: name, rows: rows, cols: cols,
-		dropProb: dropProb, maxWeight: maxWeight, seed: seed,
+		drop: threshold(dropProb), maxWeight: maxWeight, seed: seed,
 	}
 	s.Reset()
 	for {
@@ -302,7 +299,7 @@ func (s *GridStream) NumEdges() int64 { return s.numEdges }
 
 // Reset implements EdgeStream.
 func (s *GridStream) Reset() {
-	s.rng = rand.New(rand.NewSource(s.seed))
+	s.rng.seed(s.seed)
 	s.r, s.c, s.phase = 0, 0, 0
 	s.hasPending = false
 }
@@ -348,10 +345,10 @@ func (s *GridStream) Next() (Edge, bool) {
 			}
 			a, b = s.id(r, c), s.id(r+1, c)
 		}
-		if s.rng.Float64() < s.dropProb {
+		if s.rng.unit() < s.drop {
 			continue
 		}
-		w := weight(s.rng, s.maxWeight)
+		w := weight(&s.rng, s.maxWeight)
 		s.pending = Edge{Src: b, Dst: a, Weight: w}
 		s.hasPending = true
 		return Edge{Src: a, Dst: b, Weight: w}, true

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nova"
+	"nova/graph"
 	"nova/internal/harness"
 	"nova/program"
 )
@@ -29,6 +30,44 @@ func TestVerifyShortPropsReturnsError(t *testing.T) {
 	}
 	if err := nova.Verify("bfs", g, root, nil); err == nil {
 		t.Fatal("nil props slice accepted")
+	}
+}
+
+// TestVerifyCCUsesWeakComponents holds Verify's cc oracle to the weakly
+// connected components of the graph it is given. On the directed graph
+// {1→0, 2→0} the components are {0, 1, 2}, so the labels [0 1 2], which
+// min-label propagation along out-edges alone reaches, must fail. Every
+// engine's cc run as its callers run it, on the symmetrized view,
+// verifies; nova's run on the directed graph itself is caught.
+func TestVerifyCCUsesWeakComponents(t *testing.T) {
+	g := graph.FromEdges("in-star", 3, []graph.Edge{{Src: 1, Dst: 0, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}})
+	if err := nova.Verify("cc", g, 0, []program.Prop{0, 1, 2}); err == nil || !strings.Contains(err.Error(), "vertex 1") {
+		t.Errorf("labels [0 1 2] on {1→0, 2→0}: error %v, want one naming vertex 1", err)
+	}
+	if err := nova.Verify("cc", g, 0, []program.Prop{0, 0, 0}); err != nil {
+		t.Errorf("labels [0 0 0] on {1→0, 2→0}: %v", err)
+	}
+	acc, err := nova.New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := &nova.PolyGraphBaseline{OnChipBytes: 1 << 12}
+	sw := &nova.Software{Threads: 2}
+	em := &nova.ExternalMemory{RAMBytes: 4 << 10, PartitionEdges: 64}
+	run := func(eng harness.Engine, in *graph.CSR) []program.Prop {
+		rep, err := eng.RunWorkload(context.Background(), harness.Workload{Name: "cc", G: in})
+		if err != nil {
+			t.Fatalf("%s cc: %v", eng.Name(), err)
+		}
+		return rep.Props
+	}
+	for _, eng := range []harness.Engine{acc.Engine(), pg.Engine(), sw.Engine(), em.Engine()} {
+		if err := nova.Verify("cc", g, 0, run(eng, g.Symmetrize())); err != nil {
+			t.Errorf("%s cc on the symmetrized view: %v", eng.Name(), err)
+		}
+	}
+	if err := nova.Verify("cc", g, 0, run(acc.Engine(), g)); err == nil {
+		t.Error("nova cc on the directed graph, not its symmetrized view, verified")
 	}
 }
 

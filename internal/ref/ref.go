@@ -76,41 +76,40 @@ func SSSP(g *graph.CSR, root graph.VertexID) []int64 {
 	return dist
 }
 
-// CC returns per-vertex component labels where each label is the smallest
-// vertex ID in the component — exactly the fixed point of min-label
-// propagation, so engine output can be compared directly. The input must
-// be symmetric for the labels to identify undirected components.
+// CC returns per-vertex labels of the weakly connected components, where
+// each label is the smallest vertex ID in the component: the fixed point
+// of min-label propagation on the symmetrized graph, which the engines run
+// cc on, so engine output can be compared directly. Every edge joins its
+// endpoints whichever way it points, so the labels do not depend on
+// whether g is symmetric: an engine that ran on a directed graph where it
+// should have run on its symmetrized view is caught.
 func CC(g *graph.CSR) []int64 {
 	n := g.NumVertices()
 	label := make([]int64, n)
 	for i := range label {
-		label[i] = Unreached
+		label[i] = int64(i)
 	}
-	for start := 0; start < n; start++ {
-		if label[start] != Unreached {
-			continue
+	// Union-find whose roots are always their set's smallest ID: a union
+	// hangs the larger root under the smaller, and path halving only
+	// shortens paths to a root.
+	find := func(v int64) int64 {
+		for label[v] != v {
+			label[v] = label[label[v]]
+			v = label[v]
 		}
-		// BFS the component; the smallest ID reached labels it. With
-		// min-label semantics on a symmetric graph, the component's
-		// minimum is what propagation converges to.
-		comp := []graph.VertexID{graph.VertexID(start)}
-		label[start] = int64(start)
-		minID := int64(start)
-		for qi := 0; qi < len(comp); qi++ {
-			v := comp[qi]
-			for _, d := range g.Neighbors(v) {
-				if label[d] == Unreached {
-					label[d] = int64(start)
-					comp = append(comp, d)
-					if int64(d) < minID {
-						minID = int64(d)
-					}
-				}
+		return v
+	}
+	for u := 0; u < n; u++ {
+		for _, d := range g.Neighbors(graph.VertexID(u)) {
+			a, b := find(int64(u)), find(int64(d))
+			if a > b {
+				a, b = b, a
 			}
+			label[b] = a
 		}
-		for _, v := range comp {
-			label[v] = minID
-		}
+	}
+	for v := range label {
+		label[v] = find(int64(v))
 	}
 	return label
 }

@@ -88,6 +88,25 @@ func TestCCMinLabelSemantics(t *testing.T) {
 	}
 }
 
+// TestCCDirectedInputIsWeak: CC labels the weakly connected components
+// of a graph that is not symmetric, as of its symmetrized view.
+func TestCCDirectedInputIsWeak(t *testing.T) {
+	// 1→0, 2→0, and 4→3 with 3 pointing nowhere; 5 isolated.
+	g := graph.FromEdges("in-stars", 6, []graph.Edge{
+		{Src: 1, Dst: 0, Weight: 1}, {Src: 2, Dst: 0, Weight: 1},
+		{Src: 4, Dst: 3, Weight: 1},
+	})
+	want := []int64{0, 0, 0, 3, 3, 5}
+	for _, in := range []*graph.CSR{g, g.Symmetrize()} {
+		l := CC(in)
+		for i := range want {
+			if l[i] != want[i] {
+				t.Fatalf("CC = %v, want %v", l, want)
+			}
+		}
+	}
+}
+
 func TestPageRankWellFormed(t *testing.T) {
 	g := graph.GenRMAT("r", 10, 8, graph.DefaultRMAT, 1, 3)
 	n := g.NumVertices()

@@ -511,6 +511,8 @@ func SequentialEdges(g *graph.CSR, root graph.VertexID, workload string, prIters
 
 // Verify checks accelerator output against the sequential oracles. It
 // returns nil when the distances (BFS/SSSP) or labels (CC) match exactly.
+// CC labels are checked against the weakly connected components of g,
+// whether or not g is symmetric.
 func Verify(workload string, g *graph.CSR, root graph.VertexID, props []program.Prop) error {
 	var want []int64
 	switch workload {
