@@ -41,7 +41,6 @@ func main() {
 	// experiment cell starts from (exp.NOVAConfig scales it per cell).
 	base := nova.DefaultConfig()
 	flag.IntVar(&base.Shards, "shards", 1, "simulation worker goroutines per NOVA cell (clamped to the cell's GPN count; results are bit-identical at every setting)")
-	flag.StringVar(&base.Topology, "topology", "crossbar", "inter-GPN topology for every NOVA cell: crossbar|ring|mesh|torus (fignet sweeps all regardless)")
 	flag.Int64Var(&base.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles for every NOVA cell (0 disables; fignet sweeps on/off regardless)")
 	flag.IntVar(&base.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in messages (0 = default; requires -coalesce-window)")
 	profFlags := prof.RegisterFlags()

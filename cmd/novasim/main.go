@@ -65,7 +65,6 @@ func main() {
 	flag.StringVar(&cfg.Mapping, "mapping", "random", "random|interleave|load-balanced|locality")
 	flag.StringVar(&cfg.Spill, "spill", "overwrite", "overwrite|fifo")
 	flag.StringVar(&cfg.Fabric, "fabric", "hierarchical", "hierarchical|ideal")
-	flag.StringVar(&cfg.Topology, "topology", "crossbar", "inter-GPN topology: crossbar|ring|mesh|torus (nova engine, hierarchical fabric)")
 	flag.Int64Var(&cfg.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles (0 = off; nova engine, hierarchical fabric)")
 	flag.IntVar(&cfg.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in message entries (0 = default; requires -coalesce-window)")
 	prIters := flag.Int("pr-iters", 10, "PageRank iterations")
@@ -220,8 +219,8 @@ func checkFlags(engines, workloads []string, trace string, cfg *nova.Config, em 
 	}
 	uses := func(name string) bool { return slices.Contains(engines, name) }
 	switch {
-	case !uses("nova") && (cfg.Topology != "crossbar" || cfg.CoalesceWindow > 0):
-		return fmt.Errorf("-topology/-coalesce-window apply to the nova engine only; engines %v would silently ignore them (add nova to -engine)", engines)
+	case !uses("nova") && cfg.CoalesceWindow > 0:
+		return fmt.Errorf("-coalesce-window applies to the nova engine only; engines %v would silently ignore it (add nova to -engine)", engines)
 	case !uses("nova") && cfg.OutOfCore:
 		return fmt.Errorf("-out-of-core applies to the nova engine only; engines %v would silently ignore it (add nova to -engine)", engines)
 	case !uses("extmem") && (em.RAMBytes > 0 || em.PartitionEdges > 0):

@@ -52,7 +52,6 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"unknown topology", []string{"-topology", "hypercube"}},
 		{"unknown ssd preset", []string{"-ssd", "floppy"}},
 		{"unknown ssd preset with out-of-core", []string{"-out-of-core", "-ssd", "floppy"}},
 		{"unknown ssd preset on extmem", []string{"-engine", "extmem", "-ssd", "floppy"}},
@@ -66,10 +65,8 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 		{"negative extmem ram", []string{"-engine", "extmem", "-extmem-ram", "-1"}},
 		{"negative extmem partition edges", []string{"-engine", "extmem", "-extmem-part-edges", "-1"}},
 		{"coalesce cap without window", []string{"-coalesce-cap", "8"}},
-		{"ideal fabric with topology", []string{"-fabric", "ideal", "-topology", "ring"}},
 		{"ideal fabric with coalescing", []string{"-fabric", "ideal", "-coalesce-window", "16"}},
 		{"resident pages without out-of-core", []string{"-ssd-resident-pages", "64"}},
-		{"topology without nova", []string{"-engine", "ligra", "-topology", "ring"}},
 		{"coalescing without nova", []string{"-engine", "polygraph", "-coalesce-window", "16"}},
 		{"out-of-core without nova", []string{"-engine", "extmem", "-out-of-core"}},
 		{"extmem ram without extmem", []string{"-engine", "nova", "-extmem-ram", "4096"}},
@@ -97,6 +94,17 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 	}
 	if _, err := os.Stat(trace); err == nil {
 		t.Error("a rejected -trace run wrote its trace file")
+	}
+}
+
+// TestRemovedTopologyFlagIsUnknown: -topology went with the ring, mesh
+// and torus fabrics, so the flag package rejects it before any dataset is
+// built, even when it names the crossbar.
+func TestRemovedTopologyFlagIsUnknown(t *testing.T) {
+	stdout, stderr, code := novasim(t, "-topology", "crossbar")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -topology") {
+		t.Errorf("novasim -topology crossbar: exit %d, stdout %q, stderr %q; want exit 2 on an undefined flag",
+			code, stdout, stderr)
 	}
 }
 
@@ -143,7 +151,7 @@ func row(t *testing.T, stdout, engine, workload string) string {
 func TestAcceptsPagingFlags(t *testing.T) {
 	path := tinyGraph(t)
 	for _, args := range [][]string{
-		{"-engine", "nova", "-workload", "bfs", "-graph-file", path, "-gpns", "2", "-topology", "ring", "-coalesce-window", "16", "-coalesce-cap", "8"},
+		{"-engine", "nova", "-workload", "bfs", "-graph-file", path, "-gpns", "2", "-coalesce-window", "16", "-coalesce-cap", "8"},
 		{"-engine", "nova,extmem", "-workload", "bfs", "-graph-file", path, "-out-of-core", "-ssd", "sata",
 			"-ssd-resident-pages", "4", "-extmem-ram", "4096", "-extmem-part-edges", "4"},
 	} {

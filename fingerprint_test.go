@@ -95,7 +95,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"ActiveBufferEntries": {value: 40},
 		"Spill":               {value: "fifo"},
 		"Fabric":              {value: "ideal"},
-		"Topology":            {value: "ring"},
+		"Topology":            {value: "crossbar"}, // its one legal value, the default spelled out
 		"CoalesceWindow":      {value: int64(16)},
 		"CoalesceCapacity":    {prep: func(c *nova.Config) { c.CoalesceWindow = 16 }, value: 8},
 		"OutOfCore":           {value: true},
@@ -107,7 +107,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"StallTimeout":        {value: time.Second},
 		"Shards":              {value: 2},
 		"Observer":            {value: sim.NewInterrupt()},
-	}, []string{"MaxEvents", "StallTimeout", "Shards", "Observer"}, []string{"MaxEvents", "StallTimeout", "Observer"})
+	}, []string{"Topology", "MaxEvents", "StallTimeout", "Shards", "Observer"}, []string{"MaxEvents", "StallTimeout", "Observer"})
 
 	checkFingerprint(t, nova.PolyGraphBaseline{}, func(b nova.PolyGraphBaseline) (string, error) {
 		return b.Engine().Fingerprint(), nil

@@ -86,31 +86,28 @@ func buildGrid(t *testing.T) []chaosCell {
 			})
 		}
 	}
-	// Sharded multi-GPN cells, one per inter-GPN topology with the
-	// in-fabric coalescing stage armed: faults must surface as typed
-	// errors and leave siblings bit-identical on every fabric shape.
-	for _, topo := range []string{"crossbar", "ring", "mesh", "torus"} {
-		cfg := nova.DefaultConfig()
-		cfg.GPNs = 4
-		cfg.PEsPerGPN = 2
-		cfg.Shards = 2
-		cfg.Topology = topo
-		cfg.CoalesceWindow = 16
-		tacc, err := nova.New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	// Sharded multi-GPN crossbar cells with the in-fabric coalescing
+	// stage armed: faults must surface as typed errors and leave siblings
+	// bit-identical across the cross-shard fabric.
+	cfg := nova.DefaultConfig()
+	cfg.GPNs = 4
+	cfg.PEsPerGPN = 2
+	cfg.Shards = 2
+	cfg.CoalesceWindow = 16
+	xacc, err := nova.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"sssp", "cc"} {
+		wg := g
+		if w == "cc" {
+			wg = sym
 		}
-		for _, w := range []string{"sssp", "cc"} {
-			wg := g
-			if w == "cc" {
-				wg = sym
-			}
-			cells = append(cells, chaosCell{
-				name: "nova-" + topo + "/" + w,
-				eng:  tacc.Engine(),
-				w:    harness.Workload{Name: w, G: wg, Root: root},
-			})
-		}
+		cells = append(cells, chaosCell{
+			name: "nova-crossbar/" + w,
+			eng:  xacc.Engine(),
+			w:    harness.Workload{Name: w, G: wg, Root: root},
+		})
 	}
 	return cells
 }

@@ -105,15 +105,10 @@ type Config struct {
 	Fabric   FabricKind
 	P2P      network.P2PConfig
 	Crossbar network.CrossbarConfig
-	// Topology selects the inter-GPN topology of the hierarchical fabric
-	// (crossbar, ring, mesh, torus); Link times the channels of the
-	// non-crossbar topologies (zero value = network.DefaultLinkConfig).
-	Topology network.TopoKind
-	Link     network.LinkConfig
 	// CoalesceWindow arms the fabric's in-flight coalescing stage: a
 	// cross-GPN message batch waits up to this many ticks for further
 	// same-destination batches to merge with before traversing the
-	// topology (0 disables). CoalesceCapacity bounds the buffered
+	// crossbar (0 disables). CoalesceCapacity bounds the buffered
 	// message entries per destination PE (0 = the network default).
 	CoalesceWindow   sim.Ticks
 	CoalesceCapacity int
@@ -218,10 +213,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: EdgeChannelsPerGPN = %d", c.EdgeChannelsPerGPN)
 	case c.Shards < 0:
 		return fmt.Errorf("core: Shards = %d", c.Shards)
-	case !c.Topology.Valid():
-		return fmt.Errorf("core: unknown topology kind %d", int(c.Topology))
-	case c.Fabric == FabricIdeal && c.Topology != network.TopoCrossbar:
-		return fmt.Errorf("core: topology %s requires the hierarchical fabric (the ideal fabric has no inter-GPN links)", c.Topology)
 	case c.CoalesceWindow < 0:
 		return fmt.Errorf("core: CoalesceWindow = %d", c.CoalesceWindow)
 	case c.CoalesceCapacity < 0:

@@ -33,7 +33,6 @@ const (
 	MetricNetworkInterBytes  = "network_inter_bytes"
 	MetricNetworkCoalesced   = "network_messages_coalesced"
 	MetricNetworkBytesSaved  = "network_bytes_saved"
-	MetricNetworkAvgHops     = "network_avg_hops"
 	MetricLoadImbalance      = "load_imbalance"
 	MetricPartitionLoads     = "partition_loads"
 	MetricBytesPaged         = "bytes_paged"
@@ -106,12 +105,6 @@ func (s *System) buildStatsTree() {
 		MetricNetworkCoalesced, stats.Count, "cross-GPN message batches absorbed by the fabric's coalescing stage")
 	root.Formula(res(func(r *Result) float64 { return float64(r.Net.BytesSaved) }),
 		MetricNetworkBytesSaved, stats.Bytes, "payload bytes the coalescing stage kept off the inter-GPN links")
-	root.Formula(res(func(r *Result) float64 {
-		if r.Net.InterMessages == 0 {
-			return 0
-		}
-		return float64(r.Net.HopsSum) / float64(r.Net.InterMessages)
-	}), MetricNetworkAvgHops, stats.Ratio, "mean inter-GPN links traversed per cross-GPN message")
 	root.Formula(res(func(r *Result) float64 { return r.LoadImbalance() }),
 		MetricLoadImbalance, stats.Ratio, "max per-PE propagations over mean; 1.0 is balanced (Fig. 9b)")
 	root.Formula(res(func(r *Result) float64 { return float64(r.PartitionLoads) }),

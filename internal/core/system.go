@@ -198,8 +198,6 @@ func NewSystem(cfg Config, g *graph.CSR, part *graph.Partition) (*System, error)
 		s.fabric = network.NewFabric(engines, cfg.PEsPerGPN, network.FabricConfig{
 			P2P:      cfg.P2P,
 			Crossbar: cfg.Crossbar,
-			Link:     cfg.Link,
-			Topology: cfg.Topology,
 			Coalesce: network.CoalesceConfig{Window: cfg.CoalesceWindow, Capacity: cfg.CoalesceCapacity},
 			Vertices: g.NumVertices(),
 		})

@@ -19,7 +19,6 @@ var MetricConsumers = map[string][]string{
 	nova.MetricVertexWastefulFrac:  {"Fig. 10"},
 	nova.MetricNetworkCoalesced:    {"Fig. net"},
 	nova.MetricNetworkBytesSaved:   {"Fig. net"},
-	nova.MetricNetworkAvgHops:      {"Fig. net"},
 	nova.MetricPartitionLoads:      {"Fig. ooc"},
 	nova.MetricBytesPaged:          {"Fig. ooc"},
 	nova.MetricIOStallTicks:        {"Fig. ooc"},

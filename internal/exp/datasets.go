@@ -205,7 +205,7 @@ func WeakScalingGraph(s Scale, gpns int) *graph.CSR {
 // to the experiments' tier: gpns GPNs, the MPU cache shrunk in proportion
 // to the scaled graphs, and, on the Large tier, the active buffers shrunk
 // far below the active-set sizes so spill/recovery dominates. Every other
-// knob of base (shards, fabric topology, coalescing, …) reaches the cell
+// knob of base (shards, fabric, coalescing, …) reaches the cell
 // unchanged, so a whole experiment run can be replayed on another fabric.
 func NOVAConfig(s Scale, base nova.Config, gpns int) nova.Config {
 	base.GPNs = gpns

@@ -447,9 +447,8 @@ func Fig9c(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 						cfg.Fabric = fabric
 						if fabric == "ideal" {
 							// The ideal fabric has no inter-GPN links, so a
-							// globally-selected topology or coalescing window
-							// cannot apply to this side of the comparison.
-							cfg.Topology = "crossbar"
+							// globally-selected coalescing window cannot
+							// apply to this side of the comparison.
 							cfg.CoalesceWindow = 0
 							cfg.CoalesceCapacity = 0
 						}

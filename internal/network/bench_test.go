@@ -17,7 +17,7 @@ func (c *arrivalCounter) Fire() { c.n++ }
 // sends with a pooled delivery handler. It must be allocation-free.
 func BenchmarkHierarchicalSend(b *testing.B) {
 	eng := sim.NewEngine()
-	f := NewHierarchical(SharedEngines(eng, 2), 4, DefaultP2PConfig(), DefaultCrossbarConfig())
+	f := xbarFabric(sharedEngines(eng, 2), 4, DefaultP2PConfig(), DefaultCrossbarConfig())
 	done := &arrivalCounter{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func BenchmarkHierarchicalSend(b *testing.B) {
 // two crossbar port stages on top of the P2P links.
 func BenchmarkHierarchicalSendInterGPN(b *testing.B) {
 	eng := sim.NewEngine()
-	f := NewHierarchical(SharedEngines(eng, 2), 4, DefaultP2PConfig(), DefaultCrossbarConfig())
+	f := xbarFabric(sharedEngines(eng, 2), 4, DefaultP2PConfig(), DefaultCrossbarConfig())
 	done := &arrivalCounter{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -61,45 +61,19 @@ func BenchmarkHierarchicalSendInterGPN(b *testing.B) {
 	}
 }
 
-// fabricGPNs is the fabric size of the send and exchange paths: 8 GPNs
-// give every routed topology multi-hop routes (an 8-ring, a 2×4 mesh).
+// fabricGPNs is the fabric size of the send and exchange paths, the
+// largest machine the experiments run.
 const fabricGPNs = 8
 
-var fabricTopologies = []TopoKind{TopoCrossbar, TopoRing, TopoMesh, TopoTorus}
-
-func topoFabric(engines []*sim.Engine, kind TopoKind, coalesce CoalesceConfig, vertices int) *Hierarchical {
-	return NewFabric(engines, 1, FabricConfig{
-		P2P:      DefaultP2PConfig(),
-		Crossbar: DefaultCrossbarConfig(),
-		Link:     DefaultLinkConfig(),
-		Topology: kind,
-		Coalesce: coalesce,
-		Vertices: vertices,
-	})
-}
-
-// farthestGPN returns the GPN whose route from GPN 0 has the most hops,
-// so the routed topologies pay their full diameter.
-func farthestGPN(f *Hierarchical) int {
-	far := 1
-	for d := 2; d < fabricGPNs; d++ {
-		if len(f.topo.route(0, d)) > len(f.topo.route(0, far)) {
-			far = d
-		}
-	}
-	return far
-}
-
-// sendBody sends one message from GPN 0 to the farthest GPN through the
-// shared-engine fast path (route lookup, per-hop link reservation,
-// delivery event) and drains the engine, so the event pool recycles.
-func sendBody(tb testing.TB, kind TopoKind) func() {
+// sendBody sends one message from GPN 0 to the last GPN through the
+// shared-engine fast path (out-port and in-port reservation, delivery
+// event) and drains the engine, so the event pool recycles.
+func sendBody(tb testing.TB) func() {
 	eng := sim.NewEngine()
-	f := topoFabric(SharedEngines(eng, fabricGPNs), kind, CoalesceConfig{}, 0)
+	f := xbarFabric(sharedEngines(eng, fabricGPNs), 1, DefaultP2PConfig(), DefaultCrossbarConfig())
 	done := &arrivalCounter{}
-	dst := farthestGPN(f)
 	return func() {
-		f.Send(0, dst, 8, done)
+		f.Send(0, fabricGPNs-1, 8, done)
 		if err := eng.RunUntilQuiet(0); err != nil {
 			tb.Fatal(err)
 		}
@@ -107,16 +81,16 @@ func sendBody(tb testing.TB, kind TopoKind) func() {
 }
 
 // exchangeBody is the sharded path: Send parks the message in the source
-// shard's outbox, and Exchange recomputes the route and schedules the
+// shard's outbox, and Exchange reserves the in-port and schedules the
 // delivery on the destination shard.
-func exchangeBody(tb testing.TB, kind TopoKind) func() {
+func exchangeBody(tb testing.TB) func() {
 	engines := make([]*sim.Engine, fabricGPNs)
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 	}
-	f := topoFabric(engines, kind, CoalesceConfig{}, 0)
+	f := xbarFabric(engines, 1, DefaultP2PConfig(), DefaultCrossbarConfig())
 	done := &arrivalCounter{}
-	dst := farthestGPN(f)
+	dst := fabricGPNs - 1
 	return func() {
 		f.Send(0, dst, 8, done)
 		if _, err := f.Exchange(); err != nil {
@@ -133,7 +107,12 @@ func exchangeBody(tb testing.TB, kind TopoKind) func() {
 // the pair as one fabric message.
 func coalesceBody(tb testing.TB) (*Hierarchical, func()) {
 	eng := sim.NewEngine()
-	f := topoFabric(SharedEngines(eng, 2), TopoCrossbar, CoalesceConfig{Window: 8}, 8)
+	f := NewFabric(sharedEngines(eng, 2), 1, FabricConfig{
+		P2P:      DefaultP2PConfig(),
+		Crossbar: DefaultCrossbarConfig(),
+		Coalesce: CoalesceConfig{Window: 8},
+		Vertices: 8,
+	})
 	f.SetMerge(minMerge)
 	b1 := &testBatch{msgs: make([]program.Message, 0, 4)}
 	b2 := &testBatch{msgs: make([]program.Message, 0, 4)}
@@ -156,17 +135,9 @@ func benchBody(b *testing.B, body func()) {
 	}
 }
 
-func BenchmarkFabricSend(b *testing.B) {
-	for _, kind := range fabricTopologies {
-		b.Run(kind.String(), func(b *testing.B) { benchBody(b, sendBody(b, kind)) })
-	}
-}
+func BenchmarkFabricSend(b *testing.B) { benchBody(b, sendBody(b)) }
 
-func BenchmarkFabricExchange(b *testing.B) {
-	for _, kind := range fabricTopologies {
-		b.Run(kind.String(), func(b *testing.B) { benchBody(b, exchangeBody(b, kind)) })
-	}
-}
+func BenchmarkFabricExchange(b *testing.B) { benchBody(b, exchangeBody(b)) }
 
 // BenchmarkCoalesceAbsorb reports ns/op per pair of offered batches.
 func BenchmarkCoalesceAbsorb(b *testing.B) {
@@ -175,7 +146,7 @@ func BenchmarkCoalesceAbsorb(b *testing.B) {
 }
 
 // TestFabricAllocs pins the fabric's send, exchange and coalescing paths
-// at zero allocations in steady state, on every topology.
+// at zero allocations in steady state.
 func TestFabricAllocs(t *testing.T) {
 	noAllocs := func(t *testing.T, body func()) {
 		t.Helper()
@@ -183,10 +154,8 @@ func TestFabricAllocs(t *testing.T) {
 			t.Errorf("%v allocations per iteration, want 0", allocs)
 		}
 	}
-	for _, kind := range fabricTopologies {
-		t.Run("send/"+kind.String(), func(t *testing.T) { noAllocs(t, sendBody(t, kind)) })
-		t.Run("exchange/"+kind.String(), func(t *testing.T) { noAllocs(t, exchangeBody(t, kind)) })
-	}
+	t.Run("send/crossbar", func(t *testing.T) { noAllocs(t, sendBody(t)) })
+	t.Run("exchange/crossbar", func(t *testing.T) { noAllocs(t, exchangeBody(t)) })
 	t.Run("coalesce", func(t *testing.T) {
 		f, body := coalesceBody(t)
 		noAllocs(t, body)

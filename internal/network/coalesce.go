@@ -1,6 +1,6 @@
 // In-fabric message coalescing: cross-GPN message batches wait in a
 // per-destination outbox buffer for a configurable window before
-// traversing the inter-GPN topology, and batches to the same destination
+// traversing the inter-GPN crossbar, and batches to the same destination
 // PE that arrive while one is waiting merge into it — PolyGraph's
 // batching idea applied at the link level. Merging collapses many fabric
 // messages (and many destination-side delivery events) into one, which is
@@ -160,7 +160,7 @@ func (h *Hierarchical) coalesceSend(g *hierGPN, sg, dst, bytes int, b Batch) {
 }
 
 // flushCoal closes a buffer and sends its accumulated batch over the
-// topology as one message, charged for the merged payload only.
+// crossbar as one message, charged for the merged payload only.
 func (h *Hierarchical) flushCoal(sg, dst int) {
 	g := &h.gpn[sg]
 	buf := &g.coal[dst]
@@ -174,5 +174,5 @@ func (h *Hierarchical) flushCoal(sg, dst int) {
 		bytes = buf.offeredBytes
 	}
 	g.stats.BytesSaved += uint64(buf.offeredBytes - bytes)
-	h.sendInter(g, sg, dst/h.pesPerGPN, dst, bytes, b)
+	h.sendInter(g, dst, bytes, b)
 }

@@ -35,7 +35,7 @@ func minMerge(a, b program.Prop) program.Prop {
 }
 
 func coalFabric(eng *sim.Engine, window sim.Ticks, capacity, vertices int) *Hierarchical {
-	return NewFabric(SharedEngines(eng, 2), 1, FabricConfig{
+	return NewFabric(sharedEngines(eng, 2), 1, FabricConfig{
 		P2P:      DefaultP2PConfig(),
 		Crossbar: CrossbarConfig{BytesPerCycle: 2, Latency: 50},
 		Coalesce: CoalesceConfig{Window: window, Capacity: capacity},

@@ -1,30 +1,26 @@
 // Package network models the two interconnect levels of NOVA's system
 // architecture (Section IV-C): the 8×8 point-to-point electrical network
-// between PEs inside a GPN, and a pluggable inter-GPN topology — the
-// paper's crossbar switch, or a ring / 2D mesh / 2D torus with
-// dimension-ordered hop-by-hop routing.
+// between PEs inside a GPN, and the crossbar switch between GPNs.
 //
 // The paper's balance argument is quantitative: per-GPN message traffic is
 // bounded by edge-memory bandwidth, and the fabric must absorb it without
 // becoming the bottleneck. These models therefore charge every message's
 // bytes against per-link (or per-port) bandwidth and add latency per
 // traversal, which is exactly the accounting the paper's Figure 9c
-// experiment needs — and the per-link utilization and hop-count stats say
-// *where* a cheaper topology runs out of bisection.
+// experiment needs — and the per-port utilization stats say *where* the
+// fabric runs out of bandwidth.
 //
 // The fabric is also the cross-shard boundary of the sharded simulator:
 // each GPN runs on its own engine, intra-GPN traffic stays on the sender's
 // engine, and inter-GPN traffic is buffered in a per-source-GPN outbox
 // until the cluster's window barrier calls Exchange. Lookahead declares
 // the minimum cross-engine latency that makes the windows sound: every
-// route has at least one hop, and every hop charges at least the link
-// latency, so lookahead = (min per-hop latency) × (min hop count = 1).
-// All per-GPN counters are written only by their owning shard (or by
-// Exchange, which runs single-threaded between windows); a route's first
-// link belongs to the sending GPN and later links are only reserved at
-// Exchange or on a shared engine, so the hot path needs no locks.
-// Finalize folds the per-GPN accumulators into machine-wide totals at
-// dump time.
+// inter-GPN message pays the crossbar's switch latency. All per-GPN
+// counters are written only by their owning shard (or by Exchange, which
+// runs single-threaded between windows); a message's crossbar out-port
+// belongs to the sending GPN, and its in-port is only reserved at Exchange
+// or on a shared engine, so the hot path needs no locks. Finalize folds
+// the per-GPN accumulators into machine-wide totals at dump time.
 package network
 
 import (
@@ -75,7 +71,7 @@ type Stats struct {
 	LocalBytes uint64 // bytes that stayed within one GPN
 	InterBytes uint64 // bytes that crossed the inter-GPN fabric
 	// InterMessages counts messages that traversed the inter-GPN fabric
-	// (after coalescing — the denominator of the average hop count).
+	// (after coalescing).
 	InterMessages uint64
 	// Coalesced counts message batches absorbed into a buffered batch
 	// still waiting for link bandwidth, instead of traversing the fabric
@@ -86,8 +82,6 @@ type Stats struct {
 	MergedUpdates uint64
 	// BytesSaved is payload the fabric never carried thanks to merging.
 	BytesSaved uint64
-	// HopsSum totals hop counts over inter-GPN messages.
-	HopsSum uint64
 }
 
 func (s *Stats) add(o Stats) {
@@ -99,7 +93,6 @@ func (s *Stats) add(o Stats) {
 	s.Coalesced += o.Coalesced
 	s.MergedUpdates += o.MergedUpdates
 	s.BytesSaved += o.BytesSaved
-	s.HopsSum += o.HopsSum
 }
 
 // link tracks occupancy in fractional cycles so sub-cycle transfers (an
@@ -151,30 +144,11 @@ func DefaultCrossbarConfig() CrossbarConfig {
 	return CrossbarConfig{BytesPerCycle: 30, Latency: 120}
 }
 
-// LinkConfig describes one directed channel of a point-to-point inter-GPN
-// topology (ring/mesh/torus). Each hop charges the link's serialization
-// time plus Latency cycles of propagation.
-type LinkConfig struct {
-	BytesPerCycle float64
-	Latency       sim.Ticks
-}
-
-// DefaultLinkConfig sizes a topology channel at the crossbar's port
-// bandwidth with a third of its switching latency — one hop is cheaper
-// than the crossbar, the diameter is not.
-func DefaultLinkConfig() LinkConfig {
-	return LinkConfig{BytesPerCycle: 30, Latency: 40}
-}
-
 // FabricConfig assembles a hierarchical fabric: the intra-GPN mesh, the
-// inter-GPN topology, and the optional in-fabric coalescing stage.
+// inter-GPN crossbar, and the optional in-fabric coalescing stage.
 type FabricConfig struct {
 	P2P      P2PConfig
 	Crossbar CrossbarConfig
-	// Link configures the channels of the non-crossbar topologies; the
-	// zero value means DefaultLinkConfig.
-	Link     LinkConfig
-	Topology TopoKind
 	Coalesce CoalesceConfig
 	// Vertices sizes the coalescing stage's vertex→buffer-slot index
 	// (same-vertex merging is skipped when 0; append-only coalescing
@@ -182,20 +156,9 @@ type FabricConfig struct {
 	Vertices int
 }
 
-// SharedEngines returns a slice naming eng as the engine of every one of
-// gpns GPNs — the construction for a system whose GPNs all share one
-// event loop (the classic sequential simulator).
-func SharedEngines(eng *sim.Engine, gpns int) []*sim.Engine {
-	engines := make([]*sim.Engine, gpns)
-	for i := range engines {
-		engines[i] = eng
-	}
-	return engines
-}
-
-// outMsg is one buffered cross-engine message: the first-hop finish time
+// outMsg is one buffered cross-engine message: the out-port finish time
 // on the sender side, and the delivery to complete on the destination at
-// Exchange (the remaining hops are recomputed from the route table).
+// Exchange (the in-port stage is reserved there).
 type outMsg struct {
 	t1      float64
 	dst     int32
@@ -204,9 +167,9 @@ type outMsg struct {
 }
 
 // hierGPN is the per-GPN slice of a Hierarchical fabric. Every field is
-// written only by the owning shard's goroutine during windows; Exchange
-// (single-threaded, between windows) walks outboxes and the shared link
-// array.
+// written only by the owning shard's goroutine during windows, except the
+// crossbar in-port, which Exchange (single-threaded, between windows) or
+// a sender sharing this GPN's engine reserves.
 type hierGPN struct {
 	eng *sim.Engine
 	// intra holds pesPerGPN×pesPerGPN links of this GPN's mesh.
@@ -214,8 +177,10 @@ type hierGPN struct {
 	stats     Stats
 	intraBusy float64
 	msgBytes  stats.Histogram
-	hops      stats.Histogram
-	outbox    []outMsg
+	// out and in are the GPN's crossbar ports, with their busy cycles.
+	out, in         link
+	outBusy, inBusy float64
+	outbox          []outMsg
 	// Coalescing stage (nil when disabled): per-destination-PE buffers,
 	// plus a generation-stamped vertex→payload-slot index shared across
 	// the buffers (sound because each vertex has exactly one owner PE).
@@ -226,53 +191,31 @@ type hierGPN struct {
 }
 
 // Hierarchical is NOVA's production fabric: a fully-connected point-to-
-// point mesh among the PEs of each GPN, and a routed topology (crossbar,
-// ring, mesh, or torus) between GPNs. The topology is the cross-shard
-// boundary; its per-hop latency is the cluster lookahead.
+// point mesh among the PEs of each GPN, and a crossbar between GPNs. A
+// cross-GPN message serializes through its source GPN's out-port, then
+// its destination GPN's in-port, and pays the switch latency. The
+// crossbar is the cross-shard boundary; its latency is the cluster
+// lookahead.
 type Hierarchical struct {
 	engines   []*sim.Engine
 	pesPerGPN int
 	p2p       P2PConfig
 	xbar      CrossbarConfig
-	topo      *topology
 	coalesce  CoalesceConfig
 	merge     MergeFunc
-	// links and linkBusy are indexed by topology link ID. A link is
-	// written by its owning GPN's shard (first hop of that GPN's sends)
-	// or by Exchange/shared-engine completion — never concurrently.
-	links    []link
-	linkBusy []float64
-	// interBW, stageLat and endLat are the topology's resolved timing:
-	// per-channel bandwidth, inter-hop propagation latency (0 for the
-	// crossbar, whose two port stages sit inside one switch), and the
-	// final delivery latency.
-	interBW  float64
-	stageLat float64
-	endLat   sim.Ticks
-	gpn      []hierGPN
-	// total and the *Total histograms back the dump records; Finalize
-	// folds the per-GPN accumulators into them.
+	gpn       []hierGPN
+	// total and msgBytesTotal back the dump records; Finalize folds the
+	// per-GPN accumulators into them.
 	total         Stats
 	msgBytesTotal stats.Histogram
-	hopsTotal     stats.Histogram
 }
 
-// NewHierarchical builds the paper's crossbar fabric for len(engines)
-// GPNs of pesPerGPN PEs each, GPN g running on engines[g]. Pass
-// SharedEngines for a single-event-loop system. It is NewFabric with the
-// crossbar topology and coalescing off.
-func NewHierarchical(engines []*sim.Engine, pesPerGPN int, p2p P2PConfig, xbar CrossbarConfig) *Hierarchical {
-	return NewFabric(engines, pesPerGPN, FabricConfig{P2P: p2p, Crossbar: xbar})
-}
-
-// NewFabric builds a hierarchical fabric with the configured inter-GPN
-// topology and optional coalescing stage.
+// NewFabric builds a hierarchical fabric for len(engines) GPNs of
+// pesPerGPN PEs each, GPN g running on engines[g] (name one engine for
+// every GPN for a single-event-loop system).
 func NewFabric(engines []*sim.Engine, pesPerGPN int, cfg FabricConfig) *Hierarchical {
 	if len(engines) == 0 || pesPerGPN <= 0 {
 		panic(fmt.Sprintf("network: invalid geometry %d GPNs × %d PEs", len(engines), pesPerGPN))
-	}
-	if !cfg.Topology.Valid() {
-		panic(fmt.Sprintf("network: invalid topology kind %d", int(cfg.Topology)))
 	}
 	h := &Hierarchical{
 		engines:   engines,
@@ -280,27 +223,8 @@ func NewFabric(engines []*sim.Engine, pesPerGPN int, cfg FabricConfig) *Hierarch
 		p2p:       cfg.P2P,
 		xbar:      cfg.Crossbar,
 		coalesce:  cfg.Coalesce,
-		topo:      buildTopology(cfg.Topology, len(engines)),
 		gpn:       make([]hierGPN, len(engines)),
 	}
-	if cfg.Topology == TopoCrossbar {
-		h.interBW = cfg.Crossbar.BytesPerCycle
-		h.stageLat = 0
-		h.endLat = cfg.Crossbar.Latency
-	} else {
-		lc := cfg.Link
-		if lc == (LinkConfig{}) {
-			lc = DefaultLinkConfig()
-		}
-		if lc.BytesPerCycle <= 0 || lc.Latency <= 0 {
-			panic(fmt.Sprintf("network: invalid link config %+v", lc))
-		}
-		h.interBW = lc.BytesPerCycle
-		h.stageLat = float64(lc.Latency)
-		h.endLat = lc.Latency
-	}
-	h.links = make([]link, len(h.topo.names))
-	h.linkBusy = make([]float64, len(h.topo.names))
 	for g := range h.gpn {
 		if engines[g] == nil {
 			panic(fmt.Sprintf("network: nil engine for gpn%d", g))
@@ -340,29 +264,24 @@ func (h *Hierarchical) Send(src, dst, bytes int, deliver sim.Handler) {
 			return
 		}
 	}
-	h.sendInter(g, sg, dg, dst, bytes, deliver)
+	h.sendInter(g, dst, bytes, deliver)
 }
 
-// sendInter charges one message to the inter-GPN topology: stats, hop
-// accounting, first-hop reservation on the sender's link, then either the
-// full route inline (shared engine) or the outbox for Exchange.
-func (h *Hierarchical) sendInter(g *hierGPN, sg, dg, dst, bytes int, deliver sim.Handler) {
+// sendInter charges one message to the crossbar: stats, the sender's
+// out-port reservation, then either the in-port inline (shared engine) or
+// the outbox for Exchange.
+func (h *Hierarchical) sendInter(g *hierGPN, dst, bytes int, deliver sim.Handler) {
 	g.stats.Messages++
 	g.stats.Bytes += uint64(bytes)
 	g.msgBytes.Observe(uint64(bytes))
 	g.stats.InterBytes += uint64(bytes)
 	g.stats.InterMessages++
-	nh := uint64(h.topo.pathHops(sg, dg))
-	g.stats.HopsSum += nh
-	g.hops.Observe(nh)
-	r := h.topo.route(sg, dg)
-	h.linkBusy[r[0]] += float64(bytes) / h.interBW
-	t1 := h.links[r[0]].reserve(float64(g.eng.Now()), bytes, h.interBW)
-	d := &h.gpn[dg]
+	g.outBusy += float64(bytes) / h.xbar.BytesPerCycle
+	t1 := g.out.reserve(float64(g.eng.Now()), bytes, h.xbar.BytesPerCycle)
+	d := &h.gpn[dst/h.pesPerGPN]
 	if d.eng == g.eng {
-		// Both GPNs share one event loop: complete the route inline,
-		// exactly like the pre-sharding fabric.
-		g.eng.ScheduleAt(h.completeRoute(r, t1, bytes), deliver)
+		// Both GPNs share one event loop: reserve the in-port inline.
+		g.eng.ScheduleAt(h.inPort(d, t1, bytes), deliver)
 		return
 	}
 	g.outbox = append(g.outbox, outMsg{
@@ -370,28 +289,24 @@ func (h *Hierarchical) sendInter(g *hierGPN, sg, dg, dst, bytes int, deliver sim
 	})
 }
 
-// completeRoute reserves the remaining hops of a route whose first link
-// finished at t1 and returns the delivery tick. Successive stages
-// arbitrate independently (each router buffers between hops), so a busy
-// downstream link does not convoy-block the one before it.
-func (h *Hierarchical) completeRoute(r []int32, t1 float64, bytes int) sim.Ticks {
-	t := t1
-	for _, li := range r[1:] {
-		h.linkBusy[li] += float64(bytes) / h.interBW
-		t = h.links[li].reserve(t+h.stageLat, bytes, h.interBW)
-	}
-	return sim.Ticks(t+0.999999) + h.endLat
+// inPort reserves d's crossbar in-port for a message whose out-port stage
+// finished at t1 and returns the delivery tick. The two port stages
+// arbitrate independently (the switch buffers between them), so a busy
+// in-port does not convoy-block the out-port before it.
+func (h *Hierarchical) inPort(d *hierGPN, t1 float64, bytes int) sim.Ticks {
+	d.inBusy += float64(bytes) / h.xbar.BytesPerCycle
+	t := d.in.reserve(t1, bytes, h.xbar.BytesPerCycle)
+	return sim.Ticks(t+0.999999) + h.xbar.Latency
 }
 
-// Lookahead implements Fabric: min per-hop latency × min hop count (1) —
-// the crossbar's switch latency, or one channel latency for the routed
-// topologies. Every cross-engine delivery is at least this far in the
+// Lookahead implements Fabric: every cross-engine delivery pays the
+// crossbar's switch latency, so it lands at least that far in the
 // destination's future.
-func (h *Hierarchical) Lookahead() sim.Ticks { return h.endLat }
+func (h *Hierarchical) Lookahead() sim.Ticks { return h.xbar.Latency }
 
 // Exchange implements Fabric. Source GPNs drain in ascending index order
 // and each outbox preserves send order, so delivery order — and therefore
-// every downstream link reservation — is identical at any worker count.
+// every in-port reservation — is identical at any worker count.
 func (h *Hierarchical) Exchange() (int, error) {
 	delivered := 0
 	for sg := range h.gpn {
@@ -400,7 +315,7 @@ func (h *Hierarchical) Exchange() (int, error) {
 			m := &g.outbox[i]
 			dg := int(m.dst) / h.pesPerGPN
 			d := &h.gpn[dg]
-			when := h.completeRoute(h.topo.route(sg, dg), m.t1, int(m.bytes))
+			when := h.inPort(d, m.t1, int(m.bytes))
 			if now := d.eng.Now(); when < now {
 				return delivered, fmt.Errorf(
 					"network: cross-shard message gpn%d→gpn%d arrives at tick %d, behind destination time %d (lookahead violation)",
@@ -428,20 +343,16 @@ func (h *Hierarchical) Stats() Stats {
 func (h *Hierarchical) Finalize() {
 	h.total = h.Stats()
 	h.msgBytesTotal = stats.Histogram{}
-	h.hopsTotal = stats.Histogram{}
 	for g := range h.gpn {
 		h.msgBytesTotal.Merge(h.gpn[g].msgBytes)
-		h.hopsTotal.Merge(h.gpn[g].hops)
 	}
 }
 
-// RegisterStats implements Fabric: traffic counters, message-size and
-// hop-count histograms at the fabric root (filled in by Finalize), plus
-// per-GPN busy-cycle totals and utilization formulas. Intra-GPN
-// utilization is normalised by the aggregate bandwidth of a GPN's
-// point-to-point mesh (pesPerGPN² links). The crossbar keeps its legacy
-// per-GPN port records; the routed topologies report each directed
-// channel under links.<name>.
+// RegisterStats implements Fabric: traffic counters and the message-size
+// histogram at the fabric root (filled in by Finalize), plus per-GPN
+// busy-cycle totals and utilization formulas for the point-to-point mesh
+// and the two crossbar ports. Intra-GPN utilization is normalised by the
+// aggregate bandwidth of a GPN's point-to-point mesh (pesPerGPN² links).
 func (h *Hierarchical) RegisterStats(g *stats.Group) {
 	g.Uint64(&h.total.Messages, "messages", stats.Count, "messages sent over the fabric")
 	g.Uint64(&h.total.Bytes, "bytes", stats.Bytes, "total message payload moved")
@@ -451,14 +362,7 @@ func (h *Hierarchical) RegisterStats(g *stats.Group) {
 	g.Uint64(&h.total.Coalesced, "messages_coalesced", stats.Count, "message batches absorbed into a buffered same-destination batch")
 	g.Uint64(&h.total.MergedUpdates, "merged_updates", stats.Count, "same-vertex updates folded by the program's delta-merge function")
 	g.Uint64(&h.total.BytesSaved, "bytes_saved", stats.Bytes, "payload the fabric never carried thanks to merging")
-	g.Formula(func() float64 {
-		if h.total.InterMessages == 0 {
-			return 0
-		}
-		return float64(h.total.HopsSum) / float64(h.total.InterMessages)
-	}, "avg_hops", stats.Count, "mean inter-GPN channel traversals per fabric message")
 	g.Histogram(&h.msgBytesTotal, "message_bytes", stats.Bytes, "per-message payload size (log2 buckets)")
-	g.Histogram(&h.hopsTotal, "hop_count", stats.Count, "hop count per inter-GPN message (log2 buckets)")
 	elapsed := func() float64 {
 		var t sim.Ticks
 		for _, e := range h.engines {
@@ -471,32 +375,19 @@ func (h *Hierarchical) RegisterStats(g *stats.Group) {
 		}
 		return 1
 	}
-	n := len(h.gpn)
 	for gi := range h.gpn {
-		gi := gi
+		gp := &h.gpn[gi]
 		gg := g.Group(fmt.Sprintf("gpn%d", gi))
-		gg.Float64(&h.gpn[gi].intraBusy, "p2p_busy_cycles", stats.Cycles, "aggregate link-busy cycles on the GPN's point-to-point mesh")
+		gg.Float64(&gp.intraBusy, "p2p_busy_cycles", stats.Cycles, "aggregate link-busy cycles on the GPN's point-to-point mesh")
 		links := float64(h.pesPerGPN * h.pesPerGPN)
-		gg.Formula(func() float64 { return h.gpn[gi].intraBusy / (elapsed() * links) },
+		gg.Formula(func() float64 { return gp.intraBusy / (elapsed() * links) },
 			"p2p_utilization", stats.Ratio, "point-to-point mesh utilization (busy / elapsed·links)")
-		if h.topo.kind == TopoCrossbar {
-			gg.Float64(&h.linkBusy[gi], "xbar_out_busy_cycles", stats.Cycles, "busy cycles on the GPN's crossbar output port")
-			gg.Float64(&h.linkBusy[n+gi], "xbar_in_busy_cycles", stats.Cycles, "busy cycles on the GPN's crossbar input port")
-			gg.Formula(func() float64 { return h.linkBusy[gi] / elapsed() },
-				"xbar_out_utilization", stats.Ratio, "crossbar output port utilization")
-			gg.Formula(func() float64 { return h.linkBusy[n+gi] / elapsed() },
-				"xbar_in_utilization", stats.Ratio, "crossbar input port utilization")
-		}
-	}
-	if h.topo.kind != TopoCrossbar {
-		lg := g.Group("links")
-		for li := range h.links {
-			li := li
-			kg := lg.Group(h.topo.names[li])
-			kg.Float64(&h.linkBusy[li], "busy_cycles", stats.Cycles, "busy cycles on this directed inter-GPN channel")
-			kg.Formula(func() float64 { return h.linkBusy[li] / elapsed() },
-				"utilization", stats.Ratio, "channel utilization (busy / elapsed)")
-		}
+		gg.Float64(&gp.outBusy, "xbar_out_busy_cycles", stats.Cycles, "busy cycles on the GPN's crossbar output port")
+		gg.Float64(&gp.inBusy, "xbar_in_busy_cycles", stats.Cycles, "busy cycles on the GPN's crossbar input port")
+		gg.Formula(func() float64 { return gp.outBusy / elapsed() },
+			"xbar_out_utilization", stats.Ratio, "crossbar output port utilization")
+		gg.Formula(func() float64 { return gp.inBusy / elapsed() },
+			"xbar_in_utilization", stats.Ratio, "crossbar input port utilization")
 	}
 }
 

@@ -36,7 +36,6 @@ const (
 	MetricNetworkInterBytes  = core.MetricNetworkInterBytes
 	MetricNetworkCoalesced   = core.MetricNetworkCoalesced
 	MetricNetworkBytesSaved  = core.MetricNetworkBytesSaved
-	MetricNetworkAvgHops     = core.MetricNetworkAvgHops
 	MetricLoadImbalance      = core.MetricLoadImbalance
 
 	// PolyGraph baseline (polygraph engine). processing_seconds is shared

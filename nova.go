@@ -28,7 +28,6 @@ import (
 	"nova/internal/core"
 	"nova/internal/harness"
 	"nova/internal/mem"
-	"nova/internal/network"
 	"nova/internal/ref"
 	"nova/internal/sim"
 	"nova/internal/stats"
@@ -64,8 +63,9 @@ type Config struct {
 	// Fabric selects the interconnect: "hierarchical" (Table II) or
 	// "ideal" (infinite-bandwidth point-to-point, Fig. 9c).
 	Fabric string `json:"fabric"`
-	// Topology selects the inter-GPN topology of the hierarchical fabric:
-	// "crossbar" (default, Table II), "ring", "mesh", or "torus".
+	// Topology names the inter-GPN topology of the hierarchical fabric.
+	// "crossbar" (Table II) is the only one; empty means it, and any other
+	// name is an error.
 	Topology string `json:"topology"`
 	// CoalesceWindow enables the fabric's in-flight message coalescing
 	// stage: cross-GPN batches wait up to this many core cycles for
@@ -178,11 +178,9 @@ func (c Config) coreConfig() (core.Config, error) {
 	default:
 		return cc, fmt.Errorf("nova: unknown fabric %q", c.Fabric)
 	}
-	topo, err := network.ParseTopoKind(c.Topology)
-	if err != nil {
-		return cc, fmt.Errorf("nova: %w", err)
+	if c.Topology != "crossbar" {
+		return cc, fmt.Errorf("nova: unknown topology %q: the crossbar is the only inter-GPN topology (ring, mesh and torus were removed)", c.Topology)
 	}
-	cc.Topology = topo
 	if c.CoalesceWindow < 0 {
 		return cc, fmt.Errorf("nova: CoalesceWindow = %d", c.CoalesceWindow)
 	}
@@ -196,7 +194,8 @@ func (c Config) coreConfig() (core.Config, error) {
 	}
 	cc.OutOfCore = true
 	cc.SSDResidentPages = c.SSDResidentPages
-	cc.SSD, err = ssdPreset(c.SSDPreset)
+	ssd, err := ssdPreset(c.SSDPreset)
+	cc.SSD = ssd
 	return cc, err
 }
 
@@ -296,13 +295,11 @@ type Report struct {
 	MetadataBytes   uint64
 	// NetworkBytes and NetworkInterBytes count fabric traffic;
 	// NetworkMessagesCoalesced and NetworkBytesSaved instrument the
-	// fabric's in-flight coalescing stage, and NetworkAvgHops is the mean
-	// inter-GPN links traversed per cross-GPN message.
+	// fabric's in-flight coalescing stage.
 	NetworkBytes             uint64
 	NetworkInterBytes        uint64
 	NetworkMessagesCoalesced uint64
 	NetworkBytesSaved        uint64
-	NetworkAvgHops           float64
 	// LoadImbalance is max(per-PE propagations)/mean (1.0 = balanced).
 	LoadImbalance float64
 	// Out-of-core tier traffic (all zero unless Config.OutOfCore):
@@ -385,13 +382,6 @@ func (a *Accelerator) simulate(ctx context.Context, p program.Program, g *graph.
 	return reportFromCore(res), err
 }
 
-func avgHops(res *core.Result) float64 {
-	if res.Net.InterMessages == 0 {
-		return 0
-	}
-	return float64(res.Net.HopsSum) / float64(res.Net.InterMessages)
-}
-
 func reportFromCore(res *core.Result) *Report {
 	u, w, waste := res.VertexBWFractions()
 	return &Report{
@@ -415,7 +405,6 @@ func reportFromCore(res *core.Result) *Report {
 		NetworkInterBytes:        res.Net.InterBytes,
 		NetworkMessagesCoalesced: res.Net.Coalesced,
 		NetworkBytesSaved:        res.Net.BytesSaved,
-		NetworkAvgHops:           avgHops(res),
 		LoadImbalance:            res.LoadImbalance(),
 		PartitionLoads:           res.PartitionLoads,
 		BytesPaged:               res.BytesPaged,

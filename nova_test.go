@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"nova"
@@ -313,5 +314,24 @@ func TestReportLoadImbalancePopulated(t *testing.T) {
 	}
 	if rep.LoadImbalance < 1 {
 		t.Fatalf("load imbalance %v < 1", rep.LoadImbalance)
+	}
+}
+
+// TestRejectsRemovedTopologies: the crossbar is the only inter-GPN
+// topology, so New accepts "" and "crossbar" and names the removed ring,
+// mesh and torus fabrics for anything else.
+func TestRejectsRemovedTopologies(t *testing.T) {
+	for _, topo := range []string{"", "crossbar"} {
+		cfg := nova.DefaultConfig()
+		cfg.Topology = topo
+		if _, err := nova.New(cfg); err != nil {
+			t.Errorf("Topology %q: %v", topo, err)
+		}
+	}
+	cfg := nova.DefaultConfig()
+	cfg.Topology = "ring"
+	_, err := nova.New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "ring, mesh and torus were removed") {
+		t.Errorf(`Topology "ring": error %v, want one naming the removed ring, mesh and torus`, err)
 	}
 }
