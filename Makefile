@@ -80,10 +80,11 @@ staticcheck:
 		echo "staticcheck not installed; go install honnef.co/go/tools/cmd/staticcheck@latest"; exit 1; }
 	staticcheck ./...
 
-# Refresh the golden statistics dump after an intentional behavior
-# change. Review `statdiff` output against the old file before committing.
+# Refresh the golden matrix (testdata/golden.json) after an intentional
+# behavior change. Review its diff before committing: each row's headline
+# counters say what moved.
 golden:
-	$(GO) run ./cmd/goldendump -o testdata/golden_stats.json
+	$(GO) test -run TestGolden . -update
 
 # Regenerate the STATS.md metrics reference from live dumps.
 stats-md:

@@ -1,21 +1,24 @@
 // Command statdiff compares two statistics dumps written by
-// novasim -stats-out (or goldendump) and reports per-record deltas.
+// novasim -stats-out and reports per-record deltas.
 //
 // Usage:
 //
 //	statdiff [-threshold PCT] [-strict] [-include-volatile] [-all] OLD.json NEW.json
 //
-// By default only changed records print, volatile records (wall-clock
-// timings, racy parallel counters) are skipped, and the exit code is 0
-// regardless of deltas — suitable as a warn-only CI step. With -strict
-// the command exits 1 when any compared delta exceeds -threshold percent
-// (records present on only one side always count as exceeding). Exit
-// code 2 signals a usage or I/O error.
+// By default only changed, added and removed records print, volatile
+// records (wall-clock timings, racy parallel counters) are skipped, and
+// the exit code is 0 regardless of deltas — suitable as a warn-only CI
+// step. The summary counts value changes apart from records present on
+// one side only, so a schema change does not read as a regression. With
+// -strict the command exits 1 when any compared delta exceeds -threshold
+// percent or any record is present on only one side. Exit code 2 signals
+// a usage or I/O error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -23,26 +26,49 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 2, "percent change above which a delta counts as a regression")
-	strict := flag.Bool("strict", false, "exit 1 when any delta exceeds -threshold")
-	includeVolatile := flag.Bool("include-volatile", false, "also compare records marked volatile")
-	all := flag.Bool("all", false, "print unchanged records too")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: statdiff [flags] OLD.json NEW.json\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	oldDump, newDump := readDump(flag.Arg(0)), readDump(flag.Arg(1))
+// run is statdiff with its arguments and output streams injected; it
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("statdiff", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 2, "percent change above which a delta counts as a regression")
+	strict := fs.Bool("strict", false, "exit 1 when any delta exceeds -threshold or any record is added or removed")
+	includeVolatile := fs.Bool("include-volatile", false, "also compare records marked volatile")
+	all := fs.Bool("all", false, "print unchanged records too")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: statdiff [flags] OLD.json NEW.json\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	oldDump, err := readDump(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintf(stderr, "statdiff: %v\n", err)
+		return 2
+	}
+	newDump, err := readDump(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintf(stderr, "statdiff: %v\n", err)
+		return 2
+	}
 	deltas := stats.Diff(oldDump, newDump, *includeVolatile)
 
-	changed, exceeded := 0, 0
+	changed, added, removed, exceeded := 0, 0, 0, 0
 	for _, d := range deltas {
-		if d.Changed() {
+		switch {
+		case !d.OldOK:
+			added++
+		case !d.NewOK:
+			removed++
+		case d.Changed():
 			changed++
 		}
 		over := d.Exceeds(*threshold)
@@ -52,28 +78,27 @@ func main() {
 		if !*all && !d.Changed() {
 			continue
 		}
-		fmt.Println(render(d, over))
+		fmt.Fprintln(stdout, render(d, over))
 	}
-	fmt.Fprintf(os.Stderr, "statdiff: %d records compared, %d changed, %d above %.3g%%\n",
-		len(deltas), changed, exceeded, *threshold)
+	fmt.Fprintf(stderr, "statdiff: %d records compared, %d changed, %d added, %d removed, %d above %.3g%%\n",
+		len(deltas), changed, added, removed, exceeded, *threshold)
 	if *strict && exceeded > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func readDump(path string) *stats.Dump {
+func readDump(path string) (*stats.Dump, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "statdiff: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
 	defer f.Close()
 	d, err := stats.ReadJSON(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "statdiff: %s: %v\n", path, err)
-		os.Exit(2)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return d
+	return d, nil
 }
 
 // render formats one delta line; regressions above threshold get a

@@ -8,11 +8,11 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"nova/internal/mem"
 	"nova/internal/network"
+	"nova/internal/resource"
 	"nova/internal/sim"
 )
 
@@ -133,10 +133,6 @@ type Config struct {
 	// diagnostic. 0 selects DefaultStallTimeout; negative disables the
 	// watchdog.
 	StallTimeout time.Duration
-	// PollEvents is the cancellation-poll stride per engine shard
-	// (0 = sim.DefaultPollEvents). Polling never changes results, only
-	// how quickly a cancellation or watchdog trip is observed.
-	PollEvents uint64
 	// Shards is the number of worker goroutines executing the per-GPN
 	// engine shards (0 means 1, i.e. fully sequential). Clamped to GPNs;
 	// results are bit-identical at every setting.
@@ -242,22 +238,14 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // TotalPEs returns GPNs × PEsPerGPN.
 func (c Config) TotalPEs() int { return c.GPNs * c.PEsPerGPN }
 
-// TrackerBitsPerPE implements Equation 1 for a PE owning the given number
-// of vertices: cap_bits = (log2(superblock_dim)+1) × num_superblocks.
-func (c Config) TrackerBitsPerPE(vertices int) int64 {
-	vertexMemBytes := int64(vertices) * int64(c.VertexBytes)
-	sbBytes := int64(c.SuperblockDim) * int64(c.BlockBytes)
-	numSB := (vertexMemBytes + sbBytes - 1) / sbBytes
-	bitsPerCounter := int64(math.Log2(float64(c.SuperblockDim))) + 1
-	return bitsPerCounter * numSB
-}
-
 // OnChipBytes returns the total on-chip memory of the system: caches plus
-// tracker metadata plus active buffers (one block per entry), the quantity
-// Fig. 4's iso-comparison reports (1.5 MiB per GPN at Table II scale).
+// tracker metadata (Eq. 1, for a PE owning verticesPerPE vertices) plus
+// active buffers (one block per entry), the quantity Fig. 4's
+// iso-comparison reports (1.5 MiB per GPN at Table II scale).
 func (c Config) OnChipBytes(verticesPerPE int) int64 {
+	trackerBits := resource.TrackerBits(int64(verticesPerPE)*int64(c.VertexBytes), c.SuperblockDim, c.BlockBytes)
 	perPE := int64(c.CacheBytesPerPE) +
-		c.TrackerBitsPerPE(verticesPerPE)/8 +
+		trackerBits/8 +
 		int64(c.ActiveBufferEntries)*int64(c.BlockBytes)
 	return perPE * int64(c.TotalPEs())
 }

@@ -9,6 +9,7 @@ import (
 
 	"nova/graph"
 	"nova/internal/ref"
+	"nova/internal/resource"
 	"nova/program"
 )
 
@@ -337,7 +338,7 @@ func TestTrackerCapacityEquation(t *testing.T) {
 	// vector. Check Eq. 1/2 directly on a smaller instance.
 	cfg := DefaultConfig(1)
 	verts := 1 << 20
-	bits := cfg.TrackerBitsPerPE(verts)
+	bits := resource.TrackerBits(int64(verts)*int64(cfg.VertexBytes), cfg.SuperblockDim, cfg.BlockBytes)
 	// num_superblocks = V*16 / (128*32) = V/256; bits = 8 per superblock.
 	wantSB := int64(verts) * 16 / (128 * 32)
 	if bits != wantSB*8 {

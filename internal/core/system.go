@@ -410,10 +410,10 @@ func (s *System) runToQuiescence(budget uint64) error {
 // can run only once.
 //
 // ctx cancellation is observed cooperatively: each shard polls an
-// interrupt every cfg.PollEvents executed events and the cluster checks it
-// at every window barrier, so the run stops within one poll interval. A
-// wall-clock watchdog (cfg.StallTimeout) additionally trips the interrupt
-// when no progress happens at all. On any cooperative stop — cancellation,
+// interrupt every sim.DefaultPollEvents executed events and the cluster
+// checks it at every window barrier, so the run stops within one poll
+// interval. A wall-clock watchdog (cfg.StallTimeout) additionally trips
+// the interrupt when no progress happens at all. On any cooperative stop — cancellation,
 // deadline, event-budget exhaustion, or watchdog trip — Run salvages the
 // statistics accumulated so far and returns BOTH a Result marked Partial
 // (with its StopReason) and the error.
@@ -431,7 +431,7 @@ func (s *System) Run(ctx context.Context, p program.Program) (*Result, error) {
 	if intr == nil {
 		intr = sim.NewInterrupt()
 	}
-	s.cluster.SetInterrupt(intr, s.cfg.PollEvents)
+	s.cluster.SetInterrupt(intr, sim.DefaultPollEvents)
 	if ctx == nil {
 		ctx = context.Background()
 	}
