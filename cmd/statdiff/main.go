@@ -9,7 +9,9 @@
 // records (wall-clock timings, racy parallel counters) are skipped, and
 // the exit code is 0 regardless of deltas — suitable as a warn-only CI
 // step. The summary counts value changes apart from records present on
-// one side only, so a schema change does not read as a regression. With
+// one side only, so a schema change does not read as a regression. A
+// record of a stat that both dumps hold, such as a histogram bucket that
+// emptied, is a value change whose missing side reads 0. With
 // -strict the command exits 1 when any compared delta exceeds -threshold
 // percent or any record is present on only one side. Exit code 2 signals
 // a usage or I/O error.

@@ -58,3 +58,36 @@ func TestSummaryAndStrictExit(t *testing.T) {
 		})
 	}
 }
+
+// TestHistogramBucketsAreValues holds statdiff to counting a histogram
+// bucket that only one of two fills dumps as a changed value: a change
+// of values adds and removes no record.
+func TestHistogramBucketsAreValues(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, vals ...uint64) string {
+		root := stats.NewRoot()
+		var h stats.Histogram
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		root.Group("pe0").Histogram(&h, "buffer_occupancy", stats.Entries, "entries in use")
+		var b bytes.Buffer
+		root.Dump(nil).WriteJSON(&b)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	old, neu := write("old.json", 3, 55, 55), write("new.json", 3, 75, 75)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-strict", old, neu}, &stdout, &stderr); code != 1 {
+		t.Errorf("-strict: exit %d, want 1 (the moved bucket changes from zero)", code)
+	}
+	if want := "5 records compared, 3 changed, 0 added, 0 removed"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("summary %q, want %q", stderr.String(), want)
+	}
+	if out := stdout.String(); strings.Contains(out, "(added)") || strings.Contains(out, "(removed)") {
+		t.Errorf("delta lines report a one-sided record:\n%s", out)
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -101,6 +102,43 @@ func (d *draws) int31n(n int32) int32 {
 		v = int32((d.uint64() & mask63) >> 32)
 	}
 	return v % n
+}
+
+// uniformN is intn for one n drawn many times. Int31n, for an n below
+// 2³¹ that is not a power of two, divides twice per draw: once for its
+// rejection bound and once for the remainder. uniformN computes the bound
+// once, and the remainder with Lemire's direct computation: for a 31-bit
+// v, v % n = hi64((recip·v mod 2⁶⁴)·n) with recip = ⌊(2⁶⁴−1)/n⌋+1,
+// exact for every 32-bit v and n (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019). A power of two takes the same
+// path: its bound, 2³¹−1, rejects no draw, and its remainder is Int31n's
+// mask. n = 1, whose recip overflows, and n ≥ 2³¹ keep intn's path.
+type uniformN struct {
+	n     int
+	max   uint32 // Int31n's rejection bound: it draws again above it
+	recip uint64 // 0 where intn's path is kept
+}
+
+func newUniformN(n int) uniformN {
+	u := uniformN{n: n}
+	if n > 1 && n <= math.MaxInt32 {
+		u.max = 1<<31 - 1 - 1<<31%uint32(n)
+		u.recip = math.MaxUint64/uint64(n) + 1
+	}
+	return u
+}
+
+// uniform is intn(u.n): the same value from the same draws.
+func (d *draws) uniform(u *uniformN) int {
+	if u.recip == 0 {
+		return d.intn(u.n)
+	}
+	v := uint32((d.uint64() & mask63) >> 32)
+	for v > u.max {
+		v = uint32((d.uint64() & mask63) >> 32)
+	}
+	hi, _ := bits.Mul64(u.recip*uint64(v), uint64(u.n))
+	return int(hi)
 }
 
 // int63n is rand.Rand.Int63n for n > 0.

@@ -11,9 +11,16 @@ import (
 // comparisons it replaces.
 func TestDrawsMatchMathRand(t *testing.T) {
 	t.Run("methods", testDrawMethods)
+	t.Run("uniformN", testUniformN)
 	t.Run("resample", testResample)
 	t.Run("threshold", testThreshold)
 }
+
+// uniformNs are the n the per-n draws are checked at: n = 1, which keeps
+// intn's path, a power of two and other n < 2³¹, which take the direct
+// remainder, the largest of them, and one past 2³¹−1, which keeps intn's
+// path too.
+var uniformNs = []int{1, 3, 7, 64, 20000, 40000, 1 << 30, 1<<30 + 1, 1<<31 - 1, 3e9}
 
 // testDrawMethods checks every method of draws against its rand.Rand
 // original, interleaved so that the two streams cross many 607-output
@@ -27,6 +34,10 @@ func testDrawMethods(t *testing.T) {
 		1<<31 + 1, 3 << 31, 1<<32 - 1, 1<<62 + 1, math.MaxInt64, // n ≥ 2³¹
 	}
 	perms := []int{0, 1, 2, 607, 1000}
+	var uniforms []uniformN
+	for _, n := range uniformNs {
+		uniforms = append(uniforms, newUniformN(n))
+	}
 	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
 		want := rand.New(rand.NewSource(seed))
 		var got draws
@@ -48,6 +59,13 @@ func testDrawMethods(t *testing.T) {
 				}
 			}
 			calls += 3 + len(ns)
+			for k := range uniforms {
+				u := &uniforms[k]
+				if g, w := got.uniform(u), want.Intn(u.n); g != w {
+					t.Fatalf("seed %d, call %d: uniform(%d) %d, Intn %d", seed, calls, u.n, g, w)
+				}
+				calls++
+			}
 			if i%100 == 0 {
 				n := perms[i/100%len(perms)]
 				g, w := got.perm(n), want.Perm(n)
@@ -169,6 +187,41 @@ func testResample(t *testing.T) {
 						t.Fatalf("pos %d, %#x at +%d: unit %#x, want the draw after it, %#x", pos, bad, at, g, w)
 					}
 				}
+			}
+		}
+	}
+}
+
+// testUniformN plants 31-bit draws at the edges of the direct remainder's
+// range, v = 0, 1, n−1, n, n+1 and the rejection bound, each behind the
+// bound plus one where that is a 31-bit draw, which must be drawn again:
+// uniform must read v % n and take the draws Int31n takes.
+func testUniformN(t *testing.T) {
+	for _, n := range uniformNs {
+		u := newUniformN(n)
+		if direct := n > 1 && n <= math.MaxInt32; direct != (u.recip != 0) {
+			t.Fatalf("n %d: direct remainder %v, want %v", n, u.recip != 0, direct)
+		}
+		if u.recip == 0 {
+			continue
+		}
+		bound := uint32(1<<31 - 1 - 1<<31%uint32(n))
+		if u.max != bound {
+			t.Fatalf("n %d: rejection bound %d, Int31n's %d", n, u.max, bound)
+		}
+		for _, v := range []uint32{0, 1, uint32(n) - 1, uint32(n), uint32(n) + 1, bound - 1, bound} {
+			if v > bound { // n and n+1 at n = 2³¹−1
+				continue
+			}
+			var d draws
+			k := 0
+			if bound < 1<<31-1 { // a power of two rejects no draw
+				d.vec[k] = uint64(bound+1) << 32
+				k++
+			}
+			d.vec[k] = uint64(v)<<32 | 1<<63 | 0xffffffff
+			if got, want := d.uniform(&u), int(v%uint32(n)); got != want || d.pos != k+1 {
+				t.Errorf("n %d, v %d: uniform %d after %d draws, want %d after %d", n, v, got, d.pos, want, k+1)
 			}
 		}
 	}

@@ -15,13 +15,14 @@ func GenUniform(name string, numVertices int, avgDegree float64, maxWeight uint3
 	checkDegree("GenUniform", avgDegree)
 	var rng draws
 	rng.seed(seed)
+	vertex, w := newUniformN(numVertices), newWeights(maxWeight)
 	m := int(float64(numVertices) * avgDegree)
 	edges := make([]Edge, 0, m)
 	for i := 0; i < m; i++ {
 		edges = append(edges, Edge{
-			Src:    VertexID(rng.intn(numVertices)),
-			Dst:    VertexID(rng.intn(numVertices)),
-			Weight: weight(&rng, maxWeight),
+			Src:    VertexID(rng.uniform(&vertex)),
+			Dst:    VertexID(rng.uniform(&vertex)),
+			Weight: weight(&rng, &w),
 		})
 	}
 	return FromEdges(name, numVertices, edges)
@@ -146,6 +147,7 @@ func GenGrid(name string, rows, cols int, dropProb float64, maxWeight uint32, se
 	var rng draws
 	rng.seed(seed)
 	drop := threshold(dropProb)
+	ws := newWeights(maxWeight)
 	n := rows * cols
 	id := func(r, c int) VertexID { return VertexID(r*cols + c) }
 	edges := make([]Edge, 0, 4*n)
@@ -153,7 +155,7 @@ func GenGrid(name string, rows, cols int, dropProb float64, maxWeight uint32, se
 		if rng.unit() < drop {
 			return
 		}
-		w := weight(&rng, maxWeight)
+		w := weight(&rng, &ws)
 		edges = append(edges, Edge{Src: a, Dst: b, Weight: w}, Edge{Src: b, Dst: a, Weight: w})
 	}
 	for r := 0; r < rows; r++ {
@@ -200,7 +202,7 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 	rng.seed(seed)
 	m := int(float64(numVertices) * avgDegree)
 	perm := rng.perm(numVertices)
-	s := newRMATSampler(p, scale)
+	s, w := newRMATSampler(p, scale), newWeights(maxWeight)
 	edges := make([]Edge, 0, m)
 	for len(edges) < m {
 		src, dst := s.next(&rng)
@@ -210,15 +212,26 @@ func GenRMATN(name string, numVertices int, avgDegree float64, p RMATParams, max
 		edges = append(edges, Edge{
 			Src:    VertexID(perm[src]),
 			Dst:    VertexID(perm[dst]),
-			Weight: weight(&rng, maxWeight),
+			Weight: weight(&rng, &w),
 		})
 	}
 	return FromEdges(name, numVertices, edges)
 }
 
-func weight(rng *draws, maxWeight uint32) uint32 {
+// newWeights returns the draw behind weight for maxWeight: uniform below
+// maxWeight, or none (n = 0) when maxWeight ≤ 1 makes every weight 1.
+func newWeights(maxWeight uint32) uniformN {
 	if maxWeight <= 1 {
+		return uniformN{}
+	}
+	return newUniformN(int(maxWeight))
+}
+
+// weight draws an edge weight uniform in [1, maxWeight], given
+// w = newWeights(maxWeight).
+func weight(rng *draws, w *uniformN) uint32 {
+	if w.n == 0 {
 		return 1
 	}
-	return 1 + uint32(rng.intn(int(maxWeight)))
+	return 1 + uint32(rng.uniform(w))
 }

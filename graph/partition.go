@@ -104,9 +104,10 @@ func PartitionRange(numVertices, parts int) *Partition {
 func PartitionRandom(numVertices, parts int, seed int64) *Partition {
 	var rng draws
 	rng.seed(seed)
+	part := newUniformN(parts)
 	owner := make([]int, numVertices)
 	for v := range owner {
-		owner[v] = rng.intn(parts)
+		owner[v] = rng.uniform(&part)
 	}
 	return &Partition{Owner: owner, Parts: parts, Method: "random"}
 }

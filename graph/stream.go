@@ -120,7 +120,7 @@ type RMATStream struct {
 	numVertices int
 	numEdges    int64
 	sampler     rmatSampler
-	maxWeight   uint32
+	weights     uniformN
 	seed        int64
 	mix         vertexMix
 
@@ -145,7 +145,7 @@ func NewRMATStream(name string, numVertices int, avgDegree float64, p RMATParams
 		numVertices: numVertices,
 		numEdges:    int64(float64(numVertices) * avgDegree),
 		sampler:     newRMATSampler(p, scale),
-		maxWeight:   maxWeight,
+		weights:     newWeights(maxWeight),
 		seed:        seed,
 		mix:         newVertexMix(scale, seed),
 	}
@@ -184,7 +184,7 @@ func (s *RMATStream) Next() (Edge, bool) {
 		return Edge{
 			Src:    VertexID(ss),
 			Dst:    VertexID(dd),
-			Weight: weight(&s.rng, s.maxWeight),
+			Weight: weight(&s.rng, &s.weights),
 		}, true
 	}
 }
@@ -195,7 +195,8 @@ type UniformStream struct {
 	name        string
 	numVertices int
 	numEdges    int64
-	maxWeight   uint32
+	vertex      uniformN
+	weights     uniformN
 	seed        int64
 
 	rng     draws
@@ -213,7 +214,8 @@ func NewUniformStream(name string, numVertices int, avgDegree float64, maxWeight
 		name:        name,
 		numVertices: numVertices,
 		numEdges:    int64(float64(numVertices) * avgDegree),
-		maxWeight:   maxWeight,
+		vertex:      newUniformN(numVertices),
+		weights:     newWeights(maxWeight),
 		seed:        seed,
 	}
 	s.Reset()
@@ -242,9 +244,9 @@ func (s *UniformStream) Next() (Edge, bool) {
 	}
 	s.emitted++
 	return Edge{
-		Src:    VertexID(s.rng.intn(s.numVertices)),
-		Dst:    VertexID(s.rng.intn(s.numVertices)),
-		Weight: weight(&s.rng, s.maxWeight),
+		Src:    VertexID(s.rng.uniform(&s.vertex)),
+		Dst:    VertexID(s.rng.uniform(&s.vertex)),
+		Weight: weight(&s.rng, &s.weights),
 	}, true
 }
 
@@ -255,7 +257,7 @@ type GridStream struct {
 	name       string
 	rows, cols int
 	drop       uint64 // threshold(dropProb)
-	maxWeight  uint32
+	weights    uniformN
 	seed       int64
 	numEdges   int64
 
@@ -275,7 +277,7 @@ func NewGridStream(name string, rows, cols int, dropProb float64, maxWeight uint
 	checkGrid("NewGridStream", rows, cols, dropProb)
 	s := &GridStream{
 		name: name, rows: rows, cols: cols,
-		drop: threshold(dropProb), maxWeight: maxWeight, seed: seed,
+		drop: threshold(dropProb), weights: newWeights(maxWeight), seed: seed,
 	}
 	s.Reset()
 	for {
@@ -348,7 +350,7 @@ func (s *GridStream) Next() (Edge, bool) {
 		if s.rng.unit() < s.drop {
 			continue
 		}
-		w := weight(&s.rng, s.maxWeight)
+		w := weight(&s.rng, &s.weights)
 		s.pending = Edge{Src: b, Dst: a, Weight: w}
 		s.hasPending = true
 		return Edge{Src: a, Dst: b, Weight: w}, true

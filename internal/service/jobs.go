@@ -117,8 +117,10 @@ type JobResult struct {
 	Partial    bool   `json:"partial,omitempty"`
 	StopReason string `json:"stop_reason,omitempty"`
 
-	// Dump is the full hierarchical statistics dump (nil for the
-	// two-phase "bc" workload, which has no merged dump).
+	// Dump is the run's statistics dump as readings (stats.Dump.Readings):
+	// each record's path, value and volatility, with the per-stat schema
+	// left to STATS.md. Value and Bag read it as they read a full dump. It
+	// is nil for the two-phase "bc" workload, which has no merged dump.
 	Dump *stats.Dump `json:"dump,omitempty"`
 }
 
@@ -328,8 +330,8 @@ func valueOr[T any](p *T, def T) T {
 }
 
 // renderResult marshals the canonical result JSON for a completed (or
-// salvaged-partial) run. encoding/json sorts map keys, so identical
-// reports render to identical bytes.
+// salvaged-partial) run, its dump as readings. encoding/json sorts map
+// keys, so identical reports render to identical bytes.
 func renderResult(req *JobRequest, rep *harness.Report, graphName string, contentHash uint32) ([]byte, error) {
 	res := JobResult{
 		Engine:          rep.Engine,
@@ -347,7 +349,7 @@ func renderResult(req *JobRequest, rep *harness.Report, graphName string, conten
 		Shards:          rep.Shards,
 		Partial:         rep.Partial,
 		StopReason:      rep.StopReason,
-		Dump:            rep.Dump,
+		Dump:            rep.Dump.Readings(),
 	}
 	return json.Marshal(res)
 }

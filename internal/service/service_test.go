@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"nova/internal/harness"
 	"nova/internal/service"
 	"nova/internal/sim"
+	"nova/internal/stats"
 )
 
 // buildCSR writes a deterministic uniform graph container and returns its
@@ -271,6 +273,80 @@ func TestWarmCacheHitBitIdentical(t *testing.T) {
 	bypass := submitAndWait(t, ts.URL, req)
 	if bypass.Cached {
 		t.Fatalf("no_cache run served from cache: %+v", bypass)
+	}
+}
+
+// TestResultCarriesReadings holds a result body's dump to readings: every
+// record holds exactly "path" and "value", and "volatile" only when true,
+// and the records are, in order, those of the same cell run in process
+// through BuildEngine, with equal values except on volatile records.
+func TestResultCarriesReadings(t *testing.T) {
+	srv, ts := newTestServer(t, service.Config{})
+	register(t, ts.URL, "g", buildCSR(t, 1500))
+	entry, err := srv.Registry().Acquire("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer entry.Release()
+
+	for _, cell := range []struct{ engine, workload string }{
+		{"nova", "bfs"}, {"polygraph", "bfs"}, {"ligra", "bfs"}, {"nova", "pr"},
+	} {
+		t.Run(cell.engine+"/"+cell.workload, func(t *testing.T) {
+			st := submitAndWait(t, ts.URL, map[string]any{"engine": cell.engine, "workload": cell.workload, "graph": "g"})
+			if st.State != service.JobDone {
+				t.Fatalf("job ended %s: %s", st.State, st.Error)
+			}
+			var body struct {
+				Dump struct {
+					Meta    map[string]string `json:"meta"`
+					Records []json.RawMessage `json:"records"`
+				} `json:"dump"`
+			}
+			if err := json.Unmarshal(fetchResult(t, ts.URL, st.ID), &body); err != nil {
+				t.Fatal(err)
+			}
+
+			eng, err := service.BuildEngine(&service.JobRequest{Engine: cell.engine, Workload: cell.workload}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := eng.RunWorkload(context.Background(),
+				harness.Workload{Name: cell.workload, G: entry.Graph(), Root: entry.Root()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rep.Dump.Records
+			if len(body.Dump.Records) != len(want) {
+				t.Fatalf("result holds %d records, the in-process dump %d", len(body.Dump.Records), len(want))
+			}
+			if !maps.Equal(body.Dump.Meta, rep.Dump.Meta) {
+				t.Errorf("result meta %v, in-process %v", body.Dump.Meta, rep.Dump.Meta)
+			}
+			for i, raw := range body.Dump.Records {
+				var keys map[string]json.RawMessage
+				var r stats.Record
+				if err := json.Unmarshal(raw, &keys); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(raw, &r); err != nil {
+					t.Fatal(err)
+				}
+				nkeys := 2
+				if r.Volatile {
+					nkeys = 3
+				}
+				_, hasVolatile := keys["volatile"]
+				if keys["path"] == nil || keys["value"] == nil || hasVolatile != r.Volatile || len(keys) != nkeys {
+					t.Fatalf("record %d is %s, want path and value, and volatile only when true", i, raw)
+				}
+				w := want[i]
+				if r.Path != w.Path || r.Volatile != w.Volatile || !w.Volatile && r.Value != w.Value {
+					t.Fatalf("record %d: %s = %v (volatile %v), in-process %s = %v (volatile %v)",
+						i, r.Path, r.Value, r.Volatile, w.Path, w.Value, w.Volatile)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 )
@@ -13,15 +14,16 @@ import (
 // whose Path equals Stat; distributions and histograms expand into
 // sub-records (.mean, .le128, …) that all share the owning stat's path in
 // Stat, carrying its kind/unit/description — which is what lets STATS.md
-// be generated from a dump instead of from a live tree.
+// be generated from a dump instead of from a live tree. A record of
+// Readings carries no Stat, Kind, Unit or Desc.
 type Record struct {
 	// Path is the full dotted location of this value.
 	Path string `json:"path"`
 	// Stat is the owning stat's path (== Path except for expansion
 	// sub-records of distributions and histograms).
-	Stat string `json:"stat"`
+	Stat string `json:"stat,omitempty"`
 	// Kind, Unit and Desc are the owning stat's registration metadata.
-	Kind Kind   `json:"kind"`
+	Kind Kind   `json:"kind,omitempty"`
 	Unit Unit   `json:"unit,omitempty"`
 	Desc string `json:"desc,omitempty"`
 	// Volatile marks run-to-run nondeterministic values; diffs skip them
@@ -69,6 +71,22 @@ func (d *Dump) Value(path string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Readings returns a copy of the dump that keeps the meta and each
+// record's path, value and volatility, and drops the per-stat schema
+// (stat, kind, unit, desc) that STATS.md lists by path. A reader that
+// looks values up by path, through Value or Bag, reads it like the full
+// dump, whose JSON is about three times larger. A nil dump gives nil.
+func (d *Dump) Readings() *Dump {
+	if d == nil {
+		return nil
+	}
+	out := &Dump{Meta: maps.Clone(d.Meta), Records: make([]Record, len(d.Records))}
+	for i, r := range d.Records {
+		out.Records[i] = Record{Path: r.Path, Volatile: r.Volatile, Value: r.Value}
+	}
+	return out
 }
 
 // Prefixed returns a copy of the dump with every record path (and stat

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -101,12 +103,34 @@ func TestHistogramLinearAndOverflow(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
+// schemaTree registers one stat of each kind, a volatile counter among
+// them, with values that fill some of the histogram's buckets.
+func schemaTree() *Group {
 	root := NewRoot()
-	var c Counter
-	c.Add(3)
-	root.Counter(&c, "msgs", Count, "messages").Volatile()
-	d := root.Dump(map[string]string{"engine": "x"})
+	var msgs Counter
+	msgs.Add(3)
+	root.Counter(&msgs, "msgs", Count, "messages").Volatile()
+	sc := Scalar(0.25)
+	root.Scalar(&sc, "level", Ratio, "a level")
+	var dist Distribution
+	dist.Sample(2)
+	dist.Sample(6)
+	pe := root.Group("pe0")
+	pe.Distribution(&dist, "latency", Cycles, "latency per request")
+	var h Histogram
+	h.Observe(5)
+	h.Observe(1 << 20)
+	pe.Histogram(&h, "sizes", Bytes, "sizes per request")
+	pe.Formula(func() float64 { return 1.5 }, "rate", Ratio, "derived")
+	return root
+}
+
+// TestJSONRoundTrip holds a full dump's JSON to keeping every record's
+// schema, and Readings to keeping the path, value and volatility of every
+// record, in order, and the meta, while its JSON carries none of the
+// schema keys.
+func TestJSONRoundTrip(t *testing.T) {
+	d := schemaTree().Dump(map[string]string{"engine": "x"})
 	var buf bytes.Buffer
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -115,10 +139,39 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Records) != 1 || back.Records[0].Path != "msgs" ||
-		back.Records[0].Value != 3 || !back.Records[0].Volatile ||
-		back.Records[0].Kind != KindCounter || back.Meta["engine"] != "x" {
-		t.Errorf("round trip lost data: %+v", back)
+	if !reflect.DeepEqual(back, d) {
+		t.Errorf("round trip lost data:\n got %+v\nwant %+v", back, d)
+	}
+	for _, r := range back.Records {
+		if r.Stat == "" || r.Kind == "" || r.Unit == "" || r.Desc == "" {
+			t.Errorf("record %s lost its schema: %+v", r.Path, r)
+		}
+	}
+
+	rd := d.Readings()
+	if len(rd.Records) != len(d.Records) || !reflect.DeepEqual(rd.Meta, d.Meta) {
+		t.Fatalf("readings: %d records, meta %v; dump %d, meta %v", len(rd.Records), rd.Meta, len(d.Records), d.Meta)
+	}
+	for i, r := range rd.Records {
+		f := d.Records[i]
+		if r != (Record{Path: f.Path, Volatile: f.Volatile, Value: f.Value}) {
+			t.Errorf("readings record %d = %+v, dump's %+v", i, r, f)
+		}
+	}
+	if v, _ := rd.Value("msgs"); !rd.Records[0].Volatile || v != 3 {
+		t.Errorf("readings lost msgs: %+v", rd.Records[0])
+	}
+	b, err := json.Marshal(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"stat"`, `"kind"`, `"unit"`, `"desc"`, `"volatile":false`} {
+		if bytes.Contains(b, []byte(key)) {
+			t.Errorf("readings JSON holds %s: %s", key, b)
+		}
+	}
+	if (*Dump)(nil).Readings() != nil {
+		t.Error("nil dump's readings are not nil")
 	}
 }
 
@@ -209,6 +262,52 @@ func TestDiff(t *testing.T) {
 	}
 	if !found {
 		t.Error("includeVolatile must keep volatile records")
+	}
+}
+
+// TestDiffHistogramBuckets holds Diff to reading a bucket that one fill
+// of a histogram dumps and another does not as a value that changed from
+// or to 0, while a stat on one side only, and a record without a stat,
+// stay added or removed.
+func TestDiffHistogramBuckets(t *testing.T) {
+	fill := func(extra bool, vals ...uint64) *Dump {
+		root := NewRoot()
+		var h Histogram
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		root.Histogram(&h, "occupancy", Entries, "")
+		if extra {
+			var c Counter
+			root.Counter(&c, "extra", Count, "")
+		}
+		return root.Dump(nil)
+	}
+	old, new := fill(false, 1, 40, 40), fill(true, 1, 70, 70)
+	byPath := map[string]Delta{}
+	for _, d := range Diff(old, new, false) {
+		byPath[d.Path] = d
+		if !d.OldOK && d.Path != "extra" || !d.NewOK {
+			t.Errorf("%s: one-sided (old %v, new %v), want a value change", d.Path, d.OldOK, d.NewOK)
+		}
+	}
+	if d := byPath["occupancy.le63"]; !d.Changed() || d.Old != 2 || d.New != 0 {
+		t.Errorf("emptied bucket: %+v, want 2 -> 0", d)
+	}
+	if d := byPath["occupancy.le127"]; !d.Changed() || d.Old != 0 || d.New != 2 {
+		t.Errorf("filled bucket: %+v, want 0 -> 2", d)
+	}
+	if d := byPath["extra"]; d.OldOK || !d.NewOK {
+		t.Errorf("a stat on one side only: %+v, want added", d)
+	}
+	if d := byPath["occupancy.le1"]; d.Changed() {
+		t.Errorf("bucket on both sides: %+v, want unchanged", d)
+	}
+	// Readings name no stat, so their one-sided records stay one-sided.
+	for _, d := range Diff(old.Readings(), new.Readings(), false) {
+		if d.Path == "occupancy.le63" && d.NewOK || d.Path == "occupancy.le127" && d.OldOK {
+			t.Errorf("%s: a record without its stat read as a value change", d.Path)
+		}
 	}
 }
 
