@@ -48,15 +48,15 @@ func BenchmarkAblationSpillOverwrite(b *testing.B) {
 	cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 	cfg.Spill = "overwrite"
 	rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewSSSP(r) })
-	b.ReportMetric(float64(rep.SpillWrites), "spill-writes")
+	b.ReportMetric(rep.Metric(nova.MetricSpillWrites), "spill-writes")
 }
 
 func BenchmarkAblationSpillFIFO(b *testing.B) {
 	cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 	cfg.Spill = "fifo"
 	rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewSSSP(r) })
-	b.ReportMetric(float64(rep.SpillWrites), "spill-writes")
-	b.ReportMetric(float64(rep.StaleRetrievals), "stale")
+	b.ReportMetric(rep.Metric(nova.MetricSpillWrites), "spill-writes")
+	b.ReportMetric(rep.Metric(nova.MetricStaleRetrievals), "stale")
 }
 
 // BenchmarkAblationAsyncBFS vs ...SyncBFS: the same workload under both
@@ -95,7 +95,7 @@ func BenchmarkAblationSuperblockDim(b *testing.B) {
 			cfg := exp.NOVAConfig(exp.Small, nova.DefaultConfig(), 1)
 			cfg.SuperblockDim = dim
 			rep := runAblation(b, cfg, func(r graph.VertexID) program.Program { return program.NewBFS(r) })
-			b.ReportMetric(100*rep.VertexWastefulFrac, "waste-pct")
+			b.ReportMetric(100*rep.Metric(nova.MetricVertexWastefulFrac), "waste-pct")
 		})
 	}
 }

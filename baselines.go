@@ -66,12 +66,7 @@ func (b *PolyGraphBaseline) RunContext(ctx context.Context, p program.Program, g
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := polygraph.Run(ctx, b.config(), g, p)
-	if res == nil {
-		return nil, err
-	}
-	return &harness.Report{Props: res.Props, Stats: res.Stats, Dump: res.Dump,
-		Partial: res.Partial, StopReason: string(res.StopReason)}, err
+	return polygraph.Run(ctx, b.config(), g, p)
 }
 
 // Engine returns the harness view of the PolyGraph baseline, the way to
@@ -96,13 +91,6 @@ func (e pgEngine) Fingerprint() string {
 }
 
 func (e pgEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	if w.Name == SpillStressWorkload {
-		// PolyGraph can execute the program, but an always-active delta
-		// workload defeats temporal slicing — every slice pass touches
-		// every vertex — so runs take hours at scales NOVA finishes in
-		// minutes. The workload exists to stress NOVA's VMU; keep it there.
-		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
-	}
 	return runWorkload(ctx, e, w, e.b.RunContext)
 }
 
@@ -159,6 +147,9 @@ func (e ligraEngine) Fingerprint() string {
 // cancelled, returns the partial report (Partial set) alongside the
 // context error.
 func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
+	if err := CheckCell(e.Name(), w.Name); err != nil {
+		return nil, err
+	}
 	if err := e.s.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,13 +172,6 @@ func (e ligraEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harn
 		out.Scores, res = le.PR(w.G, w.G.Transpose(), 0.85, prIters(w))
 	case "bc":
 		out.Scores, res = le.BC(w.G, w.G.Transpose(), w.Root)
-	case SpillStressWorkload:
-		// The software baseline implements the five paper workloads as
-		// dedicated kernels; there is no generic asynchronous executor to
-		// run delta PageRank on.
-		return nil, fmt.Errorf("nova: %q is the NOVA spill-stress workload; run it on the nova engine", w.Name)
-	default:
-		return nil, fmt.Errorf("nova: unknown workload %q", w.Name)
 	}
 	if dists != nil {
 		out.Props = make([]program.Prop, len(dists))

@@ -42,7 +42,6 @@ func main() {
 	base := nova.DefaultConfig()
 	flag.IntVar(&base.Shards, "shards", 1, "simulation worker goroutines per NOVA cell (clamped to the cell's GPN count; results are bit-identical at every setting)")
 	flag.Int64Var(&base.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles for every NOVA cell (0 disables; fignet sweeps on/off regardless)")
-	flag.IntVar(&base.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in messages (0 = default; requires -coalesce-window)")
 	profFlags := prof.RegisterFlags()
 	flag.Parse()
 	defer profFlags.Start()()

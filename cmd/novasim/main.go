@@ -66,7 +66,6 @@ func main() {
 	flag.StringVar(&cfg.Spill, "spill", "overwrite", "overwrite|fifo")
 	flag.StringVar(&cfg.Fabric, "fabric", "hierarchical", "hierarchical|ideal")
 	flag.Int64Var(&cfg.CoalesceWindow, "coalesce-window", 0, "in-fabric coalescing window in cycles (0 = off; nova engine, hierarchical fabric)")
-	flag.IntVar(&cfg.CoalesceCapacity, "coalesce-cap", 0, "coalescing buffer capacity in message entries (0 = default; requires -coalesce-window)")
 	prIters := flag.Int("pr-iters", 10, "PageRank iterations")
 	flag.BoolVar(&cfg.OutOfCore, "out-of-core", false, "enable the SSD-backed out-of-core tier (nova engine): vertex blocks outside the resident window pay a modeled page-in")
 	flag.StringVar(&em.SSDPreset, "ssd", "", "SSD timing preset for paging engines: nvme (default) or sata")

@@ -59,12 +59,10 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 		{"unknown spill policy", []string{"-spill", "bogus"}},
 		{"zero gpns", []string{"-gpns", "0"}},
 		{"negative coalesce window", []string{"-coalesce-window", "-1"}},
-		{"negative coalesce cap", []string{"-coalesce-window", "16", "-coalesce-cap", "-1"}},
 		{"negative resident pages", []string{"-ssd-resident-pages", "-1"}},
 		{"negative resident pages with out-of-core", []string{"-out-of-core", "-ssd-resident-pages", "-1"}},
 		{"negative extmem ram", []string{"-engine", "extmem", "-extmem-ram", "-1"}},
 		{"negative extmem partition edges", []string{"-engine", "extmem", "-extmem-part-edges", "-1"}},
-		{"coalesce cap without window", []string{"-coalesce-cap", "8"}},
 		{"ideal fabric with coalescing", []string{"-fabric", "ideal", "-coalesce-window", "16"}},
 		{"resident pages without out-of-core", []string{"-ssd-resident-pages", "64"}},
 		{"coalescing without nova", []string{"-engine", "polygraph", "-coalesce-window", "16"}},
@@ -97,14 +95,20 @@ func TestRejectsBadFlagsBeforeBuildingADataset(t *testing.T) {
 	}
 }
 
-// TestRemovedTopologyFlagIsUnknown: -topology went with the ring, mesh
-// and torus fabrics, so the flag package rejects it before any dataset is
-// built, even when it names the crossbar.
+// TestRemovedTopologyFlagIsUnknown: removed flags are undefined, so the
+// flag package rejects them before any dataset is built. -topology went
+// with the ring, mesh and torus fabrics (it is rejected even when it names
+// the crossbar), and -coalesce-cap with the coalescing-capacity knob.
 func TestRemovedTopologyFlagIsUnknown(t *testing.T) {
-	stdout, stderr, code := novasim(t, "-topology", "crossbar")
-	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -topology") {
-		t.Errorf("novasim -topology crossbar: exit %d, stdout %q, stderr %q; want exit 2 on an undefined flag",
-			code, stdout, stderr)
+	for _, args := range [][]string{
+		{"-topology", "crossbar"},
+		{"-coalesce-cap", "8"},
+	} {
+		stdout, stderr, code := novasim(t, args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Errorf("novasim %s: exit %d, stdout %q, stderr %q; want exit 2 on an undefined flag",
+				strings.Join(args, " "), code, stdout, stderr)
+		}
 	}
 }
 
@@ -151,7 +155,7 @@ func row(t *testing.T, stdout, engine, workload string) string {
 func TestAcceptsPagingFlags(t *testing.T) {
 	path := tinyGraph(t)
 	for _, args := range [][]string{
-		{"-engine", "nova", "-workload", "bfs", "-graph-file", path, "-gpns", "2", "-coalesce-window", "16", "-coalesce-cap", "8"},
+		{"-engine", "nova", "-workload", "bfs", "-graph-file", path, "-gpns", "2", "-coalesce-window", "16"},
 		{"-engine", "nova,extmem", "-workload", "bfs", "-graph-file", path, "-out-of-core", "-ssd", "sata",
 			"-ssd-resident-pages", "4", "-extmem-ram", "4096", "-extmem-part-edges", "4"},
 	} {

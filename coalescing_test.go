@@ -49,9 +49,8 @@ func TestCoalescingBitIdentical(t *testing.T) {
 			if off.NetworkMessagesCoalesced != 0 {
 				t.Errorf("coalescing disabled but %d batches coalesced", off.NetworkMessagesCoalesced)
 			}
-			if on.NetworkInterBytes >= off.NetworkInterBytes {
-				t.Errorf("coalescing did not reduce inter-GPN bytes: on=%d off=%d",
-					on.NetworkInterBytes, off.NetworkInterBytes)
+			if on, off := on.Metric(MetricNetworkInterBytes), off.Metric(MetricNetworkInterBytes); on >= off {
+				t.Errorf("coalescing did not reduce inter-GPN bytes: on=%v off=%v", on, off)
 			}
 			for v := range off.Props {
 				if off.Props[v] != on.Props[v] {
@@ -62,46 +61,5 @@ func TestCoalescingBitIdentical(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestCoalescingConservation asserts the fabric's message-conservation
-// invariant end to end: every batch the MGUs offer is either sent or
-// coalesced, so messages + messages_coalesced is an exact function of the
-// cell — identical at every worker count. (The absolute count differs per
-// window: asynchronous traversal order, and therefore the offered load
-// itself, depends on delivery timing. The strict form of the invariant
-// under a fixed offered load is asserted by the network package's
-// TestConservationInvariant.)
-func TestCoalescingConservation(t *testing.T) {
-	g := graph.GenRMATN("conserve", 2048, 8, graph.DefaultRMAT, 64, 7)
-	root := g.LargestOutDegreeVertex()
-	for _, window := range []int64{0, 16} {
-		var baseline int64 = -1
-		for _, shards := range []int{1, 2, 4} {
-			cfg := goldenNova(4, withWindow(window))
-			cfg.Shards = shards
-			acc, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := acc.RunContext(context.Background(), program.NewSSSP(root), g)
-			if err != nil {
-				t.Fatalf("w%d/shards=%d: %v", window, shards, err)
-			}
-			bag := rep.Dump.Bag()
-			total := int64(bag["network.messages"]) + int64(bag["network.messages_coalesced"])
-			if window == 0 && bag["network.messages_coalesced"] != 0 {
-				t.Errorf("w0: coalesced %v batches with coalescing off", bag["network.messages_coalesced"])
-			}
-			if baseline < 0 {
-				baseline = total
-				t.Logf("w%d: batches offered: %d", window, baseline)
-			}
-			if total != baseline {
-				t.Errorf("w%d/shards=%d: messages+coalesced = %d, want %d",
-					window, shards, total, baseline)
-			}
-		}
 	}
 }

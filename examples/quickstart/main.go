@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("simulated %.3f ms (%d cycles at 2 GHz)\n",
 		rep.Stats.SimSeconds*1e3, rep.Cycles)
 	fmt.Printf("throughput: %.2f GTEPS, edge-memory utilization %.0f%%\n",
-		rep.GTEPS(g), 100*rep.EdgeUtilization)
+		rep.GTEPS(g), 100*rep.Metric(nova.MetricEdgeUtilization))
 	fmt.Printf("messages: %d sent, %.0f%% coalesced before propagation\n",
 		rep.Stats.MessagesSent,
 		100*float64(rep.Stats.MessagesCoalesced)/float64(rep.Stats.MessagesSent))

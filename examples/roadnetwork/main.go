@@ -42,9 +42,11 @@ func main() {
 		}
 		// Tracker capacity per Eq. 1/2 for one PE's share.
 		fmt.Printf("%-8d %9db %10.3f %9.1f%% %9.1f%% %9.1f%%\n",
-			dim, rep.OnChipBytes,
+			dim, int64(rep.Metric(nova.MetricOnChipBytes)),
 			rep.Stats.SimSeconds*1e3,
-			100*rep.VertexUsefulFrac, 100*rep.VertexWriteFrac, 100*rep.VertexWastefulFrac)
+			100*rep.Metric(nova.MetricVertexUsefulFrac),
+			100*rep.Metric(nova.MetricVertexWriteFrac),
+			100*rep.Metric(nova.MetricVertexWastefulFrac))
 	}
 	fmt.Println("\nSSSP distances verified against Dijkstra at every tracker size.")
 	fmt.Println("Larger superblocks shrink the tracker but cannot pinpoint sparse")

@@ -66,12 +66,7 @@ func (b *ExternalMemory) RunContext(ctx context.Context, p program.Program, g *g
 	if err != nil {
 		return nil, err
 	}
-	res, err := extmem.Run(ctx, cfg, g, p)
-	if res == nil {
-		return nil, err
-	}
-	return &harness.Report{Props: res.Props, Stats: res.Stats, Dump: res.Dump,
-		Partial: res.Partial, StopReason: string(res.StopReason)}, err
+	return extmem.Run(ctx, cfg, g, p)
 }
 
 // Engine returns the harness view of the external-memory baseline, the
@@ -100,10 +95,6 @@ func (e extmemEngine) Fingerprint() string {
 }
 
 func (e extmemEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harness.Report, error) {
-	switch w.Name {
-	case "pr", "bc":
-		return nil, fmt.Errorf("nova: workload %q is bulk-synchronous; the extmem engine runs asynchronous workloads only (bfs, sssp, cc, prdelta)", w.Name)
-	}
 	return runWorkload(ctx, e, w, e.b.RunContext)
 }
 

@@ -97,7 +97,6 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"Fabric":              {value: "ideal"},
 		"Topology":            {value: "crossbar"}, // its one legal value, the default spelled out
 		"CoalesceWindow":      {value: int64(16)},
-		"CoalesceCapacity":    {prep: func(c *nova.Config) { c.CoalesceWindow = 16 }, value: 8},
 		"OutOfCore":           {value: true},
 		"SSDPreset":           {prep: outOfCore, value: "sata"},
 		"SSDResidentPages":    {prep: outOfCore, value: 64},

@@ -31,7 +31,7 @@ func ExampleReadEdgeList() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(g.NumVertices(), g.NumEdges(), g.EdgeWeights(0)[0], g.EdgeWeights(1)[0])
+	fmt.Println(g.NumVertices(), g.NumEdges(), g.Weight[g.RowPtr[0]], g.Weight[g.RowPtr[1]])
 	// Output:
 	// 3 2 5 1
 }

@@ -60,11 +60,6 @@ func (g *CSR) Neighbors(v VertexID) []VertexID {
 	return g.Dst[g.RowPtr[v]:g.RowPtr[v+1]]
 }
 
-// EdgeWeights returns the weight slice for v's out-edges, aliasing the graph.
-func (g *CSR) EdgeWeights(v VertexID) []uint32 {
-	return g.Weight[g.RowPtr[v]:g.RowPtr[v+1]]
-}
-
 // AvgDegree returns |E|/|V|.
 func (g *CSR) AvgDegree() float64 {
 	if g.NumVertices() == 0 {
@@ -204,30 +199,6 @@ func (g *CSR) symmetrize() *CSR {
 		out = append(out, e)
 	}
 	return FromEdges(g.Name+"-sym", g.NumVertices(), out)
-}
-
-// Relabel returns a new graph where old vertex v becomes perm[v]. perm must
-// be a permutation of 0..n-1; Relabel panics otherwise, since a bad
-// permutation silently corrupts every downstream experiment.
-func (g *CSR) Relabel(perm []VertexID) *CSR {
-	n := g.NumVertices()
-	if len(perm) != n {
-		panic("graph: Relabel permutation length mismatch")
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if int(p) >= n || seen[p] {
-			panic("graph: Relabel argument is not a permutation")
-		}
-		seen[p] = true
-	}
-	edges := make([]Edge, 0, g.NumEdges())
-	for v := 0; v < n; v++ {
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
-			edges = append(edges, Edge{Src: perm[v], Dst: perm[g.Dst[i]], Weight: g.Weight[i]})
-		}
-	}
-	return FromEdges(g.Name, n, edges)
 }
 
 // LargestOutDegreeVertex returns the vertex with the most out-edges; used

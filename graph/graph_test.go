@@ -172,24 +172,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestRelabel(t *testing.T) {
-	g := FromEdges("t", 3, []Edge{{0, 1, 2}, {1, 2, 7}})
-	perm := []VertexID{2, 0, 1}
-	r := g.Relabel(perm)
-	es := r.Edges()
-	sortEdges(es)
-	want := []Edge{{0, 1, 7}, {2, 0, 2}}
-	if len(es) != 2 || es[0] != want[0] || es[1] != want[1] {
-		t.Fatalf("relabeled edges = %v, want %v", es, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad permutation did not panic")
-		}
-	}()
-	g.Relabel([]VertexID{0, 0, 1})
-}
-
 func TestGenUniform(t *testing.T) {
 	g := GenUniform("u", 1000, 8, 64, 1)
 	if g.NumVertices() != 1000 {

@@ -25,7 +25,7 @@ func TestReadEdgeList(t *testing.T) {
 		t.Fatalf("V=%d E=%d", g.NumVertices(), g.NumEdges())
 	}
 	// Missing weight defaults to 1.
-	if w := g.EdgeWeights(1)[0]; w != 1 {
+	if w := g.Weight[g.RowPtr[1]]; w != 1 {
 		t.Fatalf("default weight = %d", w)
 	}
 	for _, bad := range []string{"0", "x 1", "0 y", "0 1 z", "0 1 0"} {

@@ -2,7 +2,7 @@ package nova_test
 
 import (
 	"context"
-
+	"errors"
 	"strings"
 	"testing"
 
@@ -68,6 +68,41 @@ func TestVerifyCCUsesWeakComponents(t *testing.T) {
 	}
 	if err := nova.Verify("cc", g, 0, run(acc.Engine(), g)); err == nil {
 		t.Error("nova cc on the directed graph, not its symmetrized view, verified")
+	}
+}
+
+// TestEnginesRejectUnsupportedCells holds every adapter to the one
+// declaration of which engine runs which workload: for each engine and
+// each workload name, known or not, RunWorkload returns no report and an
+// error wrapping ErrUnsupportedCell exactly when CheckCell's error does.
+func TestEnginesRejectUnsupportedCells(t *testing.T) {
+	g := graph.GenRMAT("cells", 7, 4, graph.DefaultRMAT, 16, 5)
+	root := g.LargestOutDegreeVertex()
+	acc, err := nova.New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []harness.Engine{
+		acc.Engine(),
+		(&nova.PolyGraphBaseline{OnChipBytes: 1 << 10}).Engine(),
+		(&nova.Software{Threads: 1}).Engine(),
+		(&nova.ExternalMemory{RAMBytes: 4 << 10, PartitionEdges: 64}).Engine(),
+	}
+	workloads := append(append([]string{}, nova.WorkloadNames...), nova.SpillStressWorkload, "bogus")
+	for _, eng := range engines {
+		for _, name := range workloads {
+			checkErr := nova.CheckCell(eng.Name(), name)
+			rep, err := eng.RunWorkload(context.Background(), harness.Workload{Name: name, G: g, Root: root})
+			if want := errors.Is(checkErr, nova.ErrUnsupportedCell); errors.Is(err, nova.ErrUnsupportedCell) != want {
+				t.Errorf("%s/%s: RunWorkload error %v, CheckCell %v", eng.Name(), name, err, checkErr)
+			}
+			if checkErr != nil && (rep != nil || err == nil) {
+				t.Errorf("%s/%s: CheckCell rejects the cell (%v), RunWorkload returned report %v, error %v", eng.Name(), name, checkErr, rep != nil, err)
+			}
+			if checkErr == nil && err != nil {
+				t.Errorf("%s/%s: CheckCell accepts the cell, RunWorkload failed: %v", eng.Name(), name, err)
+			}
+		}
 	}
 }
 

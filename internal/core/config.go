@@ -108,10 +108,9 @@ type Config struct {
 	// CoalesceWindow arms the fabric's in-flight coalescing stage: a
 	// cross-GPN message batch waits up to this many ticks for further
 	// same-destination batches to merge with before traversing the
-	// crossbar (0 disables). CoalesceCapacity bounds the buffered
-	// message entries per destination PE (0 = the network default).
-	CoalesceWindow   sim.Ticks
-	CoalesceCapacity int
+	// crossbar (0 disables). Each destination PE's buffer holds up to
+	// network.DefaultCoalesceCapacity message entries.
+	CoalesceWindow sim.Ticks
 	// Spill selects the VMU spilling mechanism.
 	Spill SpillPolicy
 	// OutOfCore arms the SSD-backed third memory tier (DESIGN.md §18):
@@ -211,10 +210,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Shards = %d", c.Shards)
 	case c.CoalesceWindow < 0:
 		return fmt.Errorf("core: CoalesceWindow = %d", c.CoalesceWindow)
-	case c.CoalesceCapacity < 0:
-		return fmt.Errorf("core: CoalesceCapacity = %d", c.CoalesceCapacity)
-	case c.CoalesceCapacity > 0 && c.CoalesceWindow == 0:
-		return fmt.Errorf("core: CoalesceCapacity = %d but CoalesceWindow = 0 (coalescing disabled; set a window)", c.CoalesceCapacity)
 	case c.Fabric == FabricIdeal && c.CoalesceWindow > 0:
 		return fmt.Errorf("core: in-fabric coalescing requires the hierarchical fabric")
 	}

@@ -26,6 +26,14 @@ func testConfig() Config {
 
 func runOn(t *testing.T, cfg Config, g *graph.CSR, p program.Program) *Result {
 	t.Helper()
+	_, res := runSystem(t, cfg, g, p)
+	return res
+}
+
+// runSystem is runOn returning the finished system too, for tests that
+// read per-component state the root records do not sum.
+func runSystem(t *testing.T, cfg Config, g *graph.CSR, p program.Program) (*System, *Result) {
+	t.Helper()
 	sys, err := NewSystem(cfg, g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +42,7 @@ func runOn(t *testing.T, cfg Config, g *graph.CSR, p program.Program) *Result {
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", p.Name(), g.Name, err)
 	}
-	return res
+	return sys, res
 }
 
 func randGraph(seed int64, n, m int) *graph.CSR {
@@ -75,7 +83,7 @@ func TestNOVABFSMatchesOracle(t *testing.T) {
 				return false
 			}
 		}
-		return res.Ticks > 0 && res.Stats.EdgesTraversed > 0
+		return res.Metric(MetricCycles) > 0 && res.Stats.EdgesTraversed > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -178,11 +186,11 @@ func TestNOVAFIFOSpillPolicyCorrect(t *testing.T) {
 			t.Fatalf("FIFO policy wrong at %d: %d want %d", v, got[v], want[v])
 		}
 	}
-	if res.VMU.SpillWrites == 0 {
+	if res.Metric(MetricSpillWrites) == 0 {
 		t.Fatal("FIFO policy recorded no spill writes on an overflowing run")
 	}
-	if res.VMU.SpillWrites != res.VMU.Spills {
-		t.Fatalf("FIFO: %d spill writes for %d spills, want 1 per spill", res.VMU.SpillWrites, res.VMU.Spills)
+	if res.Metric(MetricSpillWrites) != res.Metric(MetricSpills) {
+		t.Fatalf("FIFO: %v spill writes for %v spills, want 1 per spill", res.Metric(MetricSpillWrites), res.Metric(MetricSpills))
 	}
 }
 
@@ -192,14 +200,14 @@ func TestOverwritePolicyNoExtraWrites(t *testing.T) {
 	cfg.PrefetchBatch = 4
 	g := randGraph(23, 200, 1200)
 	res := runOn(t, cfg, g, program.NewCC().(program.Program))
-	if res.VMU.Spills == 0 {
+	if res.Metric(MetricSpills) == 0 {
 		t.Fatal("expected spills with an 8-entry buffer and all-active CC")
 	}
-	if res.VMU.SpillWrites != 0 {
-		t.Fatalf("overwrite policy charged %d extra spill writes, want 0 (Table I)", res.VMU.SpillWrites)
+	if w := res.Metric(MetricSpillWrites); w != 0 {
+		t.Fatalf("overwrite policy charged %v extra spill writes, want 0 (Table I)", w)
 	}
-	if res.VMU.MetadataBytes != 0 {
-		t.Fatalf("overwrite policy claims %d metadata bytes, want 0", res.VMU.MetadataBytes)
+	if b := res.Metric(MetricMetadataBytes); b != 0 {
+		t.Fatalf("overwrite policy claims %v metadata bytes, want 0", b)
 	}
 }
 
@@ -249,11 +257,11 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, ea := run()
 	b, eb := run()
-	if a.Ticks != b.Ticks || ea != eb ||
+	if a.Metric(MetricCycles) != b.Metric(MetricCycles) || ea != eb ||
 		a.Stats.EdgesTraversed != b.Stats.EdgesTraversed ||
 		a.Stats.MessagesCoalesced != b.Stats.MessagesCoalesced {
-		t.Fatalf("nondeterministic: ticks %d/%d events %d/%d edges %d/%d",
-			a.Ticks, b.Ticks, ea, eb, a.Stats.EdgesTraversed, b.Stats.EdgesTraversed)
+		t.Fatalf("nondeterministic: ticks %v/%v events %d/%d edges %d/%d",
+			a.Metric(MetricCycles), b.Metric(MetricCycles), ea, eb, a.Stats.EdgesTraversed, b.Stats.EdgesTraversed)
 	}
 }
 
@@ -263,7 +271,7 @@ func TestResultAccountingSane(t *testing.T) {
 	if res.Stats.SimSeconds <= 0 {
 		t.Fatal("no simulated time")
 	}
-	u, w, waste := res.VertexBWFractions()
+	u, w, waste := res.Metric(MetricVertexUsefulFrac), res.Metric(MetricVertexWriteFrac), res.Metric(MetricVertexWastefulFrac)
 	for _, f := range []float64{u, w, waste} {
 		if f < 0 || f > 1 {
 			t.Fatalf("bandwidth fraction %v out of [0,1] (u=%v w=%v waste=%v)", f, u, w, waste)
@@ -272,10 +280,10 @@ func TestResultAccountingSane(t *testing.T) {
 	if u+w+waste > 1.0001 {
 		t.Fatalf("bandwidth fractions sum to %v > 1", u+w+waste)
 	}
-	if res.EdgeUtilization < 0 || res.EdgeUtilization > 1.0001 {
-		t.Fatalf("edge utilization %v out of range", res.EdgeUtilization)
+	if u := res.Metric(MetricEdgeUtilization); u < 0 || u > 1.0001 {
+		t.Fatalf("edge utilization %v out of range", u)
 	}
-	if res.ProcessingSeconds+res.OverheadSeconds > res.Stats.SimSeconds*1.0001 {
+	if res.Metric(MetricProcessingSeconds)+res.Metric(MetricOverheadSeconds) > res.Stats.SimSeconds*1.0001 {
 		t.Fatal("time breakdown exceeds total")
 	}
 	seq := ref.SequentialEdges(g, g.LargestOutDegreeVertex(), "sssp", 0)
@@ -283,7 +291,7 @@ func TestResultAccountingSane(t *testing.T) {
 	if we <= 0 || we > 1.0001 {
 		t.Fatalf("work efficiency %v out of (0,1]", we)
 	}
-	if res.OnChipBytes <= 0 {
+	if res.Metric(MetricOnChipBytes) <= 0 {
 		t.Fatal("on-chip bytes not computed")
 	}
 }
@@ -296,8 +304,8 @@ func TestIdealFabricFasterOrEqual(t *testing.T) {
 	cfgI.Fabric = FabricIdeal
 	h := runOn(t, cfgH, g, program.NewBFS(root))
 	i := runOn(t, cfgI, g, program.NewBFS(root))
-	if i.Ticks > h.Ticks {
-		t.Fatalf("ideal fabric slower than hierarchical: %d vs %d", i.Ticks, h.Ticks)
+	if i.Metric(MetricCycles) > h.Metric(MetricCycles) {
+		t.Fatalf("ideal fabric slower than hierarchical: %v vs %v", i.Metric(MetricCycles), h.Metric(MetricCycles))
 	}
 }
 
@@ -390,10 +398,10 @@ func TestTinyBufferStillCorrect(t *testing.T) {
 			t.Fatalf("tiny buffer wrong at %d", v)
 		}
 	}
-	if res.VMU.Spills == 0 {
+	if res.Metric(MetricSpills) == 0 {
 		t.Fatal("tiny buffer produced no spills")
 	}
-	if res.VertexWastefulBytes == 0 {
+	if res.Metric(MetricVertexWastefulFrac) == 0 {
 		t.Fatal("recovery produced no wasteful reads — tracker never searched")
 	}
 }

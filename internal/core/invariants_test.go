@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"nova/graph"
@@ -95,12 +96,12 @@ func TestBSPEpochBarrierAdvancesTime(t *testing.T) {
 	if res.Stats.Epochs != 4 {
 		t.Fatalf("epochs = %d", res.Stats.Epochs)
 	}
-	if res.Ticks < 4 {
+	if res.Metric(MetricCycles) < 4 {
 		t.Fatal("BSP run took no time")
 	}
 	// Written bytes must include the apply sweeps (read+write per
 	// touched vertex per epoch).
-	if res.VertexWrittenBytes == 0 {
+	if res.Metric(MetricVertexWriteFrac) == 0 {
 		t.Fatal("apply sweeps recorded no vertex writes")
 	}
 }
@@ -122,10 +123,10 @@ func TestFIFOStaleRetrievals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VMU.StaleRetrievals == 0 {
+	if res.Metric(MetricStaleRetrievals) == 0 {
 		t.Fatal("FIFO policy produced no stale retrievals on CC")
 	}
-	if res.VMU.MetadataBytes == 0 {
+	if res.Metric(MetricMetadataBytes) == 0 {
 		t.Fatal("FIFO policy tracked no metadata bytes")
 	}
 }
@@ -174,7 +175,7 @@ func TestMSHRMergesSecondaryMisses(t *testing.T) {
 	}
 }
 
-// TestOnChipBytesMatchesEquation cross-checks Result.OnChipBytes against
+// TestOnChipBytesMatchesEquation cross-checks the onchip_bytes record against
 // Eq. 1/2 applied to the largest PE.
 func TestOnChipBytesMatchesEquation(t *testing.T) {
 	g := randGraph(8, 500, 2000)
@@ -194,8 +195,8 @@ func TestOnChipBytesMatchesEquation(t *testing.T) {
 		}
 	}
 	want := cfg.OnChipBytes(maxVerts)
-	if res.OnChipBytes != want {
-		t.Fatalf("OnChipBytes = %d, want %d", res.OnChipBytes, want)
+	if got := res.Metric(MetricOnChipBytes); got != float64(want) {
+		t.Fatalf("onchip_bytes = %v, want %d", got, want)
 	}
 }
 
@@ -203,15 +204,16 @@ func TestOnChipBytesMatchesEquation(t *testing.T) {
 // over the crossbar (InterBytes > 0) under random mapping.
 func TestMultiGPNUsesCrossbar(t *testing.T) {
 	g := randGraph(21, 400, 2400)
-	res := runOn(t, testConfig(), g, program.NewBFS(g.LargestOutDegreeVertex()))
-	if res.Net.InterBytes == 0 {
+	sys, res := runSystem(t, testConfig(), g, program.NewBFS(g.LargestOutDegreeVertex()))
+	net := sys.fabric.Stats()
+	if res.Metric(MetricNetworkInterBytes) == 0 {
 		t.Fatal("2-GPN system produced no inter-GPN traffic")
 	}
-	if res.Net.LocalBytes == 0 {
+	if net.LocalBytes == 0 {
 		t.Fatal("no intra-GPN traffic")
 	}
-	if res.Net.Bytes != res.Net.LocalBytes+res.Net.InterBytes {
-		t.Fatalf("traffic accounting inconsistent: %+v", res.Net)
+	if res.Metric(MetricNetworkBytes) != float64(net.LocalBytes)+res.Metric(MetricNetworkInterBytes) {
+		t.Fatalf("traffic accounting inconsistent: %+v", net)
 	}
 }
 
@@ -311,21 +313,22 @@ func TestLoadImbalanceAccounting(t *testing.T) {
 		}
 		return res
 	}
-	lb := run(graph.PartitionLoadBalanced(g, 4))
-	rg := run(graph.PartitionRange(g.NumVertices(), 4))
-	if lb.LoadImbalance() < 1 || rg.LoadImbalance() < 1 {
-		t.Fatalf("imbalance below 1: %v / %v", lb.LoadImbalance(), rg.LoadImbalance())
+	lbRes := run(graph.PartitionLoadBalanced(g, 4))
+	lb, rg := lbRes.Metric(MetricLoadImbalance), run(graph.PartitionRange(g.NumVertices(), 4)).Metric(MetricLoadImbalance)
+	if lb < 1 || rg < 1 {
+		t.Fatalf("imbalance below 1: %v / %v", lb, rg)
 	}
-	if lb.LoadImbalance() >= rg.LoadImbalance() {
-		t.Fatalf("load-balanced imbalance %.2f not below range %.2f",
-			lb.LoadImbalance(), rg.LoadImbalance())
+	if lb >= rg {
+		t.Fatalf("load-balanced imbalance %.2f not below range %.2f", lb, rg)
 	}
 	var total int64
-	for _, e := range lb.PEEdges {
-		total += e
+	for _, r := range lbRes.Dump.Records {
+		if strings.HasSuffix(r.Path, ".mgu.edges_out") {
+			total += int64(r.Value)
+		}
 	}
-	if total != lb.Stats.EdgesTraversed {
-		t.Fatalf("per-PE edges sum %d != total %d", total, lb.Stats.EdgesTraversed)
+	if total != lbRes.Stats.EdgesTraversed {
+		t.Fatalf("per-PE edges sum %d != total %d", total, lbRes.Stats.EdgesTraversed)
 	}
 }
 

@@ -29,27 +29,21 @@ func TestOutOfCoreBFSCorrectAndCounted(t *testing.T) {
 			t.Fatalf("vertex %d: got %d want %d", v, got[v], want[v])
 		}
 	}
-	if res.PartitionLoads == 0 || res.BytesPaged == 0 {
-		t.Fatalf("out-of-core run paged nothing: loads=%d bytes=%d", res.PartitionLoads, res.BytesPaged)
+	loads, bytes := res.Metric(MetricPartitionLoads), res.Metric(MetricBytesPaged)
+	if loads == 0 || bytes == 0 {
+		t.Fatalf("out-of-core run paged nothing: loads=%v bytes=%v", loads, bytes)
 	}
-	if res.IOStallTicks == 0 {
+	if res.Metric(MetricIOStallTicks) == 0 {
 		t.Fatal("page-ins exposed no latency")
-	}
-	bag := res.Dump.Bag()
-	if bag[MetricPartitionLoads] != float64(res.PartitionLoads) {
-		t.Fatalf("dump %s = %v, result %d", MetricPartitionLoads, bag[MetricPartitionLoads], res.PartitionLoads)
-	}
-	if bag[MetricBytesPaged] != float64(res.BytesPaged) || bag[MetricIOStallTicks] != float64(res.IOStallTicks) {
-		t.Fatalf("dump disagrees with result: %v vs %+v", bag, res)
 	}
 
 	// The same run without the SSD tier must be no slower and page nothing.
 	base := runOn(t, testConfig(), g, program.NewBFS(root))
-	if base.PartitionLoads != 0 || base.Dump.Bag()[MetricPartitionLoads] != 0 {
-		t.Fatalf("in-core run recorded page-ins: %d", base.PartitionLoads)
+	if n := base.Metric(MetricPartitionLoads); n != 0 {
+		t.Fatalf("in-core run recorded page-ins: %v", n)
 	}
-	if res.Ticks < base.Ticks {
-		t.Fatalf("paged run finished earlier than in-core: %d < %d", res.Ticks, base.Ticks)
+	if res.Metric(MetricCycles) < base.Metric(MetricCycles) {
+		t.Fatalf("paged run finished earlier than in-core: %v < %v", res.Metric(MetricCycles), base.Metric(MetricCycles))
 	}
 }
 
@@ -58,11 +52,10 @@ func TestOutOfCoreDeterministic(t *testing.T) {
 	root := g.LargestOutDegreeVertex()
 	a := runOn(t, oocConfig(), g, program.NewSSSP(root))
 	b := runOn(t, oocConfig(), g, program.NewSSSP(root))
-	if a.Ticks != b.Ticks || a.PartitionLoads != b.PartitionLoads ||
-		a.BytesPaged != b.BytesPaged || a.IOStallTicks != b.IOStallTicks {
-		t.Fatalf("out-of-core runs diverged: %d/%d/%d/%d vs %d/%d/%d/%d",
-			a.Ticks, a.PartitionLoads, a.BytesPaged, a.IOStallTicks,
-			b.Ticks, b.PartitionLoads, b.BytesPaged, b.IOStallTicks)
+	for _, key := range []string{MetricCycles, MetricPartitionLoads, MetricBytesPaged, MetricIOStallTicks} {
+		if a.Metric(key) != b.Metric(key) {
+			t.Fatalf("out-of-core runs diverged: %s %v vs %v", key, a.Metric(key), b.Metric(key))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nova/internal/stats"
 	"nova/program"
 )
 
@@ -20,32 +21,35 @@ func spillConfig(policy SpillPolicy) Config {
 
 func TestOverwriteSpillCoverage(t *testing.T) {
 	g := randGraph(7, 600, 4800)
-	res := runOn(t, spillConfig(SpillOverwrite), g, program.NewSSSP(g.LargestOutDegreeVertex()))
-	v := res.VMU
-	if v.Spills == 0 {
+	sys, res := runSystem(t, spillConfig(SpillOverwrite), g, program.NewSSSP(g.LargestOutDegreeVertex()))
+	prefetched, hits := res.Metric(MetricPrefetchedBlocks), res.Metric(MetricPrefetchHits)
+	if res.Metric(MetricSpills) == 0 {
 		t.Fatal("no spills: buffer never overflowed, spill path untested")
 	}
-	if v.PrefetchedBlocks == 0 || v.PrefetchHits == 0 {
-		t.Fatalf("recovery never ran: prefetched=%d hits=%d", v.PrefetchedBlocks, v.PrefetchHits)
+	if prefetched == 0 || hits == 0 {
+		t.Fatalf("recovery never ran: prefetched=%v hits=%v", prefetched, hits)
 	}
-	if v.PrefetchHits > v.PrefetchedBlocks {
-		t.Fatalf("more hits (%d) than prefetched blocks (%d)", v.PrefetchHits, v.PrefetchedBlocks)
+	if hits > prefetched {
+		t.Fatalf("more hits (%v) than prefetched blocks (%v)", hits, prefetched)
 	}
-	if v.SpillWrites != 0 {
-		t.Fatalf("overwrite policy issued %d spill writes, want 0 (Table I)", v.SpillWrites)
+	if w := res.Metric(MetricSpillWrites); w != 0 {
+		t.Fatalf("overwrite policy issued %v spill writes, want 0 (Table I)", w)
 	}
 
 	// Recovery-hit distribution: one sample per completed prefetch batch,
 	// each bounded by the batch size, summing to the aggregate hit count.
-	d := v.BatchHits
+	var d stats.Distribution
+	for _, pe := range sys.pes {
+		d.Merge(pe.vmu.stats.BatchHits)
+	}
 	if d.N() == 0 {
 		t.Fatal("no recovery batches observed")
 	}
 	if d.Max() > float64(spillConfig(SpillOverwrite).PrefetchBatch) {
 		t.Fatalf("batch recovered %.0f blocks, more than the batch size", d.Max())
 	}
-	if got := d.Mean() * float64(d.N()); math.Abs(got-float64(v.PrefetchHits)) > 0.5 {
-		t.Fatalf("batch-hit samples sum to %.1f, want %d (= prefetch hits)", got, v.PrefetchHits)
+	if got := d.Mean() * float64(d.N()); math.Abs(got-hits) > 0.5 {
+		t.Fatalf("batch-hit samples sum to %.1f, want %v (= prefetch hits)", got, hits)
 	}
 
 	// The derived tracker-precision metric must land in (0, 1] and show up
@@ -55,7 +59,7 @@ func TestOverwriteSpillCoverage(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s missing from stats dump", MetricRecoveryHitRate)
 	}
-	want := float64(v.PrefetchHits) / float64(v.PrefetchedBlocks)
+	want := hits / prefetched
 	if rate <= 0 || rate > 1 || math.Abs(rate-want) > 1e-12 {
 		t.Fatalf("recovery_hit_rate = %v, want %v", rate, want)
 	}
@@ -63,25 +67,31 @@ func TestOverwriteSpillCoverage(t *testing.T) {
 
 func TestFIFOSpillCoverage(t *testing.T) {
 	g := randGraph(7, 600, 4800)
-	res := runOn(t, spillConfig(SpillFIFO), g, program.NewSSSP(g.LargestOutDegreeVertex()))
-	v := res.VMU
-	if v.Spills == 0 {
+	sys, res := runSystem(t, spillConfig(SpillFIFO), g, program.NewSSSP(g.LargestOutDegreeVertex()))
+	spills, writes := res.Metric(MetricSpills), res.Metric(MetricSpillWrites)
+	if spills == 0 {
 		t.Fatal("no spills: buffer never overflowed, spill path untested")
 	}
-	if v.SpillWrites != v.Spills {
-		t.Fatalf("FIFO policy: %d spill writes for %d spills, want 1:1 (Table I)", v.SpillWrites, v.Spills)
+	if writes != spills {
+		t.Fatalf("FIFO policy: %v spill writes for %v spills, want 1:1 (Table I)", writes, spills)
 	}
-	if v.DirectPushes == 0 {
+	if res.Metric(MetricDirectPushes) == 0 {
 		t.Fatal("no direct pushes: buffer was never usable")
 	}
-	if v.FIFOMaxDepth == 0 {
+	var maxDepth int
+	var batches uint64
+	for _, pe := range sys.pes {
+		maxDepth = max(maxDepth, pe.vmu.stats.FIFOMaxDepth)
+		batches += pe.vmu.stats.BatchHits.N()
+	}
+	if maxDepth == 0 {
 		t.Fatal("FIFO high-water mark is zero despite spills")
 	}
-	if v.MetadataBytes == 0 {
+	if res.Metric(MetricMetadataBytes) == 0 {
 		t.Fatal("FIFO policy recorded no off-chip metadata")
 	}
-	if v.BatchHits.N() != 0 {
-		t.Fatalf("FIFO policy sampled %d recovery batches, want 0 (tracker is overwrite-only)", v.BatchHits.N())
+	if batches != 0 {
+		t.Fatalf("FIFO policy sampled %d recovery batches, want 0 (tracker is overwrite-only)", batches)
 	}
 }
 
@@ -96,9 +106,8 @@ func TestSpillCoverageAcrossPrograms(t *testing.T) {
 	}
 	for _, p := range programs {
 		res := runOn(t, spillConfig(SpillOverwrite), g, p)
-		if res.VMU.Spills == 0 || res.VMU.PrefetchHits == 0 {
-			t.Errorf("%s: spills=%d hits=%d — spill/recovery not exercised",
-				p.Name(), res.VMU.Spills, res.VMU.PrefetchHits)
+		if spills, hits := res.Metric(MetricSpills), res.Metric(MetricPrefetchHits); spills == 0 || hits == 0 {
+			t.Errorf("%s: spills=%v hits=%v — spill/recovery not exercised", p.Name(), spills, hits)
 		}
 	}
 }

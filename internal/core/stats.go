@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"nova/internal/mem"
+	"nova/internal/network"
 	"nova/internal/stats"
 )
 
@@ -41,77 +43,73 @@ const (
 
 // buildStatsTree registers the whole machine in a stats tree at assembly
 // time. Root-level stats carry the headline metric names; component
-// detail nests as gpn<g>.pe<p>.{mpu,vchan,vmu,mgu} and network.*. All
-// derived values are formulas over s.result, which Run populates before
-// dumping, so the tree is read-only instrumentation: nothing on the hot
-// path changes.
+// detail nests as gpn<g>.pe<p>.{mpu,vchan,vmu,mgu} and network.*. Each
+// root metric is a formula over the state of the components that
+// produce it, evaluated when Run dumps the tree, so the tree is read-only
+// instrumentation: nothing on the hot path changes.
 func (s *System) buildStatsTree() {
 	root := stats.NewRoot()
 	s.stats = root
-	res := func(f func(r *Result) float64) func() float64 {
-		return func() float64 {
-			if s.result == nil {
-				return 0
-			}
-			return f(s.result)
-		}
-	}
+	vmu := s.vmuTotal
+	net := s.netStat
 
-	root.Formula(res(func(r *Result) float64 { return float64(r.Ticks) }),
+	root.Formula(func() float64 { return float64(s.now()) },
 		MetricCycles, stats.Cycles, "simulated cycles to completion")
 	root.Formula(func() float64 { return float64(s.cluster.Executed()) },
 		MetricEventsExecuted, stats.Count, "simulator events executed across all shards (fabric efficiency signal)")
-	root.Formula(res(func(r *Result) float64 { return r.EdgeUtilization }),
+	root.Formula(s.edgeUtilization,
 		MetricEdgeUtilization, stats.Ratio, "achieved fraction of aggregate edge-memory bandwidth (Fig. 4)")
-	root.Formula(res(func(r *Result) float64 { u, _, _ := r.VertexBWFractions(); return u }),
+	root.Formula(s.vertexFrac(func(st mem.ChannelStats) uint64 { return st.UsefulBytes }),
 		MetricVertexUsefulFrac, stats.Ratio, "useful-read share of peak vertex-memory bandwidth (Fig. 10)")
-	root.Formula(res(func(r *Result) float64 { _, w, _ := r.VertexBWFractions(); return w }),
+	root.Formula(s.vertexFrac(func(st mem.ChannelStats) uint64 { return st.WrittenBytes }),
 		MetricVertexWriteFrac, stats.Ratio, "write share of peak vertex-memory bandwidth (Fig. 10)")
-	root.Formula(res(func(r *Result) float64 { _, _, w := r.VertexBWFractions(); return w }),
+	root.Formula(s.vertexFrac(func(st mem.ChannelStats) uint64 { return st.WastefulBytes }),
 		MetricVertexWastefulFrac, stats.Ratio, "wasteful-read share of peak vertex-memory bandwidth (Fig. 10)")
-	root.Formula(res(func(r *Result) float64 { return r.ProcessingSeconds }),
+	root.Formula(func() float64 { return s.cfg.clock().Seconds(s.now()) - s.overheadSeconds() },
 		MetricProcessingSeconds, stats.Seconds, "execution time minus overfetch overhead (Fig. 6)")
-	root.Formula(res(func(r *Result) float64 { return r.OverheadSeconds }),
+	root.Formula(s.overheadSeconds,
 		MetricOverheadSeconds, stats.Seconds, "time attributed to reading inactive vertices during recovery (Fig. 6)")
-	root.Formula(res(func(r *Result) float64 { return r.CacheHitRate }),
+	root.Formula(s.cacheHitRate,
 		MetricCacheHitRate, stats.Ratio, "aggregate MPU vertex-cache hit rate")
-	root.Formula(res(func(r *Result) float64 { return float64(r.OnChipBytes) }),
+	root.Formula(s.onChipBytes,
 		MetricOnChipBytes, stats.Bytes, "modeled on-chip storage (caches + tracker + active buffers)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.Spills) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.Spills }),
 		MetricSpills, stats.Count, "activations that overflowed to off-chip memory (Table I)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.DirectPushes) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.DirectPushes }),
 		MetricDirectPushes, stats.Count, "FIFO-policy activations that fit on-chip without spilling (Table I)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.SpillWrites) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.SpillWrites }),
 		MetricSpillWrites, stats.Count, "extra off-chip writes caused by spilling (Table I)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.StaleRetrievals) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.StaleRetrievals }),
 		MetricStaleRetrievals, stats.Count, "FIFO entries already propagated when popped (Table I)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.PrefetchedBlocks) }),
+	prefetched := vmu(func(v *VMUStats) uint64 { return v.PrefetchedBlocks })
+	prefetchHits := vmu(func(v *VMUStats) uint64 { return v.PrefetchHits })
+	root.Formula(prefetched,
 		MetricPrefetchedBlocks, stats.Count, "vertex blocks read back during active-vertex recovery")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.PrefetchHits) }),
+	root.Formula(prefetchHits,
 		MetricPrefetchHits, stats.Count, "recovered blocks that held active vertices")
-	root.Formula(res(func(r *Result) float64 {
-		if r.VMU.PrefetchedBlocks == 0 {
-			return 0
+	root.Formula(func() float64 {
+		if blocks := prefetched(); blocks != 0 {
+			return prefetchHits() / blocks
 		}
-		return float64(r.VMU.PrefetchHits) / float64(r.VMU.PrefetchedBlocks)
-	}), MetricRecoveryHitRate, stats.Ratio, "fraction of recovery reads that held active vertices (tracker precision)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.VMU.MetadataBytes) }),
+		return 0
+	}, MetricRecoveryHitRate, stats.Ratio, "fraction of recovery reads that held active vertices (tracker precision)")
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.MetadataBytes }),
 		MetricMetadataBytes, stats.Bytes, "explicit off-chip metadata the spill policy needs (Table I)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Net.Bytes) }),
+	root.Formula(net(func(st network.Stats) uint64 { return st.Bytes }),
 		MetricNetworkBytes, stats.Bytes, "total fabric payload moved")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Net.InterBytes) }),
+	root.Formula(net(func(st network.Stats) uint64 { return st.InterBytes }),
 		MetricNetworkInterBytes, stats.Bytes, "fabric payload that crossed the GPN-level crossbar")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Net.Coalesced) }),
+	root.Formula(net(func(st network.Stats) uint64 { return st.Coalesced }),
 		MetricNetworkCoalesced, stats.Count, "cross-GPN message batches absorbed by the fabric's coalescing stage")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Net.BytesSaved) }),
+	root.Formula(net(func(st network.Stats) uint64 { return st.BytesSaved }),
 		MetricNetworkBytesSaved, stats.Bytes, "payload bytes the coalescing stage kept off the inter-GPN links")
-	root.Formula(res(func(r *Result) float64 { return r.LoadImbalance() }),
+	root.Formula(s.loadImbalance,
 		MetricLoadImbalance, stats.Ratio, "max per-PE propagations over mean; 1.0 is balanced (Fig. 9b)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.PartitionLoads) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.PageIns }),
 		MetricPartitionLoads, stats.Count, "out-of-core partition page-in events (0 when the graph is DRAM-resident)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.BytesPaged) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return v.BytesPaged }),
 		MetricBytesPaged, stats.Bytes, "page-rounded bytes read from the SSD tier")
-	root.Formula(res(func(r *Result) float64 { return float64(r.IOStallTicks) }),
+	root.Formula(vmu(func(v *VMUStats) uint64 { return uint64(v.IOStallTicks) }),
 		MetricIOStallTicks, stats.Cycles, "SSD page-in latency exposed to the VMUs (sum over page-in events)")
 
 	root.Int64(&s.messagesSent, "edges_traversed", stats.Count, "propagations that produced a message")
@@ -159,4 +157,115 @@ func (s *System) buildStatsTree() {
 		mg.Distribution(&pe.batchEdges, "batch_edges", stats.Count, "edges streamed per propagation batch")
 	}
 	s.fabric.RegisterStats(root.Group("network"))
+}
+
+// The helpers below are the root records' dump-time formulas over the
+// state of the components that produce them: the PEs' VMUs, caches and
+// vertex channels, the edge channels, the fabric and the cluster clock.
+
+// vmuTotal returns a formula summing one VMU counter over every PE.
+func (s *System) vmuTotal(f func(v *VMUStats) uint64) func() float64 {
+	return func() float64 {
+		var n uint64
+		for _, pe := range s.pes {
+			n += f(&pe.vmu.stats)
+		}
+		return float64(n)
+	}
+}
+
+// netStat returns a formula reading one fabric counter.
+func (s *System) netStat(f func(st network.Stats) uint64) func() float64 {
+	return func() float64 { return float64(f(s.fabric.Stats())) }
+}
+
+// vertexAggBW is the aggregate vertex-memory bandwidth in bytes per cycle.
+func (s *System) vertexAggBW() float64 {
+	return s.cfg.VertexChannel.BytesPerCycle * float64(s.cfg.TotalPEs())
+}
+
+// vertexBytes sums one vertex-channel traffic class over every PE.
+func (s *System) vertexBytes(f func(st mem.ChannelStats) uint64) uint64 {
+	var n uint64
+	for _, pe := range s.pes {
+		n += f(pe.vchan.Stats())
+	}
+	return n
+}
+
+// vertexFrac returns a formula for one vertex-channel traffic class as a
+// fraction of the vertex memory's peak bytes over the run (Fig. 10).
+func (s *System) vertexFrac(f func(st mem.ChannelStats) uint64) func() float64 {
+	return func() float64 {
+		peak := float64(s.now()) * s.vertexAggBW()
+		if peak <= 0 {
+			return 0
+		}
+		return float64(s.vertexBytes(f)) / peak
+	}
+}
+
+// edgeUtilization is the achieved fraction of aggregate edge-memory
+// bandwidth (Fig. 4).
+func (s *System) edgeUtilization() float64 {
+	var bytes uint64
+	for _, chans := range s.edgeChans {
+		for _, ch := range chans {
+			bytes += ch.Stats().TotalBytes()
+		}
+	}
+	edgeAggBW := s.cfg.EdgeChannel.BytesPerCycle * float64(s.cfg.EdgeChannelsPerGPN*s.cfg.GPNs)
+	peak := float64(s.now()) * edgeAggBW
+	if peak <= 0 {
+		return 0
+	}
+	return float64(bytes) / peak
+}
+
+// overheadSeconds is Fig. 6's overfetch time: the wasted vertex reads
+// streamed at aggregate vertex bandwidth, capped at the run's time.
+func (s *System) overheadSeconds() float64 {
+	var o float64
+	if bw := s.vertexAggBW(); bw > 0 && s.cfg.ClockHz > 0 {
+		o = float64(s.vertexBytes(func(st mem.ChannelStats) uint64 { return st.WastefulBytes })) / bw / s.cfg.ClockHz
+	}
+	return min(o, s.cfg.clock().Seconds(s.now()))
+}
+
+// cacheHitRate aggregates the per-PE MPU caches.
+func (s *System) cacheHitRate() float64 {
+	var hits, accesses uint64
+	for _, pe := range s.pes {
+		cs := pe.cache.Stats()
+		hits += cs.Hits
+		accesses += cs.Hits + cs.Misses
+	}
+	if accesses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(accesses)
+}
+
+// onChipBytes is the modeled on-chip storage, sized by the most heavily
+// loaded PE's vertex count.
+func (s *System) onChipBytes() float64 {
+	maxVerts := 0
+	for _, pe := range s.pes {
+		maxVerts = max(maxVerts, len(pe.localVerts))
+	}
+	return float64(s.cfg.OnChipBytes(maxVerts))
+}
+
+// loadImbalance is max(per-PE propagations)/mean; 1.0 is perfectly
+// balanced.
+func (s *System) loadImbalance() float64 {
+	var sum, most int64
+	for _, pe := range s.pes {
+		sum += pe.messagesSent
+		most = max(most, pe.messagesSent)
+	}
+	if sum == 0 || len(s.pes) == 0 {
+		return 1
+	}
+	return float64(most) * float64(len(s.pes)) / float64(sum)
 }

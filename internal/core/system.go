@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/mem"
 	"nova/internal/network"
 	"nova/internal/sim"
@@ -66,7 +67,7 @@ type System struct {
 	prep    program.PropPreparer
 	selfUpd program.SelfUpdating
 
-	// Work totals, summed from the per-PE counters in collectResult (the
+	// Work totals, summed from the per-PE counters when Run ends (the
 	// stats tree registers these fields, so they must be filled before
 	// the dump).
 	messagesSent int64
@@ -75,10 +76,8 @@ type System struct {
 	epochs       int
 	ran          bool
 
-	// stats is the machine's statistics tree, built at assembly time;
-	// result backs the root-level dump-time formulas once Run completes.
-	stats  *stats.Group
-	result *Result
+	// stats is the machine's statistics tree, built at assembly time.
+	stats *stats.Group
 
 	// tracer is optional; a nil tracer records nothing. Tracing requires
 	// a single worker (the trace buffer is not sharded).
@@ -198,7 +197,7 @@ func NewSystem(cfg Config, g *graph.CSR, part *graph.Partition) (*System, error)
 		s.fabric = network.NewFabric(engines, cfg.PEsPerGPN, network.FabricConfig{
 			P2P:      cfg.P2P,
 			Crossbar: cfg.Crossbar,
-			Coalesce: network.CoalesceConfig{Window: cfg.CoalesceWindow, Capacity: cfg.CoalesceCapacity},
+			Coalesce: network.CoalesceConfig{Window: cfg.CoalesceWindow},
 			Vertices: g.NumVertices(),
 		})
 	}
@@ -406,6 +405,19 @@ func (s *System) runToQuiescence(budget uint64) error {
 	}
 }
 
+// Result reports one NOVA execution: the engine-agnostic report (final
+// vertex properties, RunStats, the stats dump, the host-time split and
+// the partial-stop status) plus the count of conservative time windows.
+// Every simulated metric, from cycles to the Figs. 6 and 10 breakdowns,
+// is a record of Dump, read by its Metric* path.
+type Result struct {
+	harness.Report
+	// Windows counts conservative time windows (0 for a single-engine
+	// run). It describes the host-side schedule, so no dump record holds
+	// it.
+	Windows uint64
+}
+
 // Run executes the program to completion and returns the result. A System
 // can run only once.
 //
@@ -482,17 +494,37 @@ func (s *System) Run(ctx context.Context, p program.Program) (*Result, error) {
 		err = fmt.Errorf("%w\n%s", err, s.stallSnapshot())
 	}
 	s.fabric.Finalize()
-	// Collect first: the dump's root formulas read s.result.
-	s.result = s.collectResult()
-	s.result.Partial = reason != ""
-	s.result.StopReason = reason
-	s.result.Dump = s.stats.Dump(map[string]string{
-		"engine":  "nova",
-		"program": p.Name(),
-		"graph":   s.g.Name,
-		"shards":  strconv.Itoa(s.workers),
-	})
-	return s.result, err
+	// Fold the per-PE shard-local counters into the totals the stats tree
+	// registered before dumping it.
+	s.messagesSent, s.coalesced = 0, 0
+	for _, pe := range s.pes {
+		s.messagesSent += pe.messagesSent
+		s.coalesced += pe.coalesced
+	}
+	return &Result{
+		Report: harness.Report{
+			Props: s.props,
+			Stats: program.RunStats{
+				SimSeconds:        s.cfg.clock().Seconds(s.now()),
+				EdgesTraversed:    s.messagesSent,
+				MessagesSent:      s.messagesSent,
+				MessagesCoalesced: s.coalesced,
+				Epochs:            s.epochs,
+			},
+			Dump: s.stats.Dump(map[string]string{
+				"engine":  "nova",
+				"program": p.Name(),
+				"graph":   s.g.Name,
+				"shards":  strconv.Itoa(s.workers),
+			}),
+			Shards:             s.workers,
+			WindowWallSeconds:  s.cluster.WindowSeconds(),
+			BarrierWallSeconds: s.cluster.BarrierSeconds(),
+			Partial:            reason != "",
+			StopReason:         string(reason),
+		},
+		Windows: s.cluster.Windows(),
+	}, err
 }
 
 // stallSnapshot renders the watchdog's diagnostic: machine time, executed

@@ -46,7 +46,6 @@ func FigNet(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) 
 				Run: func(ctx context.Context) (*harness.Report, error) {
 					cfg := NOVAConfig(s, base, gpns)
 					cfg.CoalesceWindow = w
-					cfg.CoalesceCapacity = 0
 					acc, err := nova.New(cfg)
 					if err != nil {
 						return nil, err

@@ -450,7 +450,6 @@ func Fig9c(ctx context.Context, s Scale, base nova.Config, pool *harness.Pool) (
 							// globally-selected coalescing window cannot
 							// apply to this side of the comparison.
 							cfg.CoalesceWindow = 0
-							cfg.CoalesceCapacity = 0
 						}
 						acc, err := nova.New(cfg)
 						if err != nil {

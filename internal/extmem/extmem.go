@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/mem"
 	"nova/internal/sim"
 	"nova/internal/stats"
@@ -94,33 +95,6 @@ func (c Config) Validate() error {
 	return c.SSD.Validate()
 }
 
-// Result reports one external-memory execution.
-type Result struct {
-	Props []program.Prop
-	Stats program.RunStats
-	// Ticks is total modeled time; ComputeTicks the DRAM-streaming
-	// share, IOStallTicks the SSD latency compute could not hide.
-	Ticks        sim.Ticks
-	ComputeTicks sim.Ticks
-	IOStallTicks sim.Ticks
-	// PartitionLoads counts SSD partition reads; BytesPaged their
-	// page-rounded volume; CacheHits reuses out of the DRAM cache.
-	PartitionLoads uint64
-	BytesPaged     uint64
-	CacheHits      uint64
-	Evictions      uint64
-	CacheHitRate   float64
-	// Partitions and Rounds describe the interval schedule.
-	Partitions int
-	Rounds     int
-	// Partial marks a salvaged result from a run that stopped early;
-	// StopReason classifies the cause.
-	Partial    bool
-	StopReason sim.StopReason
-	// Dump is the full hierarchical statistics dump for the run.
-	Dump *stats.Dump
-}
-
 // ssdModel is the queue-slot device: the same math as mem.SSD.PageIn, but
 // clocked explicitly so the analytic model needs no event engine. Each
 // read occupies the earliest-free of QueueDepth slots for its transfer and
@@ -193,8 +167,7 @@ type machine struct {
 	// loadsPerPart nests per-partition load counts in the stats tree.
 	loadsPerPart []int64
 
-	root   *stats.Group
-	result *Result
+	root *stats.Group
 }
 
 // Run executes p on g under the external-memory model. Only asynchronous
@@ -202,9 +175,10 @@ type machine struct {
 // processing has no global barrier to hang a BSP epoch on, which is
 // exactly the trade-off the paper's comparison is about. ctx cancellation
 // is polled per round and per partition; on a cooperative stop Run
-// salvages the statistics so far and returns BOTH a Result marked Partial
-// and the error.
-func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*Result, error) {
+// salvages the statistics so far and returns BOTH a report marked Partial
+// and the error. The report carries the props, RunStats and stats dump;
+// the modeled time, paging and cache counters are records of the dump.
+func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*harness.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,10 +197,18 @@ func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*Res
 	if err != nil && reason == "" {
 		return nil, err
 	}
-	r := m.collect()
-	r.Partial = reason != ""
-	r.StopReason = reason
-	return r, err
+	m.stats.SimSeconds = float64(m.clock) / m.cfg.ClockHz
+	return &harness.Report{
+		Props: m.props,
+		Stats: m.stats,
+		Dump: m.root.Dump(map[string]string{
+			"engine":  "extmem",
+			"program": m.p.Name(),
+			"graph":   m.g.Name,
+		}),
+		Partial:    reason != "",
+		StopReason: string(reason),
+	}, err
 }
 
 func (m *machine) setup() {
@@ -267,34 +249,33 @@ func (m *machine) setup() {
 	m.buildStatsTree()
 }
 
+// buildStatsTree registers the machine's statistics: root-level formulas
+// over the accumulators carry the headline metric names, evaluated when
+// Run dumps the tree, and per-partition detail nests under part<i>.
 func (m *machine) buildStatsTree() {
 	root := stats.NewRoot()
 	m.root = root
-	res := func(f func(r *Result) float64) func() float64 {
-		return func() float64 {
-			if m.result == nil {
-				return 0
-			}
-			return f(m.result)
-		}
-	}
-	root.Formula(res(func(r *Result) float64 { return float64(r.Ticks) }),
+	root.Formula(func() float64 { return float64(m.clock) },
 		MetricCycles, stats.Cycles, "modeled cycles to completion (compute + exposed I/O stalls)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.ComputeTicks) }),
+	root.Formula(func() float64 { return float64(m.computeTicks) },
 		MetricComputeCycles, stats.Cycles, "DRAM-streaming compute share of the modeled time")
-	root.Formula(res(func(r *Result) float64 { return float64(r.IOStallTicks) }),
+	root.Formula(func() float64 { return float64(m.ioStallTicks) },
 		MetricIOStallTicks, stats.Cycles, "SSD load latency the prefetch pipeline could not hide")
-	root.Formula(res(func(r *Result) float64 { return float64(r.PartitionLoads) }),
+	root.Formula(func() float64 { return float64(m.partitionLoads) },
 		MetricPartitionLoads, stats.Count, "edge partitions read from the SSD")
-	root.Formula(res(func(r *Result) float64 { return float64(r.BytesPaged) }),
+	root.Formula(func() float64 { return float64(m.bytesPaged) },
 		MetricBytesPaged, stats.Bytes, "page-rounded bytes read from the SSD")
-	root.Formula(res(func(r *Result) float64 { return r.CacheHitRate }),
-		MetricCacheHitRate, stats.Ratio, "partition touches served from the DRAM cache")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Partitions) }),
+	root.Formula(func() float64 {
+		if touches := m.partitionLoads + m.cacheHits; touches > 0 {
+			return float64(m.cacheHits) / float64(touches)
+		}
+		return 0
+	}, MetricCacheHitRate, stats.Ratio, "partition touches served from the DRAM cache")
+	root.Formula(func() float64 { return float64(len(m.partBytes)) },
 		MetricPartitions, stats.Count, "vertex intervals in the schedule")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Rounds) }),
+	root.Formula(func() float64 { return float64(m.rounds) },
 		MetricRounds, stats.Count, "outer rounds over the interval schedule")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Evictions) }),
+	root.Formula(func() float64 { return float64(m.evictions) },
 		MetricEvictions, stats.Count, "partitions evicted from the DRAM cache")
 	for pi := range m.loadsPerPart {
 		pg := root.Group(fmt.Sprintf("part%d", pi))
@@ -454,32 +435,4 @@ func (m *machine) run() error {
 		}
 	}
 	return fmt.Errorf("%w: extmem round budget exhausted (non-monotone program?)", sim.ErrMaxEvents)
-}
-
-func (m *machine) collect() *Result {
-	m.stats.SimSeconds = float64(m.clock) / m.cfg.ClockHz
-	r := &Result{
-		Props:          m.props,
-		Stats:          m.stats,
-		Ticks:          m.clock,
-		ComputeTicks:   m.computeTicks,
-		IOStallTicks:   m.ioStallTicks,
-		PartitionLoads: m.partitionLoads,
-		BytesPaged:     m.bytesPaged,
-		CacheHits:      m.cacheHits,
-		Evictions:      m.evictions,
-		Partitions:     len(m.partBytes),
-		Rounds:         m.rounds,
-	}
-	if touches := m.partitionLoads + m.cacheHits; touches > 0 {
-		r.CacheHitRate = float64(m.cacheHits) / float64(touches)
-	}
-	// Set before dumping: the root formulas read m.result.
-	m.result = r
-	r.Dump = m.root.Dump(map[string]string{
-		"engine":  "extmem",
-		"program": m.p.Name(),
-		"graph":   m.g.Name,
-	})
-	return r
 }

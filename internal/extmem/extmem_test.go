@@ -58,8 +58,8 @@ func TestExtmemBFSMatchesOracle(t *testing.T) {
 				t.Fatalf("seed %d vertex %d: got %d want %d", seed, v, got[v], want[v])
 			}
 		}
-		if res.Ticks == 0 || res.Stats.EdgesTraversed == 0 {
-			t.Fatalf("seed %d: no modeled work: %+v", seed, res)
+		if res.Metric(MetricCycles) == 0 || res.Stats.EdgesTraversed == 0 {
+			t.Fatalf("seed %d: no modeled work: cycles %v, %+v", seed, res.Metric(MetricCycles), res.Stats)
 		}
 	}
 }
@@ -98,25 +98,16 @@ func TestExtmemPagingAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partitions < 2 {
-		t.Fatalf("expected a multi-partition schedule, got %d", res.Partitions)
+	if n := res.Metric(MetricPartitions); n < 2 {
+		t.Fatalf("expected a multi-partition schedule, got %v", n)
 	}
-	if res.PartitionLoads == 0 || res.BytesPaged == 0 || res.IOStallTicks == 0 {
-		t.Fatalf("paging not accounted: %+v", res)
-	}
-	if res.Evictions == 0 {
-		t.Fatalf("tiny RAM budget must evict: %+v", res)
-	}
-	bag := res.Dump.Bag()
-	for name, want := range map[string]float64{
-		MetricPartitionLoads: float64(res.PartitionLoads),
-		MetricBytesPaged:     float64(res.BytesPaged),
-		MetricIOStallTicks:   float64(res.IOStallTicks),
-		MetricCacheHitRate:   res.CacheHitRate,
-	} {
-		if bag[name] != want {
-			t.Errorf("dump %s = %v, result %v", name, bag[name], want)
+	for _, name := range []string{MetricPartitionLoads, MetricBytesPaged, MetricIOStallTicks} {
+		if res.Metric(name) == 0 {
+			t.Fatalf("paging not accounted: %s = 0", name)
 		}
+	}
+	if res.Metric(MetricEvictions) == 0 {
+		t.Fatal("tiny RAM budget must evict")
 	}
 
 	// A RAM budget that holds the whole graph loads each partition once
@@ -127,11 +118,11 @@ func TestExtmemPagingAccounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.PartitionLoads != uint64(res2.Partitions) {
-		t.Fatalf("all-resident run loaded %d partitions, want %d", res2.PartitionLoads, res2.Partitions)
+	if loads, parts := res2.Metric(MetricPartitionLoads), res2.Metric(MetricPartitions); loads != parts {
+		t.Fatalf("all-resident run loaded %v partitions, want %v", loads, parts)
 	}
-	if res2.Ticks > res.Ticks {
-		t.Fatalf("bigger cache slower: %d > %d", res2.Ticks, res.Ticks)
+	if res2.Metric(MetricCycles) > res.Metric(MetricCycles) {
+		t.Fatalf("bigger cache slower: %v > %v", res2.Metric(MetricCycles), res.Metric(MetricCycles))
 	}
 }
 
@@ -146,8 +137,10 @@ func TestExtmemDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Ticks != b.Ticks || a.PartitionLoads != b.PartitionLoads || a.BytesPaged != b.BytesPaged {
-		t.Fatalf("runs diverged: %+v vs %+v", a, b)
+	for _, key := range []string{MetricCycles, MetricPartitionLoads, MetricBytesPaged} {
+		if a.Metric(key) != b.Metric(key) {
+			t.Fatalf("runs diverged: %s %v vs %v", key, a.Metric(key), b.Metric(key))
+		}
 	}
 }
 
@@ -167,6 +160,6 @@ func TestExtmemCancellation(t *testing.T) {
 		t.Fatal("cancelled run returned nil error")
 	}
 	if res == nil || !res.Partial || res.StopReason == "" {
-		t.Fatalf("cancelled run did not salvage a partial result: %+v", res)
+		t.Fatalf("cancelled run did not salvage a partial report: %v", res)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"nova/graph"
+	"nova/internal/harness"
 	"nova/internal/sim"
 	"nova/internal/stats"
 	"nova/program"
@@ -120,34 +121,6 @@ func (c Config) SliceCount(numVertices int) int {
 	return s
 }
 
-// Result reports one PolyGraph execution with the Fig. 2/6 time breakdown.
-type Result struct {
-	Props []program.Prop
-	Stats program.RunStats
-	// ProcessingSeconds is first-pass slice work; InefficiencySeconds is
-	// repeat-pass work; SwitchingSeconds is slice I/O.
-	ProcessingSeconds   float64
-	SwitchingSeconds    float64
-	InefficiencySeconds float64
-	// SliceCount and Rounds describe the temporal schedule.
-	SliceCount int
-	Rounds     int
-	// SlicePasses is the total number of slice activations (≥ SliceCount
-	// on multi-round executions).
-	SlicePasses int
-	// EdgeBandwidthShare is the fraction of total memory traffic spent
-	// streaming edges (the paper reports 25–35% for large graphs).
-	EdgeBandwidthShare float64
-	// Partial marks a salvaged result: the run stopped early (cancelled,
-	// deadline, or round-budget exhaustion) and the stats cover only the
-	// work completed before the stop. StopReason classifies the cause.
-	Partial    bool
-	StopReason sim.StopReason
-
-	// Dump is the full hierarchical statistics dump for the run.
-	Dump *stats.Dump
-}
-
 type machine struct {
 	cfg     Config
 	ctx     context.Context
@@ -178,19 +151,19 @@ type machine struct {
 	totalPass int
 
 	// windowFill profiles how full each Tw reorder window runs; root backs
-	// the stats tree and result the dump-time formulas set by collect.
+	// the stats tree.
 	windowFill stats.Distribution
 	root       *stats.Group
-	result     *Result
 }
 
 // Run executes p on g under the PolyGraph model. ctx cancellation is
 // polled at every round, slice activation, and epoch, so the model stops
 // within one slice pass. On a cooperative stop (cancellation, deadline, or
 // round-budget exhaustion) Run salvages the statistics accumulated so far
-// and returns BOTH a Result marked Partial (with its StopReason) and the
-// error.
-func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*Result, error) {
+// and returns BOTH a report marked Partial (with its StopReason) and the
+// error. The report carries the props, RunStats and stats dump; the Fig.
+// 2/6 time breakdown and the slice schedule are records of the dump.
+func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*harness.Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,10 +190,18 @@ func Run(ctx context.Context, cfg Config, g *graph.CSR, p program.Program) (*Res
 	if err != nil && reason == "" {
 		return nil, err
 	}
-	r := m.collect()
-	r.Partial = reason != ""
-	r.StopReason = reason
-	return r, err
+	m.stats.SimSeconds = m.procSec + m.switchSec + m.ineffSec
+	return &harness.Report{
+		Props: m.props,
+		Stats: m.stats,
+		Dump: m.root.Dump(map[string]string{
+			"engine":  "polygraph",
+			"program": m.p.Name(),
+			"graph":   m.g.Name,
+		}),
+		Partial:    reason != "",
+		StopReason: string(reason),
+	}, err
 }
 
 func (m *machine) setup() {
@@ -259,34 +240,30 @@ func (m *machine) setup() {
 }
 
 // buildStatsTree registers the machine's statistics: root-level formulas
-// carry the headline metric names (evaluated against m.result, which
-// collect sets before dumping), traffic counters adopt the existing plain
-// fields, and per-slice schedule detail nests under slice<i>.
+// over the accumulators carry the headline metric names, traffic counters
+// adopt the existing plain fields, and per-slice schedule detail nests
+// under slice<i>. The formulas are evaluated when Run dumps the tree.
 func (m *machine) buildStatsTree() {
 	root := stats.NewRoot()
 	m.root = root
-	res := func(f func(r *Result) float64) func() float64 {
-		return func() float64 {
-			if m.result == nil {
-				return 0
-			}
-			return f(m.result)
-		}
-	}
-	root.Formula(res(func(r *Result) float64 { return r.ProcessingSeconds }),
+	root.Formula(func() float64 { return m.procSec },
 		MetricProcessingSeconds, stats.Seconds, "first-pass slice work (Fig. 2)")
-	root.Formula(res(func(r *Result) float64 { return r.SwitchingSeconds }),
+	root.Formula(func() float64 { return m.switchSec },
 		MetricSwitchingSeconds, stats.Seconds, "slice vertex I/O and replicated-vertex synchronization (Fig. 2)")
-	root.Formula(res(func(r *Result) float64 { return r.InefficiencySeconds }),
+	root.Formula(func() float64 { return m.ineffSec },
 		MetricInefficiencySeconds, stats.Seconds, "repeat-pass work caused by inter-slice dependencies (Fig. 2)")
-	root.Formula(res(func(r *Result) float64 { return float64(r.SliceCount) }),
+	root.Formula(func() float64 { return float64(m.slices) },
 		MetricSliceCount, stats.Count, "temporal slices the graph needs on-chip")
-	root.Formula(res(func(r *Result) float64 { return float64(r.Rounds) }),
+	root.Formula(func() float64 { return float64((m.totalPass + m.slices - 1) / m.slices) },
 		MetricRounds, stats.Count, "outer rounds over the slice schedule")
-	root.Formula(res(func(r *Result) float64 { return float64(r.SlicePasses) }),
+	root.Formula(func() float64 { return float64(m.totalPass) },
 		MetricSlicePasses, stats.Count, "total slice activations (≥ slice_count on multi-round runs)")
-	root.Formula(res(func(r *Result) float64 { return r.EdgeBandwidthShare }),
-		MetricEdgeBWShare, stats.Ratio, "fraction of memory traffic spent streaming edges")
+	root.Formula(func() float64 {
+		if sum := float64(m.edgeBytes + m.msgIOBytes + m.switchBytes); sum > 0 {
+			return float64(m.edgeBytes) / sum
+		}
+		return 0
+	}, MetricEdgeBWShare, stats.Ratio, "fraction of memory traffic spent streaming edges")
 	root.Uint64(&m.edgeBytes, "edge_bytes", stats.Bytes, "bytes spent streaming edges")
 	root.Uint64(&m.msgIOBytes, "msg_io_bytes", stats.Bytes, "bytes spent buffering and re-reading inter-slice messages")
 	root.Uint64(&m.switchBytes, "switch_bytes", stats.Bytes, "bytes spent on slice vertex I/O and replica synchronization")
@@ -607,35 +584,4 @@ func (m *machine) runBSP() error {
 		}
 	}
 	return nil
-}
-
-func (m *machine) collect() *Result {
-	total := m.procSec + m.switchSec + m.ineffSec
-	m.stats.SimSeconds = total
-	r := &Result{
-		Props:               m.props,
-		Stats:               m.stats,
-		ProcessingSeconds:   m.procSec,
-		SwitchingSeconds:    m.switchSec,
-		InefficiencySeconds: m.ineffSec,
-		SliceCount:          m.slices,
-		SlicePasses:         m.totalPass,
-	}
-	if m.slices > 0 {
-		r.Rounds = m.totalPass / m.slices
-		if m.totalPass%m.slices != 0 {
-			r.Rounds++
-		}
-	}
-	if sum := float64(m.edgeBytes + m.msgIOBytes + m.switchBytes); sum > 0 {
-		r.EdgeBandwidthShare = float64(m.edgeBytes) / sum
-	}
-	// Set before dumping: the root formulas read m.result.
-	m.result = r
-	r.Dump = m.root.Dump(map[string]string{
-		"engine":  "polygraph",
-		"program": m.p.Name(),
-		"graph":   m.g.Name,
-	})
-	return r
 }

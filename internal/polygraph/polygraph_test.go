@@ -176,13 +176,13 @@ func TestNonSlicedHasNoSwitching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SwitchingSeconds != 0 {
-		t.Fatalf("non-sliced run charged %v switching seconds", res.SwitchingSeconds)
+	if sw := res.Metric(MetricSwitchingSeconds); sw != 0 {
+		t.Fatalf("non-sliced run charged %v switching seconds", sw)
 	}
-	if res.InefficiencySeconds != 0 {
-		t.Fatalf("non-sliced run charged %v inefficiency", res.InefficiencySeconds)
+	if in := res.Metric(MetricInefficiencySeconds); in != 0 {
+		t.Fatalf("non-sliced run charged %v inefficiency", in)
 	}
-	if res.ProcessingSeconds <= 0 {
+	if res.Metric(MetricProcessingSeconds) <= 0 {
 		t.Fatal("no processing time")
 	}
 }
@@ -198,7 +198,7 @@ func TestOverheadGrowsWithSliceCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		tot := res.Stats.SimSeconds
-		return (res.SwitchingSeconds + res.InefficiencySeconds) / tot
+		return (res.Metric(MetricSwitchingSeconds) + res.Metric(MetricInefficiencySeconds)) / tot
 	}
 	s2 := overheadShare(2)
 	s16 := overheadShare(16)
@@ -210,16 +210,16 @@ func TestOverheadGrowsWithSliceCount(t *testing.T) {
 func TestEdgeBandwidthShareShrinksWithSlices(t *testing.T) {
 	g := graph.GenRMAT("r", 12, 12, graph.DefaultRMAT, 1, 7)
 	root := g.LargestOutDegreeVertex()
-	run := func(slices int) *Result {
+	share := func(slices int) float64 {
 		res, err := Run(context.Background(), testConfig(slices), g, program.NewBFS(root))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.Metric(MetricEdgeBWShare)
 	}
-	a, b := run(1), run(16)
-	if b.EdgeBandwidthShare >= a.EdgeBandwidthShare {
-		t.Fatalf("edge share %v @16 slices not below %v @1", b.EdgeBandwidthShare, a.EdgeBandwidthShare)
+	a, b := share(1), share(16)
+	if b >= a {
+		t.Fatalf("edge share %v @16 slices not below %v @1", b, a)
 	}
 }
 
@@ -237,11 +237,11 @@ func TestMultiRoundInefficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < 2 {
-		t.Fatalf("rounds = %d, want multi-round execution", res.Rounds)
+	if r := res.Metric(MetricRounds); r < 2 {
+		t.Fatalf("rounds = %v, want multi-round execution", r)
 	}
-	if res.SlicePasses <= res.SliceCount {
-		t.Fatalf("passes %d not above slice count %d", res.SlicePasses, res.SliceCount)
+	if passes, slices := res.Metric(MetricSlicePasses), res.Metric(MetricSliceCount); passes <= slices {
+		t.Fatalf("passes %v not above slice count %v", passes, slices)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestPGStatsSane(t *testing.T) {
 	if res.Stats.SimSeconds <= 0 || res.Stats.EdgesTraversed <= 0 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
-	sum := res.ProcessingSeconds + res.SwitchingSeconds + res.InefficiencySeconds
+	sum := res.Metric(MetricProcessingSeconds) + res.Metric(MetricSwitchingSeconds) + res.Metric(MetricInefficiencySeconds)
 	if math.Abs(sum-res.Stats.SimSeconds) > 1e-12 {
 		t.Fatalf("breakdown %v != total %v", sum, res.Stats.SimSeconds)
 	}

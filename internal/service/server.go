@@ -68,8 +68,8 @@ type Server struct {
 	jobs  *jobTable
 	queue *harness.Queue[*harness.Report]
 
-	// buildEngine assembles engines for requests; tests override it (see
-	// SetEngineBuilder) to wrap the served engine, e.g. in a chaos fault
+	// buildEngine assembles engines for requests; tests override it
+	// (export_test.go) to wrap the served engine, e.g. in a chaos fault
 	// injector.
 	buildEngine EngineBuilder
 
@@ -115,11 +115,6 @@ func NewServer(cfg Config) *Server {
 // Registry exposes the graph registry (the loadtest client pre-registers
 // graphs through it when it runs the server in-process).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// SetEngineBuilder replaces the engine factory. Call before serving; the
-// chaos tests use it to wrap the default engines in fault injectors
-// without touching the HTTP surface.
-func (s *Server) SetEngineBuilder(b EngineBuilder) { s.buildEngine = b }
 
 // Close stops intake, waits for in-flight jobs, and releases every
 // mapped graph.

@@ -588,6 +588,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"ssd_preset without out_of_core", job("nova", map[string]any{"ssd_preset": "sata"}), http.StatusBadRequest},
 		// The crossbar is the only inter-GPN topology.
 		{"removed ring topology", job("nova", map[string]any{"topology": "ring"}), http.StatusBadRequest},
+		// The coalescing buffer's capacity is the fabric's constant, not a key.
+		{"removed coalesce_capacity", job("nova", map[string]any{"coalesce_window": 16, "coalesce_capacity": 8}), http.StatusBadRequest},
 		{"negative extmem ram_bytes", job("extmem", map[string]any{"ram_bytes": -1}), http.StatusBadRequest},
 		{"negative polygraph onchip_bytes", job("polygraph", map[string]any{"onchip_bytes": -1}), http.StatusBadRequest},
 		{"negative polygraph force_slices", job("polygraph", map[string]any{"force_slices": -2}), http.StatusBadRequest},

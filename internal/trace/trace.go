@@ -47,27 +47,12 @@ func New(clockHz float64) *Tracer {
 	return &Tracer{clock: sim.Clock{HZ: clockHz}, cap: DefaultCap}
 }
 
-// SetCap overrides the event cap (useful in tests).
-func (t *Tracer) SetCap(n int) {
-	if t != nil && n > 0 {
-		t.cap = n
-	}
-}
-
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	return len(t.events)
-}
-
-// Dropped returns how many events the cap discarded.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
 }
 
 func (t *Tracer) us(tick sim.Ticks) float64 { return t.clock.Seconds(tick) * 1e6 }

@@ -11,7 +11,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Span("a", "b", 0, 0, 10)
 	tr.Instant("a", "b", 0, 5)
 	tr.Counter("c", 5, 1)
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Len() != 0 {
 		t.Fatal("nil tracer recorded something")
 	}
 	var buf bytes.Buffer
@@ -52,15 +52,15 @@ func TestTracerRecordsAndSerializes(t *testing.T) {
 
 func TestTracerCap(t *testing.T) {
 	tr := New(1e9)
-	tr.SetCap(5)
+	tr.cap = 5
 	for i := 0; i < 10; i++ {
 		tr.Instant("x", "y", 0, 1)
 	}
 	if tr.Len() != 5 {
 		t.Fatalf("len = %d, want capped at 5", tr.Len())
 	}
-	if tr.Dropped() != 5 {
-		t.Fatalf("dropped = %d, want 5", tr.Dropped())
+	if tr.dropped != 5 {
+		t.Fatalf("dropped = %d, want 5", tr.dropped)
 	}
 }
 

@@ -9,7 +9,8 @@
 //	g := graph.GenRMAT("social", 16, 16, graph.DefaultRMAT, 1, 42)
 //	acc, _ := nova.New(nova.DefaultConfig())
 //	rep, _ := acc.RunContext(context.Background(), program.NewBFS(g.LargestOutDegreeVertex()), g)
-//	fmt.Printf("%.2f GTEPS\n", rep.GTEPS(g))
+//	fmt.Printf("%.2f GTEPS, %.0f%% edge-memory utilization\n",
+//		rep.GTEPS(g), 100*rep.Metric(nova.MetricEdgeUtilization))
 //
 // Each engine offers one way to run a named workload — its Engine, whose
 // RunWorkload takes the cell and returns the engine-agnostic report —
@@ -30,7 +31,6 @@ import (
 	"nova/internal/mem"
 	"nova/internal/ref"
 	"nova/internal/sim"
-	"nova/internal/stats"
 	"nova/internal/trace"
 	"nova/program"
 )
@@ -69,11 +69,9 @@ type Config struct {
 	Topology string `json:"topology"`
 	// CoalesceWindow enables the fabric's in-flight message coalescing
 	// stage: cross-GPN batches wait up to this many core cycles for
-	// further same-destination traffic to merge with (0 disables).
+	// further same-destination traffic to merge with (0 disables), in a
+	// buffer of up to 64 message entries per destination PE.
 	CoalesceWindow int64 `json:"coalesce_window"`
-	// CoalesceCapacity bounds buffered message entries per destination PE
-	// while a coalescing window is open (0 = network default, 64).
-	CoalesceCapacity int `json:"coalesce_capacity"`
 	// OutOfCore enables the SSD-backed third memory tier (DESIGN.md §18):
 	// vertex blocks whose SSD page falls outside each PE's resident
 	// window pay a modeled page-in before the HBM2 access.
@@ -185,7 +183,6 @@ func (c Config) coreConfig() (core.Config, error) {
 		return cc, fmt.Errorf("nova: CoalesceWindow = %d", c.CoalesceWindow)
 	}
 	cc.CoalesceWindow = sim.Ticks(c.CoalesceWindow)
-	cc.CoalesceCapacity = c.CoalesceCapacity
 	if !c.OutOfCore {
 		if c.SSDPreset != "" || c.SSDResidentPages != 0 {
 			return cc, fmt.Errorf("nova: SSD options set without OutOfCore")
@@ -264,67 +261,30 @@ func New(cfg Config) (*Accelerator, error) {
 	return &Accelerator{cfg: cfg}, nil
 }
 
-// Report is the outcome of one accelerator run.
+// Report is the outcome of one accelerator run: the engine-agnostic
+// report, whose Metric reads any record of the run's stats dump by path
+// (the Metric* constants name the root-level ones), plus the count of
+// conservative time windows. The remaining fields restate five root
+// records of the dump, filled from it by their Metric* names.
 type Report struct {
-	// Props holds the final vertex properties.
-	Props []program.Prop
-	// Stats is the engine-agnostic summary.
-	Stats program.RunStats
-	// Cycles is the simulated cycle count at 2 GHz.
+	harness.Report
+	// Windows counts conservative synchronization windows (0 for 1-GPN
+	// systems). It describes the host-side schedule, so no dump record
+	// holds it.
+	Windows uint64
+	// Cycles is the simulated cycle count at 2 GHz (MetricCycles).
 	Cycles uint64
-
-	// EdgeUtilization is the achieved fraction of edge-memory bandwidth.
-	EdgeUtilization float64
-	// Vertex-memory bandwidth fractions (Fig. 10 bars).
-	VertexUsefulFrac   float64
-	VertexWriteFrac    float64
-	VertexWastefulFrac float64
-	// Time attribution (Fig. 6): overfetch overhead vs processing.
-	ProcessingSeconds float64
-	OverheadSeconds   float64
-	// CacheHitRate of the MPU vertex caches.
+	// Spills counts activations that overflowed to off-chip memory
+	// (MetricSpills).
+	Spills uint64
+	// CacheHitRate of the MPU vertex caches (MetricCacheHitRate).
 	CacheHitRate float64
-	// OnChipBytes is the modeled on-chip storage.
-	OnChipBytes int64
-	// Spills, DirectPushes, SpillWrites, StaleRetrievals and
-	// MetadataBytes instrument the Table I spilling trade-offs.
-	Spills          uint64
-	DirectPushes    uint64
-	SpillWrites     uint64
-	StaleRetrievals uint64
-	MetadataBytes   uint64
-	// NetworkBytes and NetworkInterBytes count fabric traffic;
-	// NetworkMessagesCoalesced and NetworkBytesSaved instrument the
-	// fabric's in-flight coalescing stage.
-	NetworkBytes             uint64
-	NetworkInterBytes        uint64
-	NetworkMessagesCoalesced uint64
-	NetworkBytesSaved        uint64
-	// LoadImbalance is max(per-PE propagations)/mean (1.0 = balanced).
+	// LoadImbalance is max(per-PE propagations)/mean, 1.0 = balanced
+	// (MetricLoadImbalance).
 	LoadImbalance float64
-	// Out-of-core tier traffic (all zero unless Config.OutOfCore):
-	// partition page-in events, their page-rounded volume, and the SSD
-	// latency they exposed, in cycles.
-	PartitionLoads uint64
-	BytesPaged     uint64
-	IOStallCycles  uint64
-	// Shards is the worker-goroutine count the run executed with;
-	// Windows counts conservative synchronization windows, and the two
-	// wall-clock fields split host time between in-window execution and
-	// barrier synchronization (all zero-window for 1-GPN systems).
-	Shards             int
-	Windows            uint64
-	WindowWallSeconds  float64
-	BarrierWallSeconds float64
-	// Partial marks a salvaged report: the run stopped early (cancelled,
-	// deadline, budget, or watchdog stall) and the stats cover only the
-	// work completed before the stop. StopReason names the cause
-	// ("cancelled", "deadline", "budget", "stalled").
-	Partial    bool
-	StopReason string
-	// Dump is the full hierarchical statistics dump (per-PE, per-channel,
-	// per-link detail); the flat fields above are its root-level records.
-	Dump *stats.Dump
+	// NetworkMessagesCoalesced counts cross-GPN batches the fabric's
+	// coalescing stage absorbed (MetricNetworkCoalesced).
+	NetworkMessagesCoalesced uint64
 }
 
 // GTEPS returns effective throughput: sequential-work edges per second in
@@ -383,40 +343,13 @@ func (a *Accelerator) simulate(ctx context.Context, p program.Program, g *graph.
 }
 
 func reportFromCore(res *core.Result) *Report {
-	u, w, waste := res.VertexBWFractions()
-	return &Report{
-		Props:                    res.Props,
-		Stats:                    res.Stats,
-		Cycles:                   uint64(res.Ticks),
-		EdgeUtilization:          res.EdgeUtilization,
-		VertexUsefulFrac:         u,
-		VertexWriteFrac:          w,
-		VertexWastefulFrac:       waste,
-		ProcessingSeconds:        res.ProcessingSeconds,
-		OverheadSeconds:          res.OverheadSeconds,
-		CacheHitRate:             res.CacheHitRate,
-		OnChipBytes:              res.OnChipBytes,
-		Spills:                   res.VMU.Spills,
-		DirectPushes:             res.VMU.DirectPushes,
-		SpillWrites:              res.VMU.SpillWrites,
-		StaleRetrievals:          res.VMU.StaleRetrievals,
-		MetadataBytes:            res.VMU.MetadataBytes,
-		NetworkBytes:             res.Net.Bytes,
-		NetworkInterBytes:        res.Net.InterBytes,
-		NetworkMessagesCoalesced: res.Net.Coalesced,
-		NetworkBytesSaved:        res.Net.BytesSaved,
-		LoadImbalance:            res.LoadImbalance(),
-		PartitionLoads:           res.PartitionLoads,
-		BytesPaged:               res.BytesPaged,
-		IOStallCycles:            uint64(res.IOStallTicks),
-		Shards:                   res.Shards,
-		Windows:                  res.Windows,
-		WindowWallSeconds:        res.WindowWallSeconds,
-		BarrierWallSeconds:       res.BarrierWallSeconds,
-		Partial:                  res.Partial,
-		StopReason:               string(res.StopReason),
-		Dump:                     res.Dump,
-	}
+	r := &Report{Report: res.Report, Windows: res.Windows}
+	r.Cycles = uint64(r.Metric(MetricCycles))
+	r.Spills = uint64(r.Metric(MetricSpills))
+	r.CacheHitRate = r.Metric(MetricCacheHitRate)
+	r.LoadImbalance = r.Metric(MetricLoadImbalance)
+	r.NetworkMessagesCoalesced = uint64(r.Metric(MetricNetworkCoalesced))
+	return r
 }
 
 // RunTraced runs one single-phase workload cell exactly as
@@ -477,16 +410,7 @@ func (e novaEngine) RunWorkload(ctx context.Context, w harness.Workload) (*harne
 		if rep == nil {
 			return nil, err
 		}
-		return &harness.Report{
-			Props:              rep.Props,
-			Stats:              rep.Stats,
-			Dump:               rep.Dump,
-			Shards:             rep.Shards,
-			WindowWallSeconds:  rep.WindowWallSeconds,
-			BarrierWallSeconds: rep.BarrierWallSeconds,
-			Partial:            rep.Partial,
-			StopReason:         rep.StopReason,
-		}, err
+		return &rep.Report, err
 	})
 }
 

@@ -49,8 +49,8 @@ func TestAcceleratorBFSReport(t *testing.T) {
 	if rep.Cycles == 0 || rep.Stats.SimSeconds <= 0 {
 		t.Fatalf("report timing empty: %+v", rep.Stats)
 	}
-	if rep.EdgeUtilization <= 0 || rep.EdgeUtilization > 1.01 {
-		t.Fatalf("edge utilization %v", rep.EdgeUtilization)
+	if u := rep.Metric(nova.MetricEdgeUtilization); u <= 0 || u > 1.01 {
+		t.Fatalf("edge utilization %v", u)
 	}
 }
 
@@ -300,7 +300,7 @@ func TestFacadeDeterminism(t *testing.T) {
 	if a.Cycles != b.Cycles ||
 		a.Stats.EdgesTraversed != b.Stats.EdgesTraversed ||
 		a.Stats.MessagesCoalesced != b.Stats.MessagesCoalesced ||
-		a.NetworkBytes != b.NetworkBytes {
+		a.Metric(nova.MetricNetworkBytes) != b.Metric(nova.MetricNetworkBytes) {
 		t.Fatalf("facade runs diverge: %+v vs %+v", a.Stats, b.Stats)
 	}
 }

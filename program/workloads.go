@@ -358,25 +358,6 @@ func (b *bcBackward) PrepareProp(v graph.VertexID, prop Prop) Prop {
 	return bcMsgPack(b.depth[v], contrib)
 }
 
-// BCDepths decodes per-vertex depths from forward-phase properties.
-func BCDepths(forwardProps []Prop) []uint16 {
-	out := make([]uint16, len(forwardProps))
-	for i, p := range forwardProps {
-		out[i] = bcDepth(p)
-	}
-	return out
-}
-
-// BCSigmas decodes per-vertex shortest-path counts from forward-phase
-// properties.
-func BCSigmas(forwardProps []Prop) []uint64 {
-	out := make([]uint64, len(forwardProps))
-	for i, p := range forwardProps {
-		out[i] = bcSigma(p)
-	}
-	return out
-}
-
 // RunBC executes both betweenness-centrality phases on the given runner:
 // the forward phase on g, the backward phase on the transpose gT (built by
 // the caller so it can be reused). It returns per-vertex dependency scores
