@@ -174,8 +174,8 @@ func TestGeneratorsRejectBadParameters(t *testing.T) {
 	if g := GenGrid("g", 3, 3, 1, 64, 1); g.NumEdges() != 0 {
 		t.Errorf("GenGrid at drop 1: %d edges, want 0", g.NumEdges())
 	}
-	if st := NewGridStream("g", 3, 3, 0, 64, 1); st.NumEdges() != 24 {
-		t.Errorf("NewGridStream at drop 0: %d edges, want 24", st.NumEdges())
+	if m := FromStream(NewGridStream("g", 3, 3, 0, 64, 1)).NumEdges(); m != 24 {
+		t.Errorf("NewGridStream at drop 0: %d edges, want 24", m)
 	}
 }
 

@@ -20,9 +20,6 @@ type EdgeStream interface {
 	Name() string
 	// NumVertices returns |V| of the generated graph.
 	NumVertices() int
-	// NumEdges returns the exact number of edges the stream emits
-	// between Reset and exhaustion.
-	NumEdges() int64
 	// Next returns the next edge, or ok=false when the stream is done.
 	Next() (Edge, bool)
 	// Reset rewinds the stream to the first edge of the same sequence.
@@ -159,9 +156,6 @@ func (s *RMATStream) Name() string { return s.name }
 // NumVertices implements EdgeStream.
 func (s *RMATStream) NumVertices() int { return s.numVertices }
 
-// NumEdges implements EdgeStream.
-func (s *RMATStream) NumEdges() int64 { return s.numEdges }
-
 // Reset implements EdgeStream.
 func (s *RMATStream) Reset() {
 	s.rng.seed(s.seed)
@@ -228,9 +222,6 @@ func (s *UniformStream) Name() string { return s.name }
 // NumVertices implements EdgeStream.
 func (s *UniformStream) NumVertices() int { return s.numVertices }
 
-// NumEdges implements EdgeStream.
-func (s *UniformStream) NumEdges() int64 { return s.numEdges }
-
 // Reset implements EdgeStream.
 func (s *UniformStream) Reset() {
 	s.rng.seed(s.seed)
@@ -259,7 +250,6 @@ type GridStream struct {
 	drop       uint64 // threshold(dropProb)
 	weights    uniformN
 	seed       int64
-	numEdges   int64
 
 	rng draws
 	// Walk state: current cell, which neighbour (0 = right, 1 = down),
@@ -269,22 +259,13 @@ type GridStream struct {
 	hasPending  bool
 }
 
-// NewGridStream returns a streaming 2D-lattice generator. Unlike the
-// unconditional-count streams it must pre-walk the rng once to learn the
-// exact surviving edge count, which is O(rows·cols) time but O(1) space.
-// It panics on the parameters GenGrid rejects.
+// NewGridStream returns a streaming 2D-lattice generator. It panics on
+// the parameters GenGrid rejects.
 func NewGridStream(name string, rows, cols int, dropProb float64, maxWeight uint32, seed int64) *GridStream {
 	checkGrid("NewGridStream", rows, cols, dropProb)
 	s := &GridStream{
 		name: name, rows: rows, cols: cols,
 		drop: threshold(dropProb), weights: newWeights(maxWeight), seed: seed,
-	}
-	s.Reset()
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		s.numEdges++
 	}
 	s.Reset()
 	return s
@@ -295,9 +276,6 @@ func (s *GridStream) Name() string { return s.name }
 
 // NumVertices implements EdgeStream.
 func (s *GridStream) NumVertices() int { return s.rows * s.cols }
-
-// NumEdges implements EdgeStream.
-func (s *GridStream) NumEdges() int64 { return s.numEdges }
 
 // Reset implements EdgeStream.
 func (s *GridStream) Reset() {

@@ -26,8 +26,8 @@ func TestStreamDeterminismAndReset(t *testing.T) {
 	for _, st := range streams {
 		a := collect(st)
 		b := collect(st) // after Reset: identical sequence
-		if int64(len(a)) != st.NumEdges() {
-			t.Errorf("%s: emitted %d edges, NumEdges says %d", st.Name(), len(a), st.NumEdges())
+		if m := FromStream(st).NumEdges(); int64(len(a)) != m {
+			t.Errorf("%s: emitted %d edges, FromStream built %d", st.Name(), len(a), m)
 		}
 		if len(a) != len(b) {
 			t.Fatalf("%s: replay emitted %d edges, want %d", st.Name(), len(b), len(a))

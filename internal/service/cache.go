@@ -1,9 +1,17 @@
 package service
 
 import (
+	"hash/maphash"
 	"sync"
 	"time"
 )
+
+// historyWindow is how many lookups, per entry of the cache's budget, make
+// one window of the request history: at the end of each window every
+// count halves. The replay in cache_test.go chose it: shorter windows
+// forget the costly keys of the Zipf tail between their requests, and a
+// window twice as long gains under 2%.
+const historyWindow = 40
 
 // resultCache is the fingerprint-keyed result cache: key = engine
 // configuration fingerprint + graph content hash + the workload cell
@@ -15,73 +23,100 @@ import (
 // (partial reports depend on when the stop landed, so caching them would
 // serve nondeterministic truncations as truth).
 //
-// Eviction is cost-aware over a fixed entry budget: GreedyDual-Size with
-// a frequency term (GDSF), every entry counting as size 1. Each entry
-// records its cost, the wall time of the run that produced it, and its
-// hits, starting at 1. Its priority is L + hits × cost, where L is the
-// priority of the last entry evicted, and a hit recomputes it against
-// the current L. An insert that takes the cache over budget evicts the
-// lowest-priority entry, the least recently used on a tie, so equal
-// costs and no hits evict in LRU order. The new entry competes like any
-// other: a result cheaper to recompute than everything resident is
-// dropped at once. Raising L to each victim's priority ages the entries
-// that stay: a costly entry that stops being hit is overtaken by newer
-// ones in time.
+// Admission and eviction weigh how often a key is requested by what a
+// miss on it costs, over a fixed entry budget. Every Get counts its key
+// in a request history kept apart from the entries, so a key's count
+// survives its eviction. Every historyWindow × budget lookups all counts
+// halve and keys at zero leave the history: popularity that stopped
+// fades, and the history holds about one window of keys. An entry's
+// cost is the wall time of the run that produced it. A Put into a full
+// cache finds the resident entry with the lowest count × cost, the least
+// recently used on a tie, and replaces it only if the new result's own
+// count × cost is higher; otherwise the new result is dropped. This is
+// TinyLFU's admission rule (Einziger, Friedman & Manes 2017) with each
+// count weighted by its key's cost.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*cacheEntry
-	// floor is L, the priority of the last entry evicted, in seconds.
-	floor float64
+	// counts is the request history, keyed by a 64-bit hash of the cache
+	// key. A collision merges two keys' counts, which can change only
+	// which entry is evicted, never what a hit serves.
+	counts map[uint64]uint32
+	seed   maphash.Seed
+	// lookups counts the Gets since the last halving; window is how
+	// many end a window.
+	lookups, window int
 	// clock stamps each use, so the smallest stamp is the least recent.
 	clock uint64
 }
 
 type cacheEntry struct {
-	key      string
-	value    []byte
-	cost     time.Duration
-	hits     uint64
-	priority float64
-	used     uint64
+	key   string
+	hash  uint64
+	value []byte
+	cost  time.Duration
+	used  uint64
 }
 
 func newResultCache(capacity int) *resultCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &resultCache{cap: capacity, entries: make(map[string]*cacheEntry)}
+	return &resultCache{
+		cap:     capacity,
+		entries: make(map[string]*cacheEntry),
+		counts:  make(map[uint64]uint32),
+		seed:    maphash.MakeSeed(),
+		window:  historyWindow * capacity,
+	}
 }
 
-// touch recomputes e's priority against the current floor and marks it
-// the most recently used entry.
-func (c *resultCache) touch(e *cacheEntry) {
-	e.priority = c.floor + float64(e.hits)*e.cost.Seconds()
-	c.clock++
-	e.used = c.clock
+// count records one request for the key hashed to h and, at the end of
+// a window, halves every count and forgets the keys that reach zero.
+func (c *resultCache) count(h uint64) {
+	c.counts[h]++
+	if c.lookups++; c.lookups < c.window {
+		return
+	}
+	c.lookups = 0
+	for k, n := range c.counts {
+		if n /= 2; n == 0 {
+			delete(c.counts, k)
+		} else {
+			c.counts[k] = n
+		}
+	}
 }
 
-// Get returns the cached bytes for key with the recorded cost of the run
-// that produced them, counts the hit, and refreshes the entry's priority.
-// The returned slice is shared — callers must not mutate it (handlers
-// only write it to the wire).
+// worth is a key's count × cost, in request-seconds.
+func (c *resultCache) worth(h uint64, cost time.Duration) float64 {
+	return float64(c.counts[h]) * cost.Seconds()
+}
+
+// Get counts a request for key and returns the cached bytes with the
+// recorded cost of the run that produced them. The returned slice is
+// shared — callers must not mutate it (handlers only write it to the
+// wire).
 func (c *resultCache) Get(key string) ([]byte, time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.count(maphash.String(c.seed, key))
 	e, ok := c.entries[key]
 	if !ok {
 		return nil, 0, false
 	}
-	e.hits++
-	c.touch(e)
+	c.clock++
+	e.used = c.clock
 	return e.value, e.cost, true
 }
 
-// Put inserts key with the cost of the run that produced value, and
-// returns how many entries were evicted: 0 or 1, the new entry included
-// when it is the one dropped (reported so the server's eviction counter
-// stays exact). A Put of a resident key replaces its value and cost,
-// keeps its hit count and evicts nothing.
+// Put offers key with the cost of the run that produced value, and
+// returns how many results the offer evicted: 0 or 1, the new one
+// included when it is the one dropped (reported so the server's eviction
+// counter stays exact). A Put of a resident key replaces its value and
+// cost and evicts nothing. Put does not count a request: the Get that
+// missed already did.
 //
 // The victim is found by a scan over the resident entries. It runs once
 // per completed miss, which has already cost a simulation, so the budget
@@ -89,26 +124,28 @@ func (c *resultCache) Get(key string) ([]byte, time.Duration, bool) {
 func (c *resultCache) Put(key string, value []byte, cost time.Duration) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.clock++
 	if e, ok := c.entries[key]; ok {
-		e.value, e.cost = value, cost
-		c.touch(e)
+		e.value, e.cost, e.used = value, cost, c.clock
 		return 0
 	}
-	e := &cacheEntry{key: key, value: value, cost: cost, hits: 1}
-	c.touch(e)
-	c.entries[key] = e
-	if len(c.entries) <= c.cap {
+	e := &cacheEntry{key: key, hash: maphash.String(c.seed, key), value: value, cost: cost, used: c.clock}
+	if len(c.entries) < c.cap {
+		c.entries[key] = e
 		return 0
 	}
 	var victim *cacheEntry
-	for _, e := range c.entries {
-		if victim == nil || e.priority < victim.priority ||
-			e.priority == victim.priority && e.used < victim.used {
-			victim = e
+	var low float64
+	for _, r := range c.entries {
+		w := c.worth(r.hash, r.cost)
+		if victim == nil || w < low || w == low && r.used < victim.used {
+			victim, low = r, w
 		}
 	}
-	c.floor = victim.priority
-	delete(c.entries, victim.key)
+	if c.worth(e.hash, cost) > low {
+		delete(c.entries, victim.key)
+		c.entries[key] = e
+	}
 	return 1
 }
 

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"nova/graph"
@@ -149,7 +152,7 @@ type registerRequest struct {
 
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, badRequest(err))
 		return
 	}
@@ -172,7 +175,7 @@ func (s *Server) handleEvictGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	req := newJobRequest()
-	if err := decodeBody(r, req); err != nil {
+	if err := decodeBody(w, r, req); err != nil {
 		writeError(w, badRequest(err))
 		return
 	}
@@ -259,8 +262,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 	interval := 200 * time.Millisecond
 	if v := r.URL.Query().Get("interval_ms"); v != "" {
-		var ms int64
-		if _, err := fmt.Sscanf(v, "%d", &ms); err != nil || ms <= 0 {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			writeError(w, badRequest(fmt.Errorf("service: bad interval_ms %q", v)))
 			return
 		}
@@ -291,11 +294,24 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body. A job request with every engine
+// block spelled out is under 2 KB.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a request body that must be exactly one JSON value,
+// with no unknown fields, of at most maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("service: decoding request body: %w", err)
 	}
-	return nil
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("service: request body holds more than one JSON value")
+	default:
+		return fmt.Errorf("service: reading request body past its JSON value: %w", err)
+	}
 }

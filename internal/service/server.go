@@ -18,11 +18,12 @@
 // hash (CRC32C from the CSR container header) + the workload cell, and
 // stores the rendered result bytes of complete runs: a warm identical
 // sweep cell is served without simulating, bit-identical to its cold run.
-// Over its entry budget the cache evicts by the cost of recomputing a
-// result and its hits, so a costly NOVA result outlives a stream of cheap
-// baseline results. Hit/miss/eviction counters, the simulation
-// time hits saved, and a request-latency histogram are registered in an
-// internal/stats tree surfaced at /statsz.
+// Over its entry budget the cache admits and evicts by the cost of
+// recomputing a result times how often its key is requested, so a costly
+// NOVA result outlives a stream of cheap baseline results.
+// Hit/miss/eviction counters, the simulation time hits saved, and a
+// request-latency histogram are registered in an internal/stats tree
+// surfaced at /statsz.
 //
 // See API.md at the repository root for the complete endpoint reference
 // and DESIGN.md §17 for the architecture discussion.

@@ -601,6 +601,28 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: HTTP %d (%s), want %d", c.name, resp.StatusCode, body, c.want)
 		}
 	}
+	// A body must be one JSON value of at most 1 MiB, whitespace around
+	// it aside.
+	valid := `{"engine":"nova","workload":"bfs","graph":"g"}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"a second object after the first", valid + `{"engine":"ligra"}`, http.StatusBadRequest},
+		{"trailing bytes", valid + ` x`, http.StatusBadRequest},
+		{"a valid object behind 1 MiB of whitespace", strings.Repeat(" ", 1<<20) + valid, http.StatusBadRequest},
+		{"a trailing newline", valid + "\n", http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want && !(c.want == http.StatusAccepted && resp.StatusCode == http.StatusOK) {
+			t.Errorf("%s: HTTP %d (%s), want %d", c.name, resp.StatusCode, body, c.want)
+		}
+	}
 	if code := getJSON(t, ts.URL+"/jobs/j-999999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
 	}
@@ -637,6 +659,11 @@ func TestStreamEndpoint(t *testing.T) {
 	var st service.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
+	}
+	for _, v := range []string{"5abc", "0", "-5", "9223372036854775807"} {
+		if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/stream?interval_ms="+v, nil); code != http.StatusBadRequest {
+			t.Errorf("interval_ms=%s: HTTP %d, want 400", v, code)
+		}
 	}
 	sresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream?interval_ms=10")
 	if err != nil {
