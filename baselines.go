@@ -21,9 +21,6 @@ type PolyGraphBaseline struct {
 	// OnChipBytes is the scratchpad capacity (default 32 MiB; scaled
 	// experiments shrink it to keep Table III slice counts).
 	OnChipBytes int64 `json:"onchip_bytes"`
-	// MemBandwidth is unified off-chip bandwidth in bytes/second
-	// (default 332.8 GB/s, the iso-bandwidth setting). Go API only.
-	MemBandwidth float64 `json:"-"`
 	// ForceSlices overrides the computed slice count when positive.
 	ForceSlices int `json:"force_slices"`
 }
@@ -33,22 +30,17 @@ func (b *PolyGraphBaseline) config() polygraph.Config {
 	if b.OnChipBytes > 0 {
 		cfg.OnChipBytes = b.OnChipBytes
 	}
-	if b.MemBandwidth > 0 {
-		cfg.MemBandwidth = b.MemBandwidth
-	}
 	cfg.ForceSlices = b.ForceSlices
 	return cfg
 }
 
-// Validate reports the first configuration error, a negative size, rate
-// or slice count, so callers can reject a configuration before any run;
+// Validate reports the first configuration error, a negative size or
+// slice count, so callers can reject a configuration before any run;
 // RunContext and the Engine fail on the same error.
 func (b *PolyGraphBaseline) Validate() error {
 	switch {
 	case b.OnChipBytes < 0:
 		return fmt.Errorf("nova: polygraph OnChipBytes = %d", b.OnChipBytes)
-	case b.MemBandwidth < 0:
-		return fmt.Errorf("nova: polygraph MemBandwidth = %v", b.MemBandwidth)
 	case b.ForceSlices < 0:
 		return fmt.Errorf("nova: polygraph ForceSlices = %d", b.ForceSlices)
 	}

@@ -48,102 +48,12 @@ func main() {
 				os.Exit(1)
 			}
 			return
-		case "jobwait":
-			if err := jobwait(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "novad jobwait:", err)
-				os.Exit(1)
-			}
-			return
 		}
 	}
 	if err := serve(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "novad:", err)
 		os.Exit(1)
 	}
-}
-
-// jobwait submits one job to a running daemon and blocks until it
-// finishes, exiting nonzero on a failed (or, without -allow-partial,
-// partial) run. It is the CI smoke client: submit → poll → fetch result,
-// with no JSON tooling needed around it.
-func jobwait(args []string) error {
-	fs := flag.NewFlagSet("novad jobwait", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8314", "target daemon")
-	engine := fs.String("engine", "nova", "engine the job runs on")
-	workload := fs.String("workload", "bfs", "workload the job runs")
-	graphName := fs.String("graph", "", "registered graph name (required)")
-	timeoutMS := fs.Int64("timeout-ms", 0, "per-job timeout sent with the request (0 = server default)")
-	wait := fs.Duration("wait", 5*time.Minute, "max wall clock to wait for completion")
-	poll := fs.Duration("poll", 250*time.Millisecond, "status poll interval")
-	allowPartial := fs.Bool("allow-partial", false, "exit 0 even if the run was salvaged partial")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *graphName == "" {
-		return fmt.Errorf("-graph is required")
-	}
-	baseURL := "http://" + *addr
-	httpc := &http.Client{Timeout: time.Minute}
-
-	req := map[string]any{
-		"engine":     *engine,
-		"workload":   *workload,
-		"graph":      *graphName,
-		"timeout_ms": *timeoutMS,
-	}
-	body, _ := json.Marshal(req)
-	resp, err := httpc.Post(baseURL+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var st struct {
-		ID         string `json:"id"`
-		State      string `json:"state"`
-		Cached     bool   `json:"cached"`
-		Partial    bool   `json:"partial"`
-		StopReason string `json:"stop_reason"`
-		ElapsedMS  int64  `json:"elapsed_ms"`
-		Error      string `json:"error"`
-	}
-	if err := decodeAndClose(resp, &st); err != nil {
-		return err
-	}
-	fmt.Printf("job %s submitted (%s/%s on %s)\n", st.ID, *engine, *workload, *graphName)
-	deadline := time.Now().Add(*wait)
-	for st.State == "queued" || st.State == "running" {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still %s after %v", st.ID, st.State, *wait)
-		}
-		time.Sleep(*poll)
-		resp, err := httpc.Get(baseURL + "/jobs/" + st.ID)
-		if err != nil {
-			return err
-		}
-		if err := decodeAndClose(resp, &st); err != nil {
-			return err
-		}
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-	}
-	resp, err = httpc.Get(baseURL + "/jobs/" + st.ID + "/result")
-	if err != nil {
-		return err
-	}
-	var res struct {
-		SimSeconds     float64 `json:"sim_seconds"`
-		EdgesTraversed int64   `json:"edges_traversed"`
-		EffectiveGTEPS float64 `json:"effective_gteps"`
-	}
-	if err := decodeAndClose(resp, &res); err != nil {
-		return fmt.Errorf("fetching result for %s: %w", st.ID, err)
-	}
-	fmt.Printf("job %s done in %d ms (cached=%v): %.3f ms simulated, %d edges, %.3f GTEPS\n",
-		st.ID, st.ElapsedMS, st.Cached, res.SimSeconds*1e3, res.EdgesTraversed, res.EffectiveGTEPS)
-	if st.Partial && !*allowPartial {
-		return fmt.Errorf("job %s finished PARTIAL (%s)", st.ID, st.StopReason)
-	}
-	return nil
 }
 
 // graphFlags collects repeated -graph name=path registrations.
@@ -356,7 +266,8 @@ func splitNames(flagName, list string) ([]string, error) {
 }
 
 // runCell submits one job and waits for its result, reporting whether the
-// response was served from the cache.
+// response was served from the cache. A job that failed, or finished
+// partial, fails the request.
 func runCell(c *http.Client, baseURL string, cl cell, graphName string, timeoutMS int64) (cacheHit bool, err error) {
 	req := map[string]any{
 		"engine":     cl.Engine,
@@ -370,10 +281,12 @@ func runCell(c *http.Client, baseURL string, cl cell, graphName string, timeoutM
 		return false, err
 	}
 	var st struct {
-		ID     string `json:"id"`
-		State  string `json:"state"`
-		Cached bool   `json:"cached"`
-		Error  string `json:"error"`
+		ID         string `json:"id"`
+		State      string `json:"state"`
+		Cached     bool   `json:"cached"`
+		Partial    bool   `json:"partial"`
+		StopReason string `json:"stop_reason"`
+		Error      string `json:"error"`
 	}
 	if err := decodeAndClose(resp, &st); err != nil {
 		return false, err
@@ -390,6 +303,9 @@ func runCell(c *http.Client, baseURL string, cl cell, graphName string, timeoutM
 	}
 	if st.State != "done" {
 		return false, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
+	}
+	if st.Partial {
+		return false, fmt.Errorf("job %s finished PARTIAL (%s)", st.ID, st.StopReason)
 	}
 	// Fetch the rendered result so every request exercises the full
 	// read path, not just the status poll.

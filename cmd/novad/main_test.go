@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,5 +44,22 @@ func TestLoadtestWarmRoundHits(t *testing.T) {
 		"-engines", "nova", "-workloads", "bfs,sssp", "-min-hit-rate", "0.5"})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunCellFailsPartialJob holds a request whose job ended done but
+// partial (a deadline or budget stop) to a failure: a load test that
+// counted it as served would pass on truncated runs.
+func TestRunCellFailsPartialJob(t *testing.T) {
+	const status = `{"id":"j-000001","state":"done","partial":true,"stop_reason":"deadline"}`
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, status) })
+	mux.HandleFunc("GET /jobs/j-000001", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, status) })
+	mux.HandleFunc("GET /jobs/j-000001/result", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{}`) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	_, err := runCell(ts.Client(), ts.URL, cell{"nova", "bfs"}, "g", 0)
+	if err == nil || !strings.Contains(err.Error(), "PARTIAL (deadline)") {
+		t.Fatalf("runCell on a partial job = %v, want a PARTIAL (deadline) failure", err)
 	}
 }

@@ -28,16 +28,12 @@ type ExternalMemory struct {
 	PartitionEdges int64 `json:"partition_edges"`
 	// SSDPreset picks the paging device: "nvme" (default) or "sata".
 	SSDPreset string `json:"ssd_preset"`
-	// MaxRounds bounds the outer loop (0 = default). A budget, like
-	// Config.MaxEvents: Go API only, and outside the fingerprint.
-	MaxRounds int `json:"-"`
 }
 
 func (b *ExternalMemory) config() (extmem.Config, error) {
 	cfg := extmem.DefaultConfig()
 	cfg.RAMBytes = cmp.Or(b.RAMBytes, cfg.RAMBytes)
 	cfg.PartitionEdges = cmp.Or(b.PartitionEdges, cfg.PartitionEdges)
-	cfg.MaxRounds = b.MaxRounds
 	ssd, err := ssdPreset(b.SSDPreset)
 	if err != nil {
 		return cfg, err

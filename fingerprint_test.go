@@ -111,10 +111,9 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	checkFingerprint(t, nova.PolyGraphBaseline{}, func(b nova.PolyGraphBaseline) (string, error) {
 		return b.Engine().Fingerprint(), nil
 	}, map[string]knob[nova.PolyGraphBaseline]{
-		"OnChipBytes":  {value: int64(1 << 20)},
-		"MemBandwidth": {value: 100e9},
-		"ForceSlices":  {value: 4},
-	}, nil, []string{"MemBandwidth"})
+		"OnChipBytes": {value: int64(1 << 20)},
+		"ForceSlices": {value: 4},
+	}, nil, nil)
 
 	checkFingerprint(t, nova.Software{}, func(s nova.Software) (string, error) {
 		return s.Engine().Fingerprint(), nil
@@ -126,8 +125,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		"RAMBytes":       {value: int64(1 << 20)},
 		"PartitionEdges": {value: int64(1 << 10)},
 		"SSDPreset":      {value: "sata"},
-		"MaxRounds":      {value: 3},
-	}, []string{"MaxRounds"}, []string{"MaxRounds"})
+	}, nil, nil)
 }
 
 // TestFingerprintSpelledOutDefaults: a config that spells out a default
@@ -144,7 +142,7 @@ func TestFingerprintSpelledOutDefaults(t *testing.T) {
 		t.Errorf("nova: spelled-out defaults %q (%v) != omitted %q (%v)", a, errA, b, errB)
 	}
 
-	pgSpelled := nova.PolyGraphBaseline{OnChipBytes: 32 << 20, MemBandwidth: 332.8e9}
+	pgSpelled := nova.PolyGraphBaseline{OnChipBytes: 32 << 20}
 	if a, b := pgSpelled.Engine().Fingerprint(), (&nova.PolyGraphBaseline{}).Engine().Fingerprint(); a != b {
 		t.Errorf("polygraph: spelled-out defaults %q != omitted %q", a, b)
 	}

@@ -174,7 +174,7 @@ func (e *Engine) stall() error {
 	// A second event so the engine visits the interrupt poll after the
 	// stalled handler finally returns.
 	eng.Schedule(1, sim.HandlerFunc(func() {}))
-	err := eng.Run(0, 0)
+	err := eng.Run(sim.MaxTicks, 0)
 	if err == nil {
 		return fmt.Errorf("chaos: stall fault completed without tripping the watchdog")
 	}

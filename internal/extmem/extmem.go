@@ -61,8 +61,6 @@ type Config struct {
 	EdgeBytes int
 	// ClockHz converts cycles to seconds (default 2 GHz).
 	ClockHz float64
-	// MaxRounds bounds the outer loop (0 = default).
-	MaxRounds int
 }
 
 // DefaultConfig returns a 256 MiB-DRAM external-memory machine with an
@@ -95,41 +93,6 @@ func (c Config) Validate() error {
 	return c.SSD.Validate()
 }
 
-// ssdModel is the queue-slot device: the same math as mem.SSD.PageIn, but
-// clocked explicitly so the analytic model needs no event engine. Each
-// read occupies the earliest-free of QueueDepth slots for its transfer and
-// completes FixedLatency later.
-type ssdModel struct {
-	cfg      mem.SSDConfig
-	slotFree []sim.Ticks
-}
-
-// read issues one partition read at time `now` and returns its completion
-// time and page-rounded volume.
-func (d *ssdModel) read(now sim.Ticks, bytes int64) (complete sim.Ticks, moved uint64) {
-	pages := (uint64(bytes) + uint64(d.cfg.PageBytes) - 1) / uint64(d.cfg.PageBytes)
-	if pages == 0 {
-		pages = 1
-	}
-	moved = pages * uint64(d.cfg.PageBytes)
-	service := sim.Ticks(float64(moved)/d.cfg.BytesPerCycle + 0.999999)
-	if service == 0 {
-		service = 1
-	}
-	slot := 0
-	for i := 1; i < len(d.slotFree); i++ {
-		if d.slotFree[i] < d.slotFree[slot] {
-			slot = i
-		}
-	}
-	start := now
-	if d.slotFree[slot] > start {
-		start = d.slotFree[slot]
-	}
-	d.slotFree[slot] = start + service
-	return start + service + d.cfg.FixedLatency, moved
-}
-
 type machine struct {
 	cfg     Config
 	ctx     context.Context
@@ -153,14 +116,15 @@ type machine struct {
 	cachedNow int64
 	useTick   uint64
 
-	dev   *ssdModel
+	// dev is the queue-slot device, clocked explicitly (ReadAt) so the
+	// analytic model needs no event engine.
+	dev   *mem.SSD
 	clock sim.Ticks
 
 	stats          program.RunStats
 	computeTicks   sim.Ticks
 	ioStallTicks   sim.Ticks
 	partitionLoads uint64
-	bytesPaged     uint64
 	cacheHits      uint64
 	evictions      uint64
 	rounds         int
@@ -241,7 +205,7 @@ func (m *machine) setup() {
 	m.lastUse = make([]uint64, parts)
 	m.loadDone = make([]sim.Ticks, parts)
 	m.loadsPerPart = make([]int64, parts)
-	m.dev = &ssdModel{cfg: m.cfg.SSD, slotFree: make([]sim.Ticks, m.cfg.SSD.QueueDepth)}
+	m.dev = mem.NewSSD(nil, m.cfg.SSD)
 	m.props = make([]program.Prop, n)
 	for v := range m.props {
 		m.props[v] = m.p.InitProp(graph.VertexID(v), g)
@@ -263,7 +227,7 @@ func (m *machine) buildStatsTree() {
 		MetricIOStallTicks, stats.Cycles, "SSD load latency the prefetch pipeline could not hide")
 	root.Formula(func() float64 { return float64(m.partitionLoads) },
 		MetricPartitionLoads, stats.Count, "edge partitions read from the SSD")
-	root.Formula(func() float64 { return float64(m.bytesPaged) },
+	root.Formula(func() float64 { return float64(m.dev.Stats().BytesPaged) },
 		MetricBytesPaged, stats.Bytes, "page-rounded bytes read from the SSD")
 	root.Formula(func() float64 {
 		if touches := m.partitionLoads + m.cacheHits; touches > 0 {
@@ -308,22 +272,19 @@ func (m *machine) touch(pi int, at sim.Ticks) sim.Ticks {
 		m.cachedNow -= m.partBytes[victim]
 		m.evictions++
 	}
-	complete, moved := m.dev.read(at, m.partBytes[pi])
+	// A partition starts its own pages: address 0 rounds its bytes up.
+	complete := m.dev.ReadAt(at, 0, int(m.partBytes[pi]))
 	m.partitionLoads++
 	m.loadsPerPart[pi]++
-	m.bytesPaged += moved
 	m.resident[pi] = true
 	m.cachedNow += m.partBytes[pi]
 	m.loadDone[pi] = complete
 	return complete
 }
 
-func (m *machine) maxRounds() int {
-	if m.cfg.MaxRounds > 0 {
-		return m.cfg.MaxRounds
-	}
-	return 1 << 20
-}
+// maxRounds bounds the outer loop: a run still pending after it is
+// reported as a non-monotone program.
+const maxRounds = 1 << 20
 
 // selfSeed marks worklist seeds that are activations, not real messages.
 const selfSeed = program.Prop(1<<64 - 2)
@@ -340,7 +301,7 @@ func (m *machine) run() error {
 	inQueue := make([]bool, g.NumVertices())
 	var work []graph.VertexID
 
-	for round := 0; round < m.maxRounds(); round++ {
+	for round := 0; round < maxRounds; round++ {
 		if err := m.ctx.Err(); err != nil {
 			return err
 		}

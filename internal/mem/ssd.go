@@ -65,7 +65,8 @@ type SSDStats struct {
 // QueueDepth slots for its bandwidth-limited transfer time and completes
 // FixedLatency later. Slots are chosen lowest-index-first on ties, so the
 // model is deterministic under sharded simulation (one SSD per GPN, each
-// driven only by its shard's engine).
+// driven only by its shard's engine). A model clocked without an engine
+// (eng nil) issues its reads through ReadAt.
 type SSD struct {
 	eng      *sim.Engine
 	cfg      SSDConfig
@@ -90,9 +91,19 @@ func (d *SSD) Config() SSDConfig { return d.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (d *SSD) Stats() SSDStats { return d.stats }
 
-// PageIn reads the pages covering [addr, addr+bytes) and returns the
+// PageIn reads the pages covering [addr, addr+bytes) now and returns the
 // completion time; done (if non-nil) is scheduled at that time.
 func (d *SSD) PageIn(addr uint64, bytes int, done sim.Handler) sim.Ticks {
+	complete := d.ReadAt(d.eng.Now(), addr, bytes)
+	if done != nil {
+		d.eng.ScheduleAt(complete, done)
+	}
+	return complete
+}
+
+// ReadAt reads the pages covering [addr, addr+bytes), issued at tick now,
+// and returns the completion time.
+func (d *SSD) ReadAt(now sim.Ticks, addr uint64, bytes int) sim.Ticks {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("mem: ssd page-in of %d bytes", bytes))
 	}
@@ -105,7 +116,6 @@ func (d *SSD) PageIn(addr uint64, bytes int, done sim.Handler) sim.Ticks {
 	if service == 0 {
 		service = 1
 	}
-	now := d.eng.Now()
 	slot := 0
 	for i := 1; i < len(d.slotFree); i++ {
 		if d.slotFree[i] < d.slotFree[slot] {
@@ -125,9 +135,6 @@ func (d *SSD) PageIn(addr uint64, bytes int, done sim.Handler) sim.Ticks {
 	d.stats.BytesPaged += moved
 	if complete > d.stats.LastCompletion {
 		d.stats.LastCompletion = complete
-	}
-	if done != nil {
-		d.eng.ScheduleAt(complete, done)
 	}
 	return complete
 }

@@ -58,7 +58,7 @@ func TestSSDDoneHandlerFires(t *testing.T) {
 	d := NewSSD(eng, testSSDConfig())
 	fired := sim.Ticks(0)
 	want := d.PageIn(0, 1, sim.HandlerFunc(func() { fired = eng.Now() }))
-	if err := eng.Run(0, 0); err != nil {
+	if err := eng.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
 	if fired != want {

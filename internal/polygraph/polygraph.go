@@ -70,8 +70,6 @@ type Config struct {
 	// PolyGraph coalesces within its on-chip task window, not across the
 	// whole off-chip buffer (0 = default 64).
 	ReorderWindow int
-	// MaxRounds bounds the outer loop (0 = default).
-	MaxRounds int
 	// ForceSlices overrides the computed slice count when positive
 	// (used by the Fig. 2 sweep).
 	ForceSlices int
@@ -305,12 +303,9 @@ func (m *machine) chargePass(s int, edges int64, msgIO int64) {
 	}
 }
 
-func (m *machine) maxRounds() int {
-	if m.cfg.MaxRounds > 0 {
-		return m.cfg.MaxRounds
-	}
-	return 1 << 20
-}
+// maxRounds bounds the outer loop: a run still pending after it is
+// reported as a non-monotone program.
+const maxRounds = 1 << 20
 
 // runAsync is the sliced asynchronous variant: slices are processed in
 // turn until globally quiescent. Within a slice, execution drains a
@@ -379,7 +374,7 @@ func (m *machine) runAsync() error {
 		work = work[:0]
 	}
 
-	for round := 0; round < m.maxRounds(); round++ {
+	for round := 0; round < maxRounds; round++ {
 		if err := m.ctx.Err(); err != nil {
 			return err
 		}

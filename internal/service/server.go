@@ -80,19 +80,19 @@ type Server struct {
 	statsMu        sync.Mutex
 	statsRoot      *stats.Group
 	started        time.Time
-	httpRequests   stats.Counter
-	httpErrors     stats.Counter
+	httpRequests   uint64
+	httpErrors     uint64
 	latencyUS      stats.Histogram
-	jobsSubmitted  stats.Counter
-	jobsCompleted  stats.Counter
-	jobsFailed     stats.Counter
-	jobsPartial    stats.Counter
-	jobsRejected   stats.Counter
-	cacheHits      stats.Counter
-	cacheMisses    stats.Counter
-	cacheEvictions stats.Counter
-	cacheInserts   stats.Counter
-	cacheSaved     stats.Scalar
+	jobsSubmitted  uint64
+	jobsCompleted  uint64
+	jobsFailed     uint64
+	jobsPartial    uint64
+	jobsRejected   uint64
+	cacheHits      uint64
+	cacheMisses    uint64
+	cacheEvictions uint64
+	cacheInserts   uint64
+	cacheSaved     float64
 }
 
 // NewServer assembles a server and starts its worker pool.
@@ -132,35 +132,35 @@ func (s *Server) registerStats() {
 		"uptime_seconds", stats.Seconds, "wall clock since the server started").Volatile()
 
 	h := root.Group("http")
-	h.Counter(&s.httpRequests, "requests", stats.Count, "HTTP requests served")
-	h.Counter(&s.httpErrors, "errors", stats.Count, "HTTP responses with status >= 400")
+	h.Uint64(&s.httpRequests, "requests", stats.Count, "HTTP requests served")
+	h.Uint64(&s.httpErrors, "errors", stats.Count, "HTTP responses with status >= 400")
 	h.Histogram(&s.latencyUS, "request_latency_us", "microseconds",
 		"request latency distribution (log2 buckets of microseconds)").Volatile()
 
 	j := root.Group("jobs")
-	j.Counter(&s.jobsSubmitted, "submitted", stats.Count, "jobs accepted for execution (cache hits excluded)")
-	j.Counter(&s.jobsCompleted, "completed", stats.Count, "jobs that produced a result (partial included)")
-	j.Counter(&s.jobsFailed, "failed", stats.Count, "jobs that produced no result")
-	j.Counter(&s.jobsPartial, "partial", stats.Count, "jobs whose result was salvaged from an early stop")
-	j.Counter(&s.jobsRejected, "rejected", stats.Count, "submissions refused by queue backpressure")
+	j.Uint64(&s.jobsSubmitted, "submitted", stats.Count, "jobs accepted for execution (cache hits excluded)")
+	j.Uint64(&s.jobsCompleted, "completed", stats.Count, "jobs that produced a result (partial included)")
+	j.Uint64(&s.jobsFailed, "failed", stats.Count, "jobs that produced no result")
+	j.Uint64(&s.jobsPartial, "partial", stats.Count, "jobs whose result was salvaged from an early stop")
+	j.Uint64(&s.jobsRejected, "rejected", stats.Count, "submissions refused by queue backpressure")
 	j.Formula(func() float64 { return float64(s.jobs.active()) },
 		"active", stats.Count, "jobs currently queued or running").Volatile()
 
 	c := root.Group("cache")
-	c.Counter(&s.cacheHits, "hits", stats.Count, "result-cache hits (request served without simulating)")
-	c.Counter(&s.cacheMisses, "misses", stats.Count, "result-cache misses")
-	c.Counter(&s.cacheEvictions, "evictions", stats.Count, "entries evicted by the cost-aware budget, new entries dropped at once included")
-	c.Counter(&s.cacheInserts, "insertions", stats.Count, "complete results inserted into the cache")
-	c.Scalar(&s.cacheSaved, "saved_seconds", stats.Seconds,
+	c.Uint64(&s.cacheHits, "hits", stats.Count, "result-cache hits (request served without simulating)")
+	c.Uint64(&s.cacheMisses, "misses", stats.Count, "result-cache misses")
+	c.Uint64(&s.cacheEvictions, "evictions", stats.Count, "entries evicted by the cost-aware budget, new entries dropped at once included")
+	c.Uint64(&s.cacheInserts, "insertions", stats.Count, "complete results inserted into the cache")
+	c.Float64(&s.cacheSaved, "saved_seconds", stats.Seconds,
 		"summed recorded run time of every hit: the simulation time the cache avoided").Volatile()
 	c.Formula(func() float64 { return float64(s.cache.Len()) },
 		"entries", stats.Entries, "resident cache entries")
 	c.Formula(func() float64 {
-		total := s.cacheHits.Value() + s.cacheMisses.Value()
+		total := s.cacheHits + s.cacheMisses
 		if total == 0 {
 			return 0
 		}
-		return float64(s.cacheHits.Value()) / float64(total)
+		return float64(s.cacheHits) / float64(total)
 	}, "hit_rate", stats.Ratio, "hits / (hits + misses)")
 
 	r := root.Group("registry")
@@ -186,22 +186,20 @@ func (s *Server) StatsDump() *stats.Dump {
 func (s *Server) observeRequest(elapsed time.Duration, status int) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	s.httpRequests.Inc()
+	s.httpRequests++
 	if status >= 400 {
-		s.httpErrors.Inc()
+		s.httpErrors++
 	}
 	s.latencyUS.Observe(uint64(elapsed.Microseconds()))
 }
 
-func (s *Server) count(c *stats.Counter) {
-	s.statsMu.Lock()
-	c.Inc()
-	s.statsMu.Unlock()
+func (s *Server) count(c *uint64) {
+	s.countN(c, 1)
 }
 
-func (s *Server) countN(c *stats.Counter, n uint64) {
+func (s *Server) countN(c *uint64, n uint64) {
 	s.statsMu.Lock()
-	c.Add(n)
+	*c += n
 	s.statsMu.Unlock()
 }
 
@@ -237,8 +235,8 @@ func (s *Server) submit(req *JobRequest) (*job, *httpError) {
 	if !req.NoCache {
 		if cached, cost, ok := s.cache.Get(key); ok {
 			s.statsMu.Lock()
-			s.cacheHits.Inc()
-			s.cacheSaved.Add(cost.Seconds())
+			s.cacheHits++
+			s.cacheSaved += cost.Seconds()
 			s.statsMu.Unlock()
 			entry.Release()
 			j.state = JobDone

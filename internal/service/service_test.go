@@ -577,7 +577,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"root at the vertex count", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "root": 200}, http.StatusBadRequest},
 		{"root past the vertex count", map[string]any{"engine": "ligra", "workload": "sssp", "graph": "g", "root": 1000000}, http.StatusBadRequest},
 		{"negative timeout_ms", map[string]any{"engine": "nova", "workload": "bfs", "graph": "g", "timeout_ms": -1}, http.StatusBadRequest},
-		// Unknown keys inside a block, including the Go-only json:"-" fields.
+		// Unknown keys inside a block, including the Go-only json:"-" fields
+		// and the removed max_rounds.
 		{"unknown nova field", job("nova", map[string]any{"bogus": 1}), http.StatusBadRequest},
 		{"nova observer", job("nova", map[string]any{"observer": nil}), http.StatusBadRequest},
 		{"nova stall_timeout", job("nova", map[string]any{"stall_timeout": 1}), http.StatusBadRequest},

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// ticker is the pre-allocated recurring-event pattern every converted
-// component uses: one Handler struct, one Event, Reschedule per cycle.
+// ticker is the pre-allocated recurring-event pattern a component uses:
+// one Handler struct, one Event, re-armed with ScheduleEvent per cycle.
 type ticker struct {
 	e    *Engine
 	ev   *Event
@@ -18,7 +18,7 @@ type ticker struct {
 func (t *ticker) Fire() {
 	t.left--
 	if t.left > 0 {
-		t.e.Reschedule(t.ev, t.e.Now()+1)
+		t.e.ScheduleEvent(t.ev, 1)
 	}
 }
 
@@ -67,25 +67,16 @@ var kernelCases = []struct {
 			runQuiet(tb, e)
 		}
 	}},
-	// ScheduleDeschedule is timer churn (MGU/prefetch usage).
+	// ScheduleDeschedule is timer churn: a component event armed and
+	// cancelled, as a coalescing buffer's flush timer is when the buffer
+	// fills first.
 	{"ScheduleDeschedule", func(tb testing.TB) func(int) {
 		e := NewEngine()
-		h := HandlerFunc(func() {})
-		return func(n int) {
-			for i := 0; i < n; i++ {
-				e.Deschedule(e.Schedule(1000, h))
-			}
-		}
-	}},
-	// ReschedulePending moves an armed timer, the cheapest state-machine
-	// operation (deadline extension).
-	{"ReschedulePending", func(tb testing.TB) func(int) {
-		e := NewEngine()
 		ev := NewEvent(HandlerFunc(func() {}))
-		e.ScheduleEvent(ev, 1000)
 		return func(n int) {
 			for i := 0; i < n; i++ {
-				e.Reschedule(ev, 1000+Ticks(i&1))
+				e.ScheduleEvent(ev, 1000)
+				e.Deschedule(ev)
 			}
 		}
 	}},
@@ -109,7 +100,7 @@ var kernelCases = []struct {
 	{"DeepQueue", func(tb testing.TB) func(int) {
 		d := newDeepQueue(tb)
 		return func(n int) {
-			if err := d.e.Run(0, d.e.Executed()+uint64(n)); !errors.Is(err, ErrMaxEvents) {
+			if err := d.e.RunUntilQuiet(d.e.Executed() + uint64(n)); !errors.Is(err, ErrMaxEvents) {
 				tb.Fatal(err)
 			}
 		}
@@ -185,7 +176,7 @@ func newDeepQueue(tb testing.TB) *deepQueue {
 		d.Fire()
 	}
 	// One pass through the population fills the event pool.
-	if err := d.e.Run(0, deepPending); !errors.Is(err, ErrMaxEvents) {
+	if err := d.e.RunUntilQuiet(deepPending); !errors.Is(err, ErrMaxEvents) {
 		tb.Fatal(err)
 	}
 	return d
@@ -266,7 +257,7 @@ func TestClusterAllocs(t *testing.T) {
 // Engine.Run fires, in the same order, and opens no window and times no
 // barrier.
 func TestClusterSingleEngineFastPath(t *testing.T) {
-	bare := tracedRun(t, func(e *Engine) error { return e.Run(0, 0) })
+	bare := tracedRun(t, func(e *Engine) error { return e.RunUntilQuiet(0) })
 	clustered := tracedRun(t, func(e *Engine) error {
 		c, err := NewCluster([]*Engine{e}, 120, 1)
 		if err != nil {

@@ -123,9 +123,6 @@ func (c *Cluster) checkInterrupt() error {
 	return c.intr.Err()
 }
 
-// Lookahead returns the cluster's conservative lookahead in ticks.
-func (c *Cluster) Lookahead() Ticks { return c.lookahead }
-
 // Workers returns the effective worker-goroutine count.
 func (c *Cluster) Workers() int { return c.workers }
 
@@ -175,7 +172,7 @@ func (c *Cluster) Run(budget uint64, exchange ExchangeFunc) error {
 			if err := c.checkInterrupt(); err != nil {
 				return err
 			}
-			if err := e.Run(0, budget); err != nil {
+			if err := e.Run(MaxTicks, budget); err != nil {
 				return err
 			}
 			n, err := exchange()

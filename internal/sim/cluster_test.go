@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,8 @@ type mailbox struct {
 	// pending[src] holds (when, dst) pairs buffered during the window.
 	pending [][]mbMsg
 	fired   []int
+	// firedAt[dst] is the tick of dst's latest delivery.
+	firedAt []Ticks
 }
 
 type mbMsg struct {
@@ -55,7 +58,8 @@ type mbMsg struct {
 }
 
 func newMailbox(engines []*Engine) *mailbox {
-	return &mailbox{engines: engines, pending: make([][]mbMsg, len(engines)), fired: make([]int, len(engines))}
+	return &mailbox{engines: engines, pending: make([][]mbMsg, len(engines)),
+		fired: make([]int, len(engines)), firedAt: make([]Ticks, len(engines))}
 }
 
 func (m *mailbox) send(src int, msg mbMsg) { m.pending[src] = append(m.pending[src], msg) }
@@ -66,10 +70,13 @@ func (m *mailbox) exchange() (int, error) {
 		for _, msg := range m.pending[src] {
 			e := m.engines[msg.dst]
 			if msg.when < e.Now() {
-				return n, errors.New("mailbox: delivery in destination past")
+				return n, fmt.Errorf("mailbox: delivery in destination past (shard %d now=%d)", msg.dst, e.Now())
 			}
 			dst := msg.dst
-			e.ScheduleAt(msg.when, HandlerFunc(func() { m.fired[dst]++ }))
+			e.ScheduleAt(msg.when, HandlerFunc(func() {
+				m.fired[dst]++
+				m.firedAt[dst] = e.Now()
+			}))
 			n++
 		}
 		m.pending[src] = m.pending[src][:0]
@@ -78,44 +85,47 @@ func (m *mailbox) exchange() (int, error) {
 }
 
 // TestBarrierTickEvent schedules a cross-shard message landing exactly on
-// the first tick after the window [0, lookahead-1] — the barrier tick. It
-// must fire exactly once, at its own tick, in the following window.
+// the first tick after the window [0, lookahead-1] — the barrier tick —
+// while the destination shard holds work past it. The message must fire
+// exactly once, at its own tick, in the following window; the destination
+// must not run past the barrier first. With a lookahead of 1 the first
+// window's horizon is tick 0.
 func TestBarrierTickEvent(t *testing.T) {
-	const lookahead = Ticks(10)
-	engines := []*Engine{NewEngine(), NewEngine()}
-	mb := newMailbox(engines)
-	var firedAt Ticks
-	engines[0].ScheduleAt(0, HandlerFunc(func() {
-		// Send from tick 0 with exactly the minimum latency: arrival at
-		// tick 10 is the first tick outside the current window.
-		mb.send(0, mbMsg{when: lookahead, dst: 1})
-	}))
-	c, err := NewCluster(engines, lookahead, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	count := 0
-	exchange := func() (int, error) {
-		n, err := mb.exchange()
-		if n > 0 {
-			// Wrap the mailbox's handler effect: record the delivery tick.
-			count += n
-		}
-		return n, err
-	}
-	if err := c.Run(0, exchange); err != nil {
-		t.Fatal(err)
-	}
-	firedAt = engines[1].Now()
-	if mb.fired[1] != 1 {
-		t.Fatalf("barrier-tick event fired %d times, want exactly 1", mb.fired[1])
-	}
-	if firedAt != lookahead {
-		t.Errorf("barrier-tick event fired at %d, want %d", firedAt, lookahead)
-	}
-	if count != 1 {
-		t.Errorf("exchange delivered %d messages, want 1", count)
+	for _, lookahead := range []Ticks{1, 10} {
+		t.Run(fmt.Sprintf("lookahead=%d", lookahead), func(t *testing.T) {
+			engines := []*Engine{NewEngine(), NewEngine()}
+			mb := newMailbox(engines)
+			engines[0].ScheduleAt(0, HandlerFunc(func() {
+				// Send from tick 0 with exactly the minimum latency:
+				// arrival at tick lookahead is the first tick outside
+				// the current window.
+				mb.send(0, mbMsg{when: lookahead, dst: 1})
+			}))
+			engines[1].ScheduleAt(lookahead+4, HandlerFunc(func() {}))
+			c, err := NewCluster(engines, lookahead, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			count := 0
+			exchange := func() (int, error) {
+				n, err := mb.exchange()
+				count += n
+				return n, err
+			}
+			if err := c.Run(0, exchange); err != nil {
+				t.Fatal(err)
+			}
+			if mb.fired[1] != 1 {
+				t.Fatalf("barrier-tick event fired %d times, want exactly 1", mb.fired[1])
+			}
+			if mb.firedAt[1] != lookahead {
+				t.Errorf("barrier-tick event fired at %d, want %d", mb.firedAt[1], lookahead)
+			}
+			if count != 1 {
+				t.Errorf("exchange delivered %d messages, want 1", count)
+			}
+		})
 	}
 }
 

@@ -58,7 +58,7 @@ func TestEnginePollStopsRun(t *testing.T) {
 		e.Schedule(1, HandlerFunc(step))
 	}
 	e.Schedule(0, HandlerFunc(step))
-	err := e.Run(0, 0)
+	err := e.RunUntilQuiet(0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
@@ -84,7 +84,7 @@ func TestEnginePollDoesNotChangeResults(t *testing.T) {
 			}
 		}
 		e.Schedule(0, HandlerFunc(step))
-		if err := e.Run(0, 0); err != nil {
+		if err := e.RunUntilQuiet(0); err != nil {
 			t.Fatal(err)
 		}
 		return e.Now(), e.Executed()

@@ -11,14 +11,14 @@ import (
 // correct queue passes it whatever its tiers.
 const refSpan = 2048
 
-// refEvent is one event as the reference model sees it.
+// refEvent is one event as the reference model sees it: a one-shot, or a
+// component event with its handle ev.
 type refEvent struct {
 	id      int
 	ev      *Event
 	when    Ticks
 	seq     uint64
 	pending bool
-	pooled  bool
 	q       *queueModel
 }
 
@@ -39,9 +39,6 @@ func (r *refEvent) Fire() {
 		return
 	}
 	q.unpend(r)
-	if r.pooled {
-		r.ev = nil // recycled once Fire returns
-	}
 	q.fired++
 	for n := q.rng.Intn(3); n > 0; n-- {
 		q.op(true)
@@ -50,7 +47,8 @@ func (r *refEvent) Fire() {
 
 // queueModel mirrors an Engine's pending queue as a flat list ordered by
 // (when, seq) — the order the engine must pop in — and drives random
-// schedule, reschedule and deschedule traffic at both.
+// one-shot schedules and component-event schedule, move and deschedule
+// traffic at both.
 type queueModel struct {
 	t       *testing.T
 	e       *Engine
@@ -67,8 +65,8 @@ type queueModel struct {
 // coverage counts, across all seeds, the cases the test exists for; each
 // must occur.
 type coverage struct {
-	fired, ties, far, inRun, reschedPending, reschedMidBucket, reschedFired int
-	deschedMidBucket, deschedFar                                            int
+	fired, ties, far, inRun, moves, deschedMidBucket, deschedFar int
+	horizonRuns, budgetRuns                                      int
 }
 
 func (q *queueModel) failf(format string, args ...any) {
@@ -86,16 +84,13 @@ func (q *queueModel) min() *refEvent {
 	return m
 }
 
-func (q *queueModel) pend(r *refEvent, when Ticks, newRank bool) {
-	if newRank {
-		r.seq = q.seq
-		q.seq++
-	}
+// pend ranks r as the newest insertion at when, as every schedule does.
+func (q *queueModel) pend(r *refEvent, when Ticks) {
+	r.seq = q.seq
+	q.seq++
 	r.when = when
-	if !r.pending {
-		r.pending = true
-		q.pending = append(q.pending, r)
-	}
+	r.pending = true
+	q.pending = append(q.pending, r)
 }
 
 func (q *queueModel) unpend(r *refEvent) {
@@ -140,6 +135,17 @@ func (q *queueModel) midBucket(r *refEvent) bool {
 	return lo && hi
 }
 
+// tie returns the tick of a random pending event that is not in the past,
+// or when if it draws none.
+func (q *queueModel) tie(when Ticks) Ticks {
+	if len(q.pending) > 0 {
+		if o := q.pending[q.rng.Intn(len(q.pending))]; o.when >= q.e.Now() {
+			return o.when
+		}
+	}
+	return when
+}
+
 // op applies one random queue operation to both the engine and the model.
 func (q *queueModel) op(inRun bool) {
 	if inRun {
@@ -151,45 +157,36 @@ func (q *queueModel) op(inRun bool) {
 		k = 0
 	}
 	switch {
-	case k < 4: // fresh one-shot
+	case k < 5: // fresh one-shot
 		r := q.oneShot()
 		when := now + q.delay()
-		if q.rng.Intn(4) == 0 && len(q.pending) > 0 {
-			// Tie with an existing event that is not in the past.
-			if o := q.pending[q.rng.Intn(len(q.pending))]; o.when >= now {
-				when = o.when
-			}
+		if q.rng.Intn(4) == 0 {
+			when = q.tie(when)
 		}
 		q.count(r, when)
-		r.ev = q.e.ScheduleAt(when, r)
-		q.pend(r, when, true)
-	case k < 6: // component event: schedule, revive (new rank) or move (kept rank)
+		q.e.ScheduleAt(when, r)
+		q.pend(r, when)
+	case k < 8: // component event: arm an idle one, or move a pending one
 		r := q.comps[q.rng.Intn(len(q.comps))]
 		when := now + q.delay()
-		switch {
-		case r.pending:
-			q.reschedule(r, when)
-		case q.rng.Intn(2) == 0:
-			q.cov.reschedFired++
-			q.e.Reschedule(r.ev, when)
-			q.pend(r, when, true)
-		default:
-			q.e.ScheduleEventAt(r.ev, when)
-			q.pend(r, when, true)
-		}
-	case k < 8: // move a pending event, keeping its rank
-		r := q.pending[q.rng.Intn(len(q.pending))]
-		when := now + q.delay()
 		if q.rng.Intn(2) == 0 {
-			// Land on another event's tick, so the move inserts by rank
-			// into a bucket that already has events.
-			if o := q.pending[q.rng.Intn(len(q.pending))]; o.when >= now {
-				when = o.when
-			}
+			// Land on another event's tick, so the insert appends to a
+			// bucket that already has events.
+			when = q.tie(when)
 		}
-		q.reschedule(r, when)
-	default: // cancel a pending event
-		r := q.pending[q.rng.Intn(len(q.pending))]
+		if r.pending {
+			q.cov.moves++
+			q.e.Deschedule(r.ev)
+			q.unpend(r)
+		}
+		q.count(r, when)
+		q.e.ScheduleEventAt(r.ev, when)
+		q.pend(r, when)
+	default: // cancel a pending component event
+		r := q.comps[q.rng.Intn(len(q.comps))]
+		if !r.pending {
+			return
+		}
 		if q.midBucket(r) {
 			q.cov.deschedMidBucket++
 		}
@@ -201,9 +198,6 @@ func (q *queueModel) op(inRun bool) {
 		q.unpend(r)
 		if r.ev.Scheduled() {
 			q.failf("event %d still scheduled after Deschedule", r.id)
-		}
-		if r.pooled {
-			r.ev = nil
 		}
 	}
 }
@@ -220,20 +214,9 @@ func (q *queueModel) count(r *refEvent, when Ticks) {
 	}
 }
 
-func (q *queueModel) reschedule(r *refEvent, when Ticks) {
-	q.cov.reschedPending++
-	r.when = when
-	if q.midBucket(r) {
-		q.cov.reschedMidBucket++
-	}
-	q.count(r, when)
-	q.e.Reschedule(r.ev, when)
-	q.pend(r, when, false)
-}
-
 func (q *queueModel) oneShot() *refEvent {
 	q.nextID++
-	return &refEvent{id: q.nextID, pooled: true, q: q}
+	return &refEvent{id: q.nextID, q: q}
 }
 
 // check compares the engine's observable queue state with the model's.
@@ -253,11 +236,11 @@ func (q *queueModel) check(where string) {
 
 // TestQueueOrderMatchesReference drives the engine and a reference
 // (when, seq) model with the same random traffic — same-tick ties, delays
-// past the wheel span, Reschedule of pending events (kept rank) and of
-// fired ones (new rank), Deschedule mid-bucket and from the far tier,
-// handlers that schedule while Run executes, horizon- and budget-bounded
-// Runs, and Reset with both tiers populated — and requires every event to
-// fire exactly when and in the order the model says.
+// past the wheel span, component events moved with Deschedule and
+// ScheduleEventAt or descheduled mid-bucket and from the far tier,
+// handlers that schedule while Run executes, and horizon- and
+// budget-bounded Runs — and requires every event to fire exactly when and
+// in the order the model says.
 func TestQueueOrderMatchesReference(t *testing.T) {
 	cov := &coverage{}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -272,14 +255,10 @@ func TestQueueOrderMatchesReference(t *testing.T) {
 			for n := q.rng.Intn(12); n > 0; n-- {
 				q.op(false)
 			}
-			if round == rounds/2 {
-				q.reset()
-				continue
-			}
 			q.run()
 			q.check("after Run")
 		}
-		if err := q.e.Run(0, 0); err != nil {
+		if err := q.e.RunUntilQuiet(0); err != nil {
 			t.Fatal(err)
 		}
 		q.check("after drain")
@@ -293,9 +272,9 @@ func TestQueueOrderMatchesReference(t *testing.T) {
 	}
 	for name, n := range map[string]int{
 		"fired": cov.fired, "same-tick ties": cov.ties, "past-span schedules": cov.far,
-		"ops inside Run": cov.inRun, "pending reschedules": cov.reschedPending,
-		"mid-bucket reschedules": cov.reschedMidBucket, "fired reschedules": cov.reschedFired,
+		"ops inside Run": cov.inRun, "component moves": cov.moves,
 		"mid-bucket deschedules": cov.deschedMidBucket, "far deschedules": cov.deschedFar,
+		"horizon-bounded runs": cov.horizonRuns, "budget-bounded runs": cov.budgetRuns,
 	} {
 		if n == 0 {
 			t.Errorf("no %s exercised", name)
@@ -311,9 +290,10 @@ func (q *queueModel) run() {
 	if q.rng.Intn(4) == 0 {
 		k := uint64(1 + q.rng.Intn(40))
 		start := q.fired
-		err := q.e.Run(0, q.e.Executed()+k)
+		err := q.e.RunUntilQuiet(q.e.Executed() + k)
 		switch {
 		case q.fired-start == int(k):
+			q.cov.budgetRuns++
 			if !errors.Is(err, ErrMaxEvents) {
 				q.failf("budget Run of %d events returned %v", k, err)
 			}
@@ -328,6 +308,7 @@ func (q *queueModel) run() {
 		return
 	}
 	if m := q.min(); m != nil {
+		q.cov.horizonRuns++
 		if m.when <= horizon {
 			q.failf("Run(%d) returned with event %d due at %d", horizon, m.id, m.when)
 		}
@@ -335,34 +316,4 @@ func (q *queueModel) run() {
 			q.failf("Run(%d) left now=%d, want the horizon", horizon, q.e.Now())
 		}
 	}
-}
-
-// reset calls Reset with events in both tiers and checks the engine is
-// empty and reusable.
-func (q *queueModel) reset() {
-	now := q.e.Now()
-	for _, d := range []Ticks{1, 3 * refSpan} {
-		r := q.oneShot()
-		r.ev = q.e.Schedule(d, r)
-		q.pend(r, now+d, true)
-	}
-	if c := q.comps[0]; !c.pending {
-		q.e.ScheduleEvent(c.ev, 2)
-		q.pend(c, now+2, true)
-	}
-	q.e.Reset()
-	for _, r := range q.pending {
-		r.pending = false
-		if r.ev.Scheduled() {
-			q.failf("event %d still scheduled after Reset", r.id)
-		}
-		if r.pooled {
-			r.ev = nil
-		}
-	}
-	q.pending = q.pending[:0]
-	if q.e.Now() != 0 || q.e.Executed() != 0 {
-		q.failf("Reset left now=%d executed=%d", q.e.Now(), q.e.Executed())
-	}
-	q.check("after Reset")
 }

@@ -20,20 +20,22 @@
 //
 // Every event carries (when, seq), with seq assigned at schedule time, and
 // pop order is exactly ascending (when, seq) — the order of a single heap.
-// A bucket stays sorted by seq because every way into it preserves that:
-// a fresh schedule takes the largest seq so far and appends; a move from
-// the far tier pops in (when, seq) order into buckets that have only just
-// come into range, and were therefore empty; and a Reschedule of a pending
-// event keeps its seq and is inserted at its rank.
+// A bucket stays sorted by seq because every insert appends: a schedule
+// takes the largest seq so far, and a move from the far tier pops in
+// (when, seq) order into buckets that have only just come into range, and
+// were therefore empty.
 //
-// The kernel is built to be allocation-free on its hot path:
+// The kernel is built to be allocation-free on its hot path, and it hands
+// callers only the events they own:
 //
 //   - Callbacks are a one-method Handler interface instead of func(), so a
 //     component can implement Fire on a long-lived state-machine struct and
-//     reuse one pre-allocated Event (NewEvent + Reschedule) forever.
+//     re-arm one pre-allocated Event (NewEvent + ScheduleEvent) forever. A
+//     component event is the only handle a caller holds; it moves one with
+//     Deschedule and ScheduleEventAt.
 //   - One-shot Schedule/ScheduleAt calls draw their Event from a free list
-//     on the Engine and return it there after firing, so steady-state
-//     scheduling does not touch the garbage collector at all.
+//     private to the Engine and return it there after firing, so
+//     steady-state scheduling does not touch the garbage collector at all.
 package sim
 
 import (
@@ -64,15 +66,6 @@ type HandlerFunc func()
 // Fire implements Handler.
 func (f HandlerFunc) Fire() { f() }
 
-const (
-	// eventPooled marks events owned by the engine's free list; they are
-	// recycled after firing.
-	eventPooled uint8 = 1 << iota
-	// eventFree marks a pooled event currently sitting in the free list.
-	// Scheduling one is always a use-after-recycle bug.
-	eventFree
-)
-
 // Event.index values other than a far-tier heap position.
 const (
 	unqueued int32 = -1
@@ -80,9 +73,9 @@ const (
 )
 
 // Event is a scheduled callback. Component-owned events come from NewEvent
-// and may be scheduled, descheduled, and rescheduled indefinitely; events
-// returned by the engine's one-shot Schedule calls belong to the engine's
-// pool and must not be retained after they fire.
+// and may be scheduled and descheduled indefinitely. The engine's one-shot
+// Schedule calls draw pooled events that never leave the engine: they are
+// recycled once they fire.
 type Event struct {
 	h    Handler
 	when Ticks
@@ -93,7 +86,8 @@ type Event struct {
 	// index is the event's far-tier heap position, inWheel while it sits
 	// in a wheel bucket, or unqueued.
 	index int32
-	flags uint8
+	// pooled marks events owned by the engine's free list.
+	pooled bool
 }
 
 // NewEvent returns an unscheduled, component-owned event bound to h.
@@ -143,8 +137,6 @@ type Engine struct {
 
 	free     *Event
 	executed uint64
-	// stopErr, when set, aborts Run.
-	stopErr error
 	// intr, when attached, is polled every pollEvery executed events so
 	// external cancellation (context, watchdog, signal) can stop the loop
 	// without the hot path paying for an atomic load per event.
@@ -181,43 +173,6 @@ func (e *Engine) NextWhen() (Ticks, bool) {
 	return 0, false
 }
 
-// Reset returns the engine to tick zero with an empty queue, keeping the
-// queue capacity and the event pool so harness jobs can reuse one engine
-// across sweep cells without reallocating.
-func (e *Engine) Reset() {
-	for s := range e.buckets {
-		for ev := e.buckets[s].head; ev != nil; {
-			next := ev.next
-			e.drop(ev)
-			ev = next
-		}
-	}
-	e.buckets = [wheelSpan]bucket{}
-	e.occ = [wheelWords]uint64{}
-	e.occWords = 0
-	e.wheelLen = 0
-	for i, ev := range e.heap {
-		e.drop(ev)
-		e.heap[i] = nil
-	}
-	e.heap = e.heap[:0]
-	e.base = 0
-	e.now = 0
-	e.seq = 0
-	e.executed = 0
-	e.stopErr = nil
-	e.sincePoll = 0
-}
-
-// drop unqueues an event Reset discards, recycling pooled ones.
-func (e *Engine) drop(ev *Event) {
-	ev.index = unqueued
-	ev.next = nil
-	if ev.flags&eventPooled != 0 {
-		e.release(ev)
-	}
-}
-
 // SetInterrupt attaches a cooperative-stop interrupt polled once per
 // pollEvery executed events (0 selects DefaultPollEvents). Each poll
 // pulses the interrupt (feeding any watchdog) and, if it has tripped,
@@ -237,34 +192,30 @@ func (e *Engine) SetInterrupt(i *Interrupt, pollEvery uint64) {
 func (e *Engine) acquire() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{index: unqueued, flags: eventPooled}
+		return &Event{index: unqueued, pooled: true}
 	}
 	e.free = ev.next
-	ev.next = nil
-	ev.flags = eventPooled
 	return ev
 }
 
 func (e *Engine) release(ev *Event) {
 	ev.h = nil
-	ev.flags = eventPooled | eventFree
 	ev.next = e.free
 	e.free = ev
 }
 
 // --- scheduling ---------------------------------------------------------
 
-// Schedule enqueues a one-shot firing of h delay ticks from now. The
-// returned event comes from the engine's pool: it may be descheduled while
-// pending, but must not be retained after it fires — use NewEvent for
-// events that are reused.
-func (e *Engine) Schedule(delay Ticks, h Handler) *Event {
-	return e.ScheduleAt(e.now+delay, h)
+// Schedule enqueues a one-shot firing of h delay ticks from now, on an
+// event from the engine's pool. A firing that may need to be cancelled or
+// moved uses a component event (NewEvent) instead.
+func (e *Engine) Schedule(delay Ticks, h Handler) {
+	e.ScheduleAt(e.now+delay, h)
 }
 
 // ScheduleAt is Schedule at an absolute tick. Scheduling in the past
 // panics: it is always a component bug.
-func (e *Engine) ScheduleAt(when Ticks, h Handler) *Event {
+func (e *Engine) ScheduleAt(when Ticks, h Handler) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, e.now))
 	}
@@ -274,7 +225,6 @@ func (e *Engine) ScheduleAt(when Ticks, h Handler) *Event {
 	ev := e.acquire()
 	ev.h = h
 	e.push(ev, when)
-	return ev
 }
 
 // ScheduleEvent enqueues a component-owned event delay ticks from now.
@@ -283,7 +233,8 @@ func (e *Engine) ScheduleEvent(ev *Event, delay Ticks) {
 }
 
 // ScheduleEventAt enqueues a component-owned event at an absolute tick.
-// The event must not already be scheduled (use Reschedule to move one).
+// The event must not already be scheduled: to move one, Deschedule it
+// first, and it is ranked as a fresh insertion.
 func (e *Engine) ScheduleEventAt(ev *Event, when Ticks) {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, e.now))
@@ -291,62 +242,26 @@ func (e *Engine) ScheduleEventAt(ev *Event, when Ticks) {
 	if ev.Scheduled() {
 		panic("sim: ScheduleEventAt on an already-scheduled event")
 	}
-	if ev.flags&eventFree != 0 {
-		panic("sim: schedule of a recycled pooled event")
-	}
-	if ev.h == nil {
-		panic("sim: schedule event with nil handler")
-	}
 	e.push(ev, when)
 }
 
-// Deschedule removes a pending event. Descheduling an unscheduled event is
-// a no-op so callers can cancel idempotently.
+// Deschedule removes a pending component event. Descheduling an
+// unscheduled event is a no-op so callers can cancel idempotently.
 func (e *Engine) Deschedule(ev *Event) {
-	if !ev.Scheduled() {
-		return
-	}
-	e.remove(ev)
-	// A canceled one-shot goes straight back to the pool; reviving it
-	// afterwards is a use-after-recycle bug the eventFree guard catches.
-	if ev.flags&eventPooled != 0 {
-		e.release(ev)
-	}
-}
-
-// Reschedule moves a pending event (or revives a fired one) to a new
-// absolute time. A still-pending event keeps its insertion rank; a revived
-// one is ranked as a fresh insertion, exactly like the pre-pool kernel.
-func (e *Engine) Reschedule(ev *Event, when Ticks) {
-	if when < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %d before now %d", when, e.now))
-	}
-	if ev.flags&eventFree != 0 {
-		panic("sim: reschedule of a recycled pooled event")
-	}
 	if ev.Scheduled() {
 		e.remove(ev)
-		ev.when = when
-		e.insert(ev)
-		return
 	}
-	e.push(ev, when)
 }
 
 // --- two-tier queue -----------------------------------------------------
 
-// push ranks ev as the newest insertion and queues it at when.
+// push ranks ev as the newest insertion and queues it at when in whichever
+// tier covers when. when >= now >= base, so the subtraction cannot wrap.
 func (e *Engine) push(ev *Event, when Ticks) {
 	ev.when = when
 	ev.seq = e.seq
 	e.seq++
-	e.insert(ev)
-}
-
-// insert queues ev by its (when, seq) in whichever tier covers when.
-// when >= now >= base, so the subtraction cannot wrap.
-func (e *Engine) insert(ev *Event) {
-	if ev.when-e.base < wheelSpan {
+	if when-e.base < wheelSpan {
 		e.wheelInsert(ev)
 		return
 	}
@@ -409,32 +324,23 @@ func (e *Engine) firstSlot() int {
 	return w<<6 + bits.TrailingZeros64(e.occ[w])
 }
 
-// wheelInsert adds ev to its tick's bucket at its seq rank. Pushes and
-// moves from the far tier always carry the bucket's largest seq and
-// append; only a Reschedule of a pending event can land mid-bucket.
+// wheelInsert appends ev to its tick's bucket. Pushes and moves from the
+// far tier always carry the bucket's largest seq, so the bucket stays in
+// seq order.
 func (e *Engine) wheelInsert(ev *Event) {
 	s := int(ev.when & wheelMask)
 	b := &e.buckets[s]
 	ev.index = inWheel
+	ev.next = nil
 	e.wheelLen++
-	switch {
-	case b.head == nil:
-		ev.next = nil
-		b.head, b.tail = ev, ev
+	if b.head == nil {
+		b.head = ev
 		e.occ[s>>6] |= 1 << (s & 63)
 		e.occWords |= 1 << (s >> 6)
-	case b.tail.seq < ev.seq:
-		ev.next = nil
+	} else {
 		b.tail.next = ev
-		b.tail = ev
-	default:
-		p := &b.head
-		for (*p).seq < ev.seq {
-			p = &(*p).next
-		}
-		ev.next = *p
-		*p = ev
 	}
+	b.tail = ev
 }
 
 // wheelRemove unlinks ev from its bucket: O(1) for the head, which is
@@ -542,29 +448,16 @@ func (e *Engine) siftDown(i int) {
 
 // --- run loop -----------------------------------------------------------
 
-// Stop aborts a Run in progress after the current event returns. The error
-// is reported by Run; a nil err stops cleanly.
-func (e *Engine) Stop(err error) {
-	if err == nil {
-		err = errStopped
-	}
-	e.stopErr = err
-}
-
-var errStopped = errors.New("sim: stopped")
-
 // ErrMaxEvents is reported by Run when the event budget is exhausted.
 var ErrMaxEvents = errors.New("sim: event budget exhausted")
 
-// Run executes events until the queue is empty (global quiescence), the
-// horizon is passed, the event budget is exhausted, or Stop is called.
-// horizon and maxEvents of 0 mean unlimited. It returns the reason the run
-// ended: nil for quiescence or horizon, ErrMaxEvents for budget exhaustion,
-// or the Stop error.
+// Run executes the events due at or before horizon until the queue is
+// empty (global quiescence), the next event is past the horizon, the event
+// budget is exhausted, or the attached interrupt trips. A horizon of
+// MaxTicks is no horizon, and a maxEvents of 0 is no budget. It returns the
+// reason the run ended: nil for quiescence or horizon, ErrMaxEvents for
+// budget exhaustion, or the interrupt's cause.
 func (e *Engine) Run(horizon Ticks, maxEvents uint64) error {
-	if horizon == 0 {
-		horizon = MaxTicks
-	}
 	for {
 		next := e.peek()
 		if next == nil {
@@ -580,19 +473,10 @@ func (e *Engine) Run(horizon Ticks, maxEvents uint64) error {
 		}
 		e.now = next.when
 		next.h.Fire()
-		// Pooled one-shots recycle unless the handler re-armed them.
-		if next.flags&eventPooled != 0 && next.index == unqueued {
+		if next.pooled {
 			e.release(next)
 		}
 		e.executed++
-		if e.stopErr != nil {
-			err := e.stopErr
-			e.stopErr = nil
-			if errors.Is(err, errStopped) {
-				return nil
-			}
-			return err
-		}
 		if maxEvents > 0 && e.executed >= maxEvents {
 			return ErrMaxEvents
 		}
@@ -611,7 +495,7 @@ func (e *Engine) Run(horizon Ticks, maxEvents uint64) error {
 
 // RunUntilQuiet is Run with no horizon and the given event budget.
 func (e *Engine) RunUntilQuiet(maxEvents uint64) error {
-	return e.Run(0, maxEvents)
+	return e.Run(MaxTicks, maxEvents)
 }
 
 // Clock converts between ticks and wall-clock seconds at a fixed frequency.
@@ -622,35 +506,3 @@ type Clock struct {
 
 // Seconds converts a tick count to seconds.
 func (c Clock) Seconds(t Ticks) float64 { return float64(t) / c.HZ }
-
-// TicksFor returns the number of whole ticks needed to transfer the given
-// number of bytes at bytesPerSec, rounding up and never returning zero for
-// a nonzero transfer. Integral rates (every preset in the repo) take an
-// exact 128-bit ceil((bytes*HZ)/bps) path, so multi-terabyte transfers do
-// not lose ticks to float64 rounding; fractional rates fall back to the
-// float path.
-func (c Clock) TicksFor(bytes int, bytesPerSec float64) Ticks {
-	if bytes <= 0 {
-		return 0
-	}
-	hz := uint64(c.HZ)
-	bps := uint64(bytesPerSec)
-	if bps > 0 && float64(hz) == c.HZ && float64(bps) == bytesPerSec {
-		hi, lo := bits.Mul64(uint64(bytes), hz)
-		lo, carry := bits.Add64(lo, bps-1, 0)
-		hi += carry
-		if hi >= bps {
-			return MaxTicks
-		}
-		t, _ := bits.Div64(hi, lo, bps)
-		if t == 0 {
-			t = 1
-		}
-		return Ticks(t)
-	}
-	t := Ticks(math.Ceil(float64(bytes) / bytesPerSec * c.HZ))
-	if t == 0 {
-		t = 1
-	}
-	return t
-}

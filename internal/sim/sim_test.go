@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -84,7 +83,8 @@ func TestEventsFireInNondecreasingTime(t *testing.T) {
 func TestDeschedule(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(10, HandlerFunc(func() { fired = true }))
+	ev := NewEvent(HandlerFunc(func() { fired = true }))
+	e.ScheduleEvent(ev, 10)
 	e.Deschedule(ev)
 	e.Deschedule(ev) // idempotent
 	if err := e.RunUntilQuiet(0); err != nil {
@@ -111,15 +111,16 @@ func TestRescheduleComponentEvent(t *testing.T) {
 	c := &counter{e: e}
 	ev := NewEvent(c)
 	e.ScheduleEvent(ev, 10)
-	e.Reschedule(ev, 25) // move while pending
+	e.Deschedule(ev) // move while pending
+	e.ScheduleEventAt(ev, 25)
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.at) != 1 || c.at[0] != 25 {
 		t.Fatalf("fired at %v, want [25]", c.at)
 	}
-	// Revive the fired event — the pre-allocated reuse pattern.
-	e.Reschedule(ev, 40)
+	// Re-arm the fired event — the pre-allocated reuse pattern.
+	e.ScheduleEventAt(ev, 40)
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
@@ -130,60 +131,19 @@ func TestRescheduleComponentEvent(t *testing.T) {
 
 func TestPooledEventRecycled(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(1, HandlerFunc(func() {}))
+	e.Schedule(1, HandlerFunc(func() {}))
+	ev := e.peek()
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
 	}
 	// The fired one-shot went back to the pool: the next Schedule must
 	// reuse the same Event without allocating.
-	ev2 := e.Schedule(1, HandlerFunc(func() {}))
-	if ev != ev2 {
+	e.Schedule(1, HandlerFunc(func() {}))
+	if e.peek() != ev {
 		t.Fatal("pooled event was not reused by the next Schedule")
 	}
 	if err := e.RunUntilQuiet(0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRescheduleRecycledPanics(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(1, HandlerFunc(func() {}))
-	if err := e.RunUntilQuiet(0); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("rescheduling a recycled pooled event did not panic")
-		}
-	}()
-	e.Reschedule(ev, 10)
-}
-
-func TestReset(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, HandlerFunc(func() { fired++ }))
-	if err := e.RunUntilQuiet(0); err != nil {
-		t.Fatal(err)
-	}
-	ev := NewEvent(HandlerFunc(func() { fired++ }))
-	e.ScheduleEvent(ev, 100)
-	e.Schedule(50, HandlerFunc(func() { fired++ }))
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
-		t.Fatalf("Reset left now=%d pending=%d executed=%d", e.Now(), e.Pending(), e.Executed())
-	}
-	if ev.Scheduled() {
-		t.Fatal("component event still scheduled after Reset")
-	}
-	// The engine is fully reusable: the component event can be re-armed.
-	e.ScheduleEvent(ev, 5)
-	e.Schedule(3, HandlerFunc(func() { fired++ }))
-	if err := e.RunUntilQuiet(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 3 || e.Now() != 5 {
-		t.Fatalf("after Reset: fired=%d now=%d, want 3 at 5", fired, e.Now())
 	}
 }
 
@@ -203,6 +163,16 @@ func TestHorizon(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
+	// Tick 0 is a horizon like any other; only MaxTicks is none.
+	e0 := NewEngine()
+	e0.Schedule(0, HandlerFunc(func() {}))
+	e0.Schedule(1, HandlerFunc(func() {}))
+	if err := e0.Run(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e0.Executed() != 1 || e0.Now() != 0 || e0.Pending() != 1 {
+		t.Fatalf("Run(0) executed %d events to now=%d, want only tick 0's", e0.Executed(), e0.Now())
+	}
 }
 
 func TestMaxEvents(t *testing.T) {
@@ -217,26 +187,6 @@ func TestMaxEvents(t *testing.T) {
 	}
 	if n != 1000 {
 		t.Fatalf("executed %d, want 1000", n)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	stopErr := errors.New("boom")
-	ran := 0
-	e.Schedule(1, HandlerFunc(func() { ran++; e.Stop(stopErr) }))
-	e.Schedule(2, HandlerFunc(func() { ran++ }))
-	if err := e.RunUntilQuiet(0); !errors.Is(err, stopErr) {
-		t.Fatalf("err = %v, want %v", err, stopErr)
-	}
-	if ran != 1 {
-		t.Fatalf("ran %d events after stop, want 1", ran)
-	}
-	// Clean stop returns nil.
-	e2 := NewEngine()
-	e2.Schedule(1, HandlerFunc(func() { e2.Stop(nil) }))
-	if err := e2.RunUntilQuiet(0); err != nil {
-		t.Fatalf("clean stop returned %v", err)
 	}
 }
 
@@ -271,60 +221,6 @@ func TestClock(t *testing.T) {
 	c := Clock{HZ: 2e9}
 	if s := c.Seconds(2e9); s != 1.0 {
 		t.Fatalf("Seconds(2e9) = %v, want 1", s)
-	}
-	// 32 bytes at 32 GB/s at 2 GHz = 2 cycles.
-	if ticks := c.TicksFor(32, 32e9); ticks != 2 {
-		t.Fatalf("TicksFor = %d, want 2", ticks)
-	}
-	if ticks := c.TicksFor(0, 32e9); ticks != 0 {
-		t.Fatalf("TicksFor(0) = %d, want 0", ticks)
-	}
-	if ticks := c.TicksFor(1, 1e18); ticks != 1 {
-		t.Fatalf("tiny transfer must take at least 1 tick, got %d", ticks)
-	}
-}
-
-func TestTicksForIntegerExact(t *testing.T) {
-	c := Clock{HZ: 2e9}
-	// Exact division boundary: no off-by-one from rounding up.
-	if ticks := c.TicksFor(64, 32e9); ticks != 4 {
-		t.Fatalf("TicksFor(64) = %d, want exactly 4", ticks)
-	}
-	// One byte over the boundary rounds up by exactly one tick.
-	if ticks := c.TicksFor(65, 32e9); ticks != 5 {
-		t.Fatalf("TicksFor(65) = %d, want 5", ticks)
-	}
-	// Large transfers: 1 TiB at 32 GB/s and 2 GHz is exactly
-	// 2^40 * 2e9 / 32e9 = 68719476736 ticks. float64 has only 52
-	// mantissa bits, so the product 2^40 * 2e9 ≈ 2.2e21 is no longer
-	// exactly representable and the float path can drift; the integer
-	// path must not.
-	want := Ticks(1 << 40 * 2 / 32)
-	if ticks := c.TicksFor(1<<40, 32e9); ticks != want {
-		t.Fatalf("TicksFor(1 TiB) = %d, want %d", ticks, want)
-	}
-	// Huge transfer whose bytes*HZ product overflows uint64: the 128-bit
-	// path must still be exact. 2^60 bytes * 2e9 Hz / 32e9 B/s = 2^60/16.
-	want = Ticks(1 << 56)
-	if ticks := c.TicksFor(1<<60, 32e9); ticks != want {
-		t.Fatalf("TicksFor(2^60) = %d, want %d", ticks, want)
-	}
-	// Fractional bandwidth falls back to the float path and still rounds
-	// up and never returns zero.
-	cf := Clock{HZ: 2e9}
-	if ticks := cf.TicksFor(1, 0.5); ticks != 4e9 {
-		t.Fatalf("TicksFor at 0.5 B/s = %d, want 4e9", ticks)
-	}
-	// Agreement between paths on a spread of small values.
-	for bytes := 1; bytes < 300; bytes += 7 {
-		got := c.TicksFor(bytes, 9.6e9)
-		wantF := Ticks(math.Ceil(float64(bytes) / 9.6e9 * 2e9))
-		if wantF == 0 {
-			wantF = 1
-		}
-		if got != wantF {
-			t.Fatalf("TicksFor(%d) = %d, float says %d", bytes, got, wantF)
-		}
 	}
 }
 

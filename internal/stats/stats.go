@@ -5,18 +5,20 @@
 // Stats live in a component tree of Groups (e.g. gpn0.pe3.vmu.spills) and
 // come in five kinds:
 //
-//   - Counter: a monotonically increasing event count
-//   - Scalar: a settable floating-point level
-//   - Distribution: streaming mean/min/max/stddev over samples
-//   - Histogram: bucketed sample counts (log2 or linear buckets)
-//   - Formula: a derived value evaluated lazily at dump time
+//   - counter: a monotonically increasing event count, read from a plain
+//     integer field (Group.Uint64, Int64, Int)
+//   - scalar: a floating-point level, read from a plain float64 field
+//     (Group.Float64)
+//   - distribution: streaming mean/min/max/stddev over samples
+//   - histogram: bucketed sample counts (log2 or linear buckets)
+//   - formula: a derived value evaluated lazily at dump time
 //
 // Each stat is registered once, at component construction, with a name, a
 // unit, and a one-line description. Registration captures a read closure;
 // nothing else about the stat is interface-shaped. The zero-overhead rule:
-// hot-path updates are plain field operations on the typed values
-// (`c.spills.Inc()`, `h.Observe(n)` — an integer increment into a
-// fixed-size array), never map lookups or interface calls, so the
+// hot-path updates are plain field operations (`c.spills++`,
+// `h.Observe(n)` — an integer increment into a fixed-size array), never
+// map lookups or interface calls, so the
 // event-kernel fire path stays allocation-free (guarded by ReportAllocs
 // benchmarks in this package and in internal/mem, internal/network, and
 // internal/sim). All walking, boxing, and formatting cost is paid at dump
@@ -60,32 +62,6 @@ const (
 	KindHistogram    Kind = "histogram"
 	KindFormula      Kind = "formula"
 )
-
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use; updates are plain integer increments.
-type Counter uint64
-
-// Inc adds one.
-func (c *Counter) Inc() { *c++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return uint64(*c) }
-
-// Scalar is a settable floating-point level (a gauge). The zero value is
-// ready to use.
-type Scalar float64
-
-// Set replaces the value.
-func (s *Scalar) Set(v float64) { *s = Scalar(v) }
-
-// Add accumulates into the value.
-func (s *Scalar) Add(v float64) { *s += Scalar(v) }
-
-// Value returns the current value.
-func (s *Scalar) Value() float64 { return float64(*s) }
 
 // Distribution accumulates streaming summary statistics (count, mean,
 // min, max, standard deviation) without retaining samples. The zero value

@@ -11,9 +11,8 @@ import (
 
 func TestTreePathsAndBag(t *testing.T) {
 	root := NewRoot()
-	var cycles Counter
-	cycles.Add(42)
-	root.Counter(&cycles, "cycles", Cycles, "simulated cycles")
+	var cycles uint64 = 42
+	root.Uint64(&cycles, "cycles", Cycles, "simulated cycles")
 	var spills uint64 = 7
 	vmu := root.Group("gpn0").Group("pe3").Group("vmu")
 	vmu.Uint64(&spills, "spills", Count, "activations spilled off-chip")
@@ -44,14 +43,14 @@ func TestGroupReuseAndDuplicatePanic(t *testing.T) {
 	if a != b {
 		t.Error("Group(name) must return the same child on reuse")
 	}
-	var c Counter
-	root.Counter(&c, "x", Count, "")
+	var c uint64
+	root.Uint64(&c, "x", Count, "")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate stat registration must panic")
 		}
 	}()
-	root.Counter(&c, "x", Count, "")
+	root.Uint64(&c, "x", Count, "")
 }
 
 func TestDistribution(t *testing.T) {
@@ -107,11 +106,10 @@ func TestHistogramLinearAndOverflow(t *testing.T) {
 // them, with values that fill some of the histogram's buckets.
 func schemaTree() *Group {
 	root := NewRoot()
-	var msgs Counter
-	msgs.Add(3)
-	root.Counter(&msgs, "msgs", Count, "messages").Volatile()
-	sc := Scalar(0.25)
-	root.Scalar(&sc, "level", Ratio, "a level")
+	var msgs uint64 = 3
+	root.Uint64(&msgs, "msgs", Count, "messages").Volatile()
+	level := 0.25
+	root.Float64(&level, "level", Ratio, "a level")
 	var dist Distribution
 	dist.Sample(2)
 	dist.Sample(6)
@@ -177,9 +175,8 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestTextAndCSVSinks(t *testing.T) {
 	root := NewRoot()
-	var c Counter
-	c.Add(11)
-	root.Counter(&c, "reads", Count, "")
+	var c uint64 = 11
+	root.Uint64(&c, "reads", Count, "")
 	d := root.Dump(map[string]string{"k": "v"})
 	var txt, csvBuf bytes.Buffer
 	if err := d.WriteText(&txt); err != nil {
@@ -199,13 +196,11 @@ func TestTextAndCSVSinks(t *testing.T) {
 
 func TestPrefixedMerge(t *testing.T) {
 	a := NewRoot()
-	var ca Counter
-	ca.Add(1)
-	a.Counter(&ca, "cycles", Cycles, "")
+	var ca uint64 = 1
+	a.Uint64(&ca, "cycles", Cycles, "")
 	b := NewRoot()
-	var cb Counter
-	cb.Add(2)
-	b.Counter(&cb, "cycles", Cycles, "")
+	var cb uint64 = 2
+	b.Uint64(&cb, "cycles", Cycles, "")
 	merged := Merge(map[string]string{"graph": "g"},
 		a.Dump(map[string]string{"engine": "nova"}).Prefixed("nova"),
 		b.Dump(nil).Prefixed("polygraph"))
@@ -278,8 +273,8 @@ func TestDiffHistogramBuckets(t *testing.T) {
 		}
 		root.Histogram(&h, "occupancy", Entries, "")
 		if extra {
-			var c Counter
-			root.Counter(&c, "extra", Count, "")
+			var c uint64
+			root.Uint64(&c, "extra", Count, "")
 		}
 		return root.Dump(nil)
 	}
@@ -319,27 +314,27 @@ func stringify(m map[string]float64) map[string]string {
 	return out
 }
 
-// BenchmarkHotPathUpdates guards the zero-overhead rule: typed-value
-// updates on the fire path must not allocate.
+// BenchmarkHotPathUpdates guards the zero-overhead rule: updates on the
+// fire path must not allocate.
 func BenchmarkHotPathUpdates(b *testing.B) {
-	var c Counter
-	var s Scalar
+	var c uint64
+	var s float64
 	var d Distribution
 	var h Histogram
 	root := NewRoot()
-	root.Counter(&c, "c", Count, "")
-	root.Scalar(&s, "s", Ratio, "")
+	root.Uint64(&c, "c", Count, "")
+	root.Float64(&s, "s", Ratio, "")
 	root.Distribution(&d, "d", Entries, "")
 	root.Histogram(&h, "h", Bytes, "")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-		s.Add(0.5)
+		c++
+		s += 0.5
 		d.Sample(float64(i & 1023))
 		h.Observe(uint64(i & 1023))
 	}
-	if c.Value() == 0 {
+	if c == 0 {
 		b.Fatal("impossible")
 	}
 }

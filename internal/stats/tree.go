@@ -70,13 +70,6 @@ func (g *Group) add(name string, kind Kind, unit Unit, desc string,
 	return s
 }
 
-// Counter registers a Counter value.
-func (g *Group) Counter(c *Counter, name string, unit Unit, desc string) *Stat {
-	return g.add(name, KindCounter, unit, desc, func(s *Stat, path string, d *Dump) {
-		d.append(s, path, path, float64(c.Value()))
-	})
-}
-
 // Uint64 registers an existing plain uint64 counter field, so components
 // instrument their established counters without changing hot-path code.
 func (g *Group) Uint64(p *uint64, name string, unit Unit, desc string) *Stat {
@@ -96,13 +89,6 @@ func (g *Group) Int64(p *int64, name string, unit Unit, desc string) *Stat {
 func (g *Group) Int(p *int, name string, unit Unit, desc string) *Stat {
 	return g.add(name, KindCounter, unit, desc, func(s *Stat, path string, d *Dump) {
 		d.append(s, path, path, float64(*p))
-	})
-}
-
-// Scalar registers a Scalar value.
-func (g *Group) Scalar(sc *Scalar, name string, unit Unit, desc string) *Stat {
-	return g.add(name, KindScalar, unit, desc, func(s *Stat, path string, d *Dump) {
-		d.append(s, path, path, sc.Value())
 	})
 }
 
